@@ -192,14 +192,20 @@ fn sweeps_emit_typed_trace_events() {
     let make = move || -> Result<Box<dyn LoadGen>, String> {
         Ok(Box::new(SimServerGen::new(&sim, model)))
     };
-    let _ = runner.run_target(
+    let (_, record) = runner.run_target(
         "sim_server",
         "virtual service latency under offered load",
         &make,
         &[LoadMode::Open, LoadMode::Closed],
     );
     lmbench::trace::uninstall(handle);
-    let events = sink.events();
+    // Sibling tests' sweeps can emit into the global sink while it is
+    // installed; keep only this sweep's own span.
+    let events: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter(|e| e.span == record.span)
+        .collect();
     let sweep_starts = events
         .iter()
         .filter(|e| matches!(&e.kind, EventKind::SweepStart { bench, .. } if bench == "sim_server"))

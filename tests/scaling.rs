@@ -8,12 +8,15 @@
 //! round-tripping through [`RunReport`]; trace visibility; and the
 //! noise-aware differ gating on latency-under-load regressions.
 
-use lmbench::core::{find_scale_spec, LoadSpec, ScaleFaultPlan, ScaleRunner, SuiteConfig};
+use lmbench::core::{
+    find_scale_spec, LoadSpec, ScaleFaultPlan, ScaleRunner, SimServerGen, SuiteConfig,
+};
 use lmbench::results::{
     BenchRecord, BenchStatus, MetricValue, Provenance, ReportDiff, RunReport, ScalingCurve,
 };
-use lmbench::timing::{Harness, Quality};
+use lmbench::timing::{CostModel, Harness, Quality, SimClock};
 use lmbench::trace::{EventKind, MemorySink};
+use std::path::Path;
 use std::sync::Mutex;
 
 /// The global trace sink is process-wide; tests that install one must not
@@ -170,10 +173,16 @@ fn sweep_narrates_itself_into_the_trace() {
     let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let sink = MemorySink::shared();
     let handle = lmbench::trace::install(Box::new(sink.clone()));
-    let (curve, _) = sweep("bw_mem", 2);
+    let (curve, record) = sweep("bw_mem", 2);
     lmbench::trace::uninstall(handle);
 
-    let events = sink.events();
+    // Sibling tests' sweeps can emit into the global sink while it is
+    // installed; keep only this sweep's own span.
+    let events: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter(|e| e.span == record.span)
+        .collect();
     let starts: Vec<_> = events
         .iter()
         .filter_map(|e| match &e.kind {
@@ -205,6 +214,47 @@ fn sweep_narrates_itself_into_the_trace() {
         &e.kind,
         EventKind::SpanStart { name, .. } if name == "scale:bw_mem"
     )));
+}
+
+#[test]
+fn virtual_scale_sweep_renders_to_its_golden() {
+    // Every generator scripts its own server on a fresh virtual clock, so
+    // the curve is a function of the cost model alone: thread interleaving
+    // cannot move a byte. Only the host-timed wall clock and the span id
+    // (allocated when a sink is installed) are scrubbed.
+    let spec = LoadSpec {
+        name: "sim_server",
+        produces: "virtual service rate under P scripted servers",
+        unit: "ops/s",
+        requires: &[],
+        bytes_per_op: |_| 0,
+        ops_per_rep: |_| 64,
+        make: |_| {
+            Ok(Box::new(SimServerGen::new(
+                &SimClock::new(7),
+                CostModel::Noisy {
+                    base_ns: 50_000.0,
+                    spread_ns: 5_000.0,
+                },
+            )))
+        },
+    };
+    let (curve, mut record) = runner(3).run(&spec);
+    record.wall_ms = 0.0;
+    record.span = None;
+    let report = RunReport {
+        records: vec![record],
+        scaling: vec![curve],
+        ..Default::default()
+    };
+    let rendered = report.to_json();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden/scale-sim.json");
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert!(
+        rendered == golden,
+        "scale-sim.json: the virtual sweep drifted from the golden\n--- golden\n{golden}\n--- rendered\n{rendered}"
+    );
 }
 
 /// A hand-built record with trustworthy provenance, so the differ's
