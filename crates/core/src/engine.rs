@@ -185,6 +185,21 @@ impl Substrate {
     }
 }
 
+/// Probes each required substrate in order, narrating every probe, and
+/// stops at the first one missing; `Err` carries its skip reason.
+pub(crate) fn probe_substrates(requires: &[Substrate]) -> Result<(), String> {
+    for s in requires {
+        let result = s.probe();
+        emit(|| EventKind::Probe {
+            substrate: s.describe().to_string(),
+            ok: result.is_ok(),
+            detail: result.clone().err().unwrap_or_default(),
+        });
+        result?;
+    }
+    Ok(())
+}
+
 /// Everything a benchmark runner may consult. Owned (no borrows) so the
 /// engine can move it onto the watchdogged benchmark thread.
 #[derive(Debug, Clone)]
@@ -459,20 +474,7 @@ impl Engine {
             });
             Some(reason)
         } else {
-            let mut failure = None;
-            for s in bench.requires {
-                let result = s.probe();
-                emit(|| EventKind::Probe {
-                    substrate: s.describe().to_string(),
-                    ok: result.is_ok(),
-                    detail: result.clone().err().unwrap_or_default(),
-                });
-                if let Err(reason) = result {
-                    failure = Some(reason);
-                    break;
-                }
-            }
-            failure
+            probe_substrates(bench.requires).err()
         };
         drop(probe_timer);
         if let Some(reason) = probe_failure {

@@ -1,49 +1,49 @@
-//! Parallel load scaling: the paper's numbers under concurrency.
+//! Load generation: the paper's numbers under concurrency and offered load.
 //!
 //! Every measurement in the paper is one client against one resource
 //! (§3.2 "lmbench measures the performance of the primitive" — alone).
-//! The question a server operator asks next is how those primitives
-//! degrade when P processes hit the same resource at once. A
-//! [`ScaleRunner`] answers it by running a benchmark's inner operation
-//! under P = 1, 2, 4, … concurrent generator threads — each generator its
-//! own [`Harness`] with the suite's repetition and quality machinery, all
-//! released together by a rendezvous barrier — and folding the results
-//! into a typed [`ScalingCurve`]: aggregate throughput, p50/p99
-//! latency-under-load, parallel efficiency against P = 1, and a quality
-//! grade per point, judged over the *pooled* cross-generator samples.
+//! A [`LoadRunner`] asks what happens under load, driving the same
+//! [`LoadGen`] generators through one point driver on two ladders:
+//!
+//! - the P ladder ([`LoadRunner::scale`]) releases P = 1, 2, 4, …
+//!   generators together, each under its own [`Harness`], into a
+//!   [`ScalingCurve`]: aggregate throughput, pooled p50/p99
+//!   latency-under-load, parallel efficiency against P = 1, and a grade;
+//! - the rate ladder ([`LoadRunner::run_target`]) offers one generator
+//!   scheduled arrivals at fractions of its probed peak rate, open- and
+//!   closed-loop, into [`RateSweep`]s that stop at the knee; the gap
+//!   between the modes is the coordinated omission a closed loop hides.
 //!
 //! Fault isolation matches the engine's contract: a generator that
-//! panics (or cannot be built) fails only its own P-point; the sweep
-//! continues, and the failure is recorded in the curve rather than
-//! crashing the run.
+//! panics, cannot be built, or loses its transport fails only its own
+//! point; the sweep continues and records the failure.
 
 use crate::config::SuiteConfig;
-use crate::engine::{panic_message, provenance_from, EngineClock, Substrate};
+use crate::engine::{panic_message, probe_substrates, provenance_from, EngineClock, Substrate};
 use crate::error::SuiteError;
 use lmb_results::{
     BenchRecord, BenchStatus, GeneratorSample, MetricValue, RatePoint, RateSweep, ScalePoint,
     ScalingCurve,
 };
-use lmb_timing::clock::Stopwatch;
 use lmb_timing::{
     new_recorder, take_events, ArrivalProcess, ClockInfo, CostModel, Harness, MeasureEvent,
-    Quality, Samples, SimClock, TimeSource,
+    Options, Quality, Samples, SimClock, TimeSource,
 };
-use lmb_trace::{emit, emit_in, ContextGuard, EventKind, Span, SpanId};
+use lmb_trace::{emit, ContextGuard, EventKind, Span};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Duration;
 
-/// One generator's repeated operation: the benchmark body a scaling
-/// sweep multiplies. `Send` is a supertrait because each generator is
-/// moved onto its own thread.
+/// One generator's repeated operation: the benchmark body a load point
+/// multiplies. `Send` is a supertrait because generators past the first
+/// of a point are moved onto their own threads.
 pub trait LoadGen: Send {
     /// Performs one operation (one copy, one round trip, one chunk).
     fn op(&mut self);
 
     /// The virtual clock this generator advances, when it is a scripted
     /// simulation generator rather than a real one. A `Some` return makes
-    /// the sweep time this generator against that clock (pinned
+    /// the runner time this generator against that clock (pinned
     /// resolution, no hardware probe) so a whole sweep can run in virtual
     /// milliseconds.
     fn sim_clock(&self) -> Option<SimClock> {
@@ -52,7 +52,7 @@ pub trait LoadGen: Send {
 
     /// The first error this generator's `op()` hit, when its transport
     /// can fail transiently (a socket round trip, say). A failed
-    /// generator must keep `op()` a cheap no-op — the runners poll this
+    /// generator must keep `op()` a cheap no-op — the runner polls this
     /// after (or between) operations and fail the point with the
     /// underlying error instead of panicking mid-measurement.
     fn failure(&self) -> Option<String> {
@@ -286,373 +286,6 @@ impl ScaleFaultPlan {
     }
 }
 
-/// Runs load-scaling sweeps: P concurrent generators per point, each on
-/// its own thread with its own harness, started together by a barrier.
-pub struct ScaleRunner {
-    config: SuiteConfig,
-    max_p: u32,
-    faults: ScaleFaultPlan,
-    clock: EngineClock,
-}
-
-impl ScaleRunner {
-    /// Builds a runner; rejects invalid configurations.
-    pub fn new(config: SuiteConfig) -> Result<Self, SuiteError> {
-        config.validate()?;
-        Ok(ScaleRunner {
-            config,
-            max_p: 4,
-            faults: ScaleFaultPlan::default(),
-            clock: EngineClock::default(),
-        })
-    }
-
-    /// Replaces the runner's wall clock (virtual runs pass
-    /// [`EngineClock::Sim`] so sweep wall times are deterministic).
-    #[must_use]
-    pub fn with_clock(mut self, clock: EngineClock) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Sets the largest generator count (default 4, minimum 1).
-    #[must_use]
-    pub fn with_max_p(mut self, max_p: u32) -> Self {
-        self.max_p = max_p.max(1);
-        self
-    }
-
-    /// Installs a fault plan (tests, drills).
-    #[must_use]
-    pub fn with_faults(mut self, faults: ScaleFaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The P values a sweep visits: powers of two up to `max_p`,
-    /// plus `max_p` itself when it is not a power of two.
-    #[must_use]
-    pub fn points(&self) -> Vec<u32> {
-        let mut ps = Vec::new();
-        let mut p = 1u32;
-        while p <= self.max_p {
-            ps.push(p);
-            p = p.saturating_mul(2);
-        }
-        if *ps.last().expect("at least P=1") != self.max_p {
-            ps.push(self.max_p);
-        }
-        ps
-    }
-
-    /// Sweeps one benchmark and returns its curve plus a synthesized
-    /// report record (so curves ride the existing report/diff machinery).
-    pub fn run(&self, spec: &LoadSpec) -> (ScalingCurve, BenchRecord) {
-        let started = self.clock.now_ns();
-        let span = Span::enter(format!("scale:{}", spec.name));
-        let mut record = BenchRecord {
-            name: format!("scale_{}", spec.name),
-            produces: spec.produces.to_string(),
-            status: BenchStatus::Ok,
-            attempts: 1,
-            wall_ms: 0.0,
-            // A sweep owns the machine by design; never pooled.
-            exclusive: true,
-            provenance: None,
-            rusage: None,
-            counters: None,
-            metrics: Vec::new(),
-            span: span.id().as_option(),
-        };
-        let mut curve = ScalingCurve {
-            bench: spec.name.to_string(),
-            unit: spec.unit.to_string(),
-            points: Vec::new(),
-        };
-
-        for substrate in spec.requires {
-            let probe = substrate.probe();
-            emit(|| EventKind::Probe {
-                substrate: substrate.describe().to_string(),
-                ok: probe.is_ok(),
-                detail: probe.clone().err().unwrap_or_default(),
-            });
-            if let Err(reason) = probe {
-                record.status = BenchStatus::Skipped(reason);
-                record.wall_ms = (self.clock.now_ns() - started).max(0.0) / 1e6;
-                return (curve, record);
-            }
-        }
-
-        emit(|| EventKind::ScaleStart {
-            bench: spec.name.to_string(),
-            max_p: self.max_p,
-        });
-
-        let mut events: Vec<MeasureEvent> = Vec::new();
-        for p in self.points() {
-            let point = self.measure_point(spec, p, span.id(), &mut events);
-            if point.is_ok() {
-                emit_in(span.id(), || EventKind::ScalePoint {
-                    p: point.p,
-                    throughput: point.throughput,
-                    unit: spec.unit.to_string(),
-                    p50_us: point.p50_us,
-                    p99_us: point.p99_us,
-                    quality: point.quality.clone(),
-                });
-            }
-            curve.points.push(point);
-        }
-        curve.compute_efficiency();
-
-        for pt in curve.ok_points() {
-            record.metrics.push(MetricValue {
-                label: format!("p{} tput", pt.p),
-                value: pt.throughput,
-                unit: spec.unit.to_string(),
-            });
-            record.metrics.push(MetricValue {
-                label: format!("p{} p50", pt.p),
-                value: pt.p50_us,
-                unit: "us".to_string(),
-            });
-            record.metrics.push(MetricValue {
-                label: format!("p{} p99", pt.p),
-                value: pt.p99_us,
-                unit: "us".to_string(),
-            });
-        }
-        record.provenance = provenance_from(&events);
-        if curve.ok_points().next().is_none() {
-            record.status = BenchStatus::Failed("every scaling point failed".to_string());
-        }
-        record.wall_ms = (self.clock.now_ns() - started).max(0.0) / 1e6;
-        emit(|| EventKind::Outcome {
-            status: record.status.label().to_string(),
-            attempts: 1,
-            wall_ms: record.wall_ms,
-        });
-        (curve, record)
-    }
-
-    /// Runs one P-point: builds the generators serially (a build failure
-    /// fails the point before any thread blocks on the barrier), then
-    /// releases them together and measures each under its own harness.
-    fn measure_point(
-        &self,
-        spec: &LoadSpec,
-        p: u32,
-        span_id: SpanId,
-        events: &mut Vec<MeasureEvent>,
-    ) -> ScalePoint {
-        // Build everything on the coordinator: if generator k of P fails
-        // to set up, no thread has parked on a P-wide barrier yet.
-        let mut gens = Vec::with_capacity(p as usize);
-        for index in 0..p {
-            match (spec.make)(&self.config) {
-                Ok(g) => gens.push(g),
-                Err(e) => {
-                    return failed_point(p, format!("generator {index} setup failed: {e}"));
-                }
-            }
-        }
-
-        let ops = (spec.ops_per_rep)(&self.config).max(1);
-        let bytes_per_op = (spec.bytes_per_op)(&self.config);
-        let inject = self.faults.hits(spec.name, p);
-        let barrier = Arc::new(Barrier::new(p as usize));
-        let options = self.config.options;
-
-        type GenOutcome = (
-            usize,
-            Result<lmb_timing::Measurement, String>,
-            Vec<MeasureEvent>,
-            f64,
-        );
-        let mut outcomes: Vec<GenOutcome> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p as usize);
-            for (index, mut gen) in gens.into_iter().enumerate() {
-                let barrier = Arc::clone(&barrier);
-                // The last generator is the fault target: deterministic,
-                // and it proves the others' results survive a neighbour's
-                // death.
-                let sabotage = inject && index as u32 == p - 1;
-                handles.push(scope.spawn(move || {
-                    let _trace_ctx = ContextGuard::enter(span_id);
-                    let recorder = new_recorder();
-                    // A scripted generator carries its own virtual clock;
-                    // time it against that clock (pinned resolution, no
-                    // hardware probe) so the whole point is deterministic.
-                    let sim = gen.sim_clock();
-                    let real_harness = if sim.is_none() {
-                        Some(Harness::new(options).with_recorder(recorder.clone()))
-                    } else {
-                        None
-                    };
-                    let sim_harness = sim.as_ref().map(|s| {
-                        Harness::with_source_and_clock(
-                            options,
-                            s.clone(),
-                            ClockInfo {
-                                resolution_ns: 1.0,
-                                overhead_ns: 15.0,
-                            },
-                        )
-                        .with_recorder(recorder.clone())
-                    });
-                    barrier.wait();
-                    let sw = Stopwatch::start();
-                    let sim_t0 = sim.as_ref().map(SimClock::true_now_ns);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if sabotage {
-                            panic!("injected fault: scale generator panic");
-                        }
-                        match &sim_harness {
-                            Some(h) => h.measure_block(ops, || {
-                                for _ in 0..ops {
-                                    gen.op();
-                                }
-                            }),
-                            None => {
-                                let h = real_harness.as_ref().expect("real harness when no sim");
-                                h.measure_block(ops, || {
-                                    for _ in 0..ops {
-                                        gen.op();
-                                    }
-                                })
-                            }
-                        }
-                    }));
-                    let elapsed_ms = match (&sim, sim_t0) {
-                        (Some(s), Some(t0)) => (s.true_now_ns() - t0).max(0.0) / 1e6,
-                        _ => sw.elapsed_ns() / 1e6,
-                    };
-                    // A generator that swallowed a transport error mid-run
-                    // measured no-ops after the failure; its numbers are
-                    // void and the underlying io error fails the point.
-                    let outcome =
-                        outcome
-                            .map_err(panic_message)
-                            .and_then(|m| match gen.failure() {
-                                Some(e) => Err(e),
-                                None => Ok(m),
-                            });
-                    (index, outcome, take_events(&recorder), elapsed_ms)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("generator panics are caught inside"))
-                .collect()
-        });
-        outcomes.sort_by_key(|(index, ..)| *index);
-
-        // Generators ran concurrently, so the sweep's own virtual clock
-        // advances by the slowest generator's span, not the sum.
-        if let Some(sim) = self.clock.sim() {
-            let max_ns = outcomes
-                .iter()
-                .map(|(_, _, _, elapsed_ms)| elapsed_ms * 1e6)
-                .fold(0.0f64, f64::max);
-            sim.advance(max_ns);
-        }
-
-        let mut generators = Vec::with_capacity(p as usize);
-        let mut pooled: Vec<f64> = Vec::new();
-        let mut total_ops = 0u64;
-        let mut aggregate = 0.0f64;
-        let mut failure: Option<String> = None;
-        for (index, outcome, gen_events, elapsed_ms) in outcomes {
-            events.extend(gen_events);
-            match outcome {
-                Err(msg) => {
-                    failure.get_or_insert(format!("generator {index}: {msg}"));
-                }
-                Ok(m) => {
-                    let samples = m.samples().clone();
-                    let gen_ops = ops * samples.len() as u64;
-                    let mean_ns = samples.mean().unwrap_or(0.0);
-                    let rate = per_op_rate(mean_ns, bytes_per_op);
-                    emit(|| EventKind::Generator {
-                        p,
-                        index: index as u32,
-                        ops: gen_ops,
-                        elapsed_ms,
-                    });
-                    generators.push(GeneratorSample {
-                        index: index as u32,
-                        throughput: rate,
-                        cv: samples.cv(),
-                        quality: Quality::from_samples(&samples).label().to_string(),
-                    });
-                    aggregate += rate;
-                    total_ops += gen_ops;
-                    pooled.extend_from_slice(samples.values());
-                }
-            }
-        }
-        if let Some(reason) = failure {
-            return failed_point(p, reason);
-        }
-
-        let pool = Samples::from_values(pooled);
-        // An empty pool has no percentiles. It must fail the point, never
-        // emit p50/p99 = 0.0: a zero latency reads as "fastest ever" to
-        // the lower-is-better differ and would mask a regression.
-        let (Some(p50), Some(p99)) = (pool.p50(), pool.p99()) else {
-            return failed_point(p, "no latency samples were collected".to_string());
-        };
-        ScalePoint {
-            p,
-            ops: total_ops,
-            throughput: aggregate,
-            p50_us: p50 / 1e3,
-            p99_us: p99 / 1e3,
-            cv: pool.cv(),
-            quality: Quality::from_samples(&pool).label().to_string(),
-            efficiency: None,
-            generators,
-            error: None,
-        }
-    }
-}
-
-/// Sustained rate implied by a mean per-op time: MB/s when the op moves
-/// bytes, ops/s otherwise; 0.0 when the clock could not resolve the op.
-fn per_op_rate(mean_ns: f64, bytes_per_op: u64) -> f64 {
-    if mean_ns <= 0.0 {
-        return 0.0;
-    }
-    let ops_per_s = 1e9 / mean_ns;
-    if bytes_per_op > 0 {
-        ops_per_s * bytes_per_op as f64 / (1 << 20) as f64
-    } else {
-        ops_per_s
-    }
-}
-
-/// A point that produced no numbers, only a reason.
-fn failed_point(p: u32, reason: String) -> ScalePoint {
-    ScalePoint {
-        p,
-        ops: 0,
-        throughput: 0.0,
-        p50_us: 0.0,
-        p99_us: 0.0,
-        cv: 0.0,
-        quality: Quality::Suspect.label().to_string(),
-        efficiency: None,
-        generators: Vec::new(),
-        error: Some(reason),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop load generation: scheduled arrivals, rate sweeps, and the
-// coordinated-omission gap.
-// ---------------------------------------------------------------------------
-
 /// Pacing discipline of a rate point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadMode {
@@ -686,8 +319,8 @@ impl LoadMode {
 /// service can sustain.
 pub const LADDER_FRACTIONS: [f64; 7] = [0.3, 0.5, 0.7, 0.85, 1.0, 1.15, 1.3];
 
-/// Builds one fresh load generator per rate point, so a point's backlog
-/// (a full pipe, a wedged socket) cannot leak into the next point.
+/// Builds one fresh load generator per call, so a point's backlog (a full
+/// pipe, a wedged socket) cannot leak into the next point.
 pub type MakeGen<'a> = &'a dyn Fn() -> Result<Box<dyn LoadGen>, String>;
 
 /// A scripted open-loop service for virtual sweeps: `op()` advances a
@@ -720,38 +353,52 @@ impl LoadGen for SimServerGen {
     }
 }
 
-/// Raw per-arrival measurements of one rate point.
-struct PacedRun {
-    /// Per-operation latency samples, ns (origin depends on the mode).
-    latencies_ns: Vec<f64>,
+/// What each generator of a point does once the start barrier releases it.
+#[derive(Clone, Copy)]
+enum Body {
+    /// `measure_block` repetitions of this many ops: a P-ladder point.
+    Harness(u64),
+    /// The runner's `ops` ops, unpaced, between exactly two clock reads:
+    /// the peak probe.
+    Burst,
+    /// The runner's `ops` arrivals under a pacing discipline: a rate point.
+    Paced(LoadMode, ArrivalProcess),
+}
+
+/// What one generator measured.
+#[derive(Default)]
+struct GenRun {
+    /// Per-op latency samples, ns: per repetition (`Harness`) or per
+    /// arrival (`Paced`).
+    samples: Samples,
     /// Operations completed.
-    completed: u64,
+    ops: u64,
     /// Arrivals whose service started after their intended time.
     late: u64,
     /// Worst start lag behind the schedule, ns.
     max_lag_ns: f64,
-    /// Span from the point's epoch to the last completion, ns.
+    /// Span from release to the last completion, ns.
     elapsed_ns: f64,
-    /// First generator failure, when the transport died mid-run.
-    error: Option<String>,
+    /// The harness's provenance events.
+    events: Vec<MeasureEvent>,
 }
 
 /// Drives one generator through `ops` operations under the given pacing
 /// discipline, timed against `source` (the generator's own virtual clock
-/// for scripted runs, the host clock otherwise).
+/// for scripted runs, the host clock otherwise). Stops at the first
+/// transport failure, which the caller reads back from the generator.
 fn paced_run<T: TimeSource>(
     source: &T,
     gen: &mut dyn LoadGen,
     mode: LoadMode,
     process: &ArrivalProcess,
     ops: u64,
-) -> PacedRun {
+) -> GenRun {
     let mut schedule = process.schedule();
     let closed_gap_ns = 1e9 / process.rate_per_s();
     let mut latencies_ns = Vec::with_capacity(ops as usize);
     let mut late = 0u64;
     let mut max_lag_ns = 0.0f64;
-    let mut error = None;
     let t_base = source.now_ns();
     for i in 0..ops {
         let (origin_ns, done_ns) = match mode {
@@ -785,28 +432,68 @@ fn paced_run<T: TimeSource>(
                 (start, done)
             }
         };
-        if let Some(e) = gen.failure() {
-            error = Some(e);
+        if gen.failure().is_some() {
             break;
         }
         latencies_ns.push((done_ns - origin_ns).max(0.0));
     }
-    PacedRun {
-        completed: latencies_ns.len() as u64,
+    GenRun {
+        ops: latencies_ns.len() as u64,
         elapsed_ns: (source.now_ns() - t_base).max(0.0),
-        latencies_ns,
+        samples: Samples::from_values(latencies_ns),
         late,
         max_lag_ns,
-        error,
+        events: Vec::new(),
     }
 }
 
-/// The clock a point is timed against: the generator's own virtual clock
-/// when it is scripted, the host monotonic clock otherwise.
-fn point_clock(gen: &dyn LoadGen) -> EngineClock {
-    match gen.sim_clock() {
-        Some(sim) => EngineClock::Sim(sim),
-        None => EngineClock::default(),
+/// A generator's own harness, timed against its own clock: a scripted
+/// generator's virtual clock with a pinned resolution (no hardware probe,
+/// so the point is deterministic), the probed host clock otherwise.
+fn generator_harness(gen: &dyn LoadGen, options: Options) -> Harness<EngineClock> {
+    let (clock, info) = match gen.sim_clock() {
+        Some(sim) => (
+            EngineClock::Sim(sim),
+            ClockInfo {
+                resolution_ns: 1.0,
+                overhead_ns: 15.0,
+            },
+        ),
+        None => (EngineClock::default(), ClockInfo::probe()),
+    };
+    Harness::with_source_and_clock(options, clock, info).with_recorder(new_recorder())
+}
+
+/// A trace-only clock reading: virtual ground truth, which charges no
+/// read and so leaves the measurement it brackets undisturbed, or the
+/// host clock.
+fn span_ns(clock: &EngineClock) -> f64 {
+    clock
+        .sim()
+        .map_or_else(|| clock.now_ns(), SimClock::true_now_ns)
+}
+
+/// Sustained rate implied by a mean per-op time: MB/s when the op moves
+/// bytes, ops/s otherwise; 0.0 when the clock could not resolve the op.
+fn per_op_rate(mean_ns: f64, bytes_per_op: u64) -> f64 {
+    if mean_ns <= 0.0 {
+        return 0.0;
+    }
+    let ops_per_s = 1e9 / mean_ns;
+    if bytes_per_op > 0 {
+        ops_per_s * bytes_per_op as f64 / (1 << 20) as f64
+    } else {
+        ops_per_s
+    }
+}
+
+/// A P-point that produced no numbers, only a reason.
+fn failed_point(p: u32, reason: String) -> ScalePoint {
+    ScalePoint {
+        p,
+        quality: Quality::Suspect.label().to_string(),
+        error: Some(reason),
+        ..ScalePoint::default()
     }
 }
 
@@ -814,34 +501,31 @@ fn point_clock(gen: &dyn LoadGen) -> EngineClock {
 fn failed_rate_point(offered_per_s: f64, reason: String) -> RatePoint {
     RatePoint {
         offered_per_s,
-        achieved_per_s: 0.0,
-        ops: 0,
-        late: 0,
-        max_lag_us: 0.0,
-        p50_us: 0.0,
-        p99_us: 0.0,
-        cv: 0.0,
         quality: Quality::Suspect.label().to_string(),
         error: Some(reason),
+        ..RatePoint::default()
     }
 }
 
-/// Runs open- and closed-loop rate sweeps: one generator offered a
-/// scheduled arrival rate, swept up a ladder of fractions of its probed
-/// peak rate until the knee (p99 blowup or throughput plateau).
+/// Runs a benchmark's generators under load on two ladders: the P ladder
+/// ([`LoadRunner::scale`]) and the rate ladder
+/// ([`LoadRunner::run_target`]).
 pub struct LoadRunner {
     config: SuiteConfig,
     clock: EngineClock,
     /// Arrival-process shape and seed; the rate is replaced per point.
     process: ArrivalProcess,
-    /// Scheduled arrivals per rate point.
+    /// Scheduled arrivals per rate point, and the peak probe's burst.
     ops: u64,
+    /// Largest generator count the P ladder visits.
+    max_p: u32,
+    faults: ScaleFaultPlan,
 }
 
 impl LoadRunner {
     /// Builds a runner; rejects invalid configurations. Defaults: uniform
     /// arrivals, the config's round-trip count (at least 64 so p99 has
-    /// tail samples to stand on) per point.
+    /// tail samples to stand on) per rate point, P up to 4.
     pub fn new(config: SuiteConfig) -> Result<Self, SuiteError> {
         config.validate()?;
         let ops = round_trip_ops(&config).max(64);
@@ -850,6 +534,8 @@ impl LoadRunner {
             clock: EngineClock::default(),
             process: ArrivalProcess::uniform(1.0),
             ops,
+            max_p: 4,
+            faults: ScaleFaultPlan::default(),
         })
     }
 
@@ -876,73 +562,177 @@ impl LoadRunner {
         self
     }
 
-    /// Scheduled arrivals per rate point.
+    /// Sets the largest generator count (default 4, minimum 1).
     #[must_use]
-    pub fn ops(&self) -> u64 {
-        self.ops
+    pub fn with_max_p(mut self, max_p: u32) -> Self {
+        self.max_p = max_p.max(1);
+        self
+    }
+
+    /// Installs a fault plan (tests, drills).
+    #[must_use]
+    pub fn with_faults(mut self, faults: ScaleFaultPlan) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// The P values the P ladder visits: powers of two up to `max_p`,
+    /// plus `max_p` itself when it is not a power of two.
+    #[must_use]
+    pub fn points(&self) -> Vec<u32> {
+        let mut ps = Vec::new();
+        let mut p = 1u32;
+        while p <= self.max_p {
+            ps.push(p);
+            p = p.saturating_mul(2);
+        }
+        if *ps.last().expect("at least P=1") != self.max_p {
+            ps.push(self.max_p);
+        }
+        ps
+    }
+
+    /// The P ladder: sweeps one benchmark over [`LoadRunner::points`] and
+    /// returns its curve plus a synthesized report record (so curves ride
+    /// the existing report/diff machinery).
+    pub fn scale(&self, spec: &LoadSpec) -> (ScalingCurve, BenchRecord) {
+        let curve = ScalingCurve {
+            bench: spec.name.to_string(),
+            unit: spec.unit.to_string(),
+            points: Vec::new(),
+        };
+        let run = |curve: &mut ScalingCurve, record: &mut BenchRecord| {
+            emit(|| EventKind::ScaleStart {
+                bench: spec.name.to_string(),
+                max_p: self.max_p,
+            });
+            let mut events = Vec::new();
+            for p in self.points() {
+                let point = self.scale_point(spec, p, &mut events);
+                if point.is_ok() {
+                    emit(|| EventKind::ScalePoint {
+                        p: point.p,
+                        throughput: point.throughput,
+                        unit: spec.unit.to_string(),
+                        p50_us: point.p50_us,
+                        p99_us: point.p99_us,
+                        quality: point.quality.clone(),
+                    });
+                }
+                curve.points.push(point);
+            }
+            curve.compute_efficiency();
+            for pt in curve.ok_points() {
+                for (label, value, unit) in [
+                    ("tput", pt.throughput, spec.unit),
+                    ("p50", pt.p50_us, "us"),
+                    ("p99", pt.p99_us, "us"),
+                ] {
+                    record.metrics.push(MetricValue {
+                        label: format!("p{} {label}", pt.p),
+                        value,
+                        unit: unit.to_string(),
+                    });
+                }
+            }
+            record.provenance = provenance_from(&events);
+            Ok(())
+        };
+        self.ladder("scale", spec.name, spec.produces, spec.requires, curve, run)
+    }
+
+    /// One P-point: P generators under their own harnesses, folded into
+    /// aggregate throughput and latency percentiles over the pooled
+    /// cross-generator samples.
+    fn scale_point(&self, spec: &LoadSpec, p: u32, events: &mut Vec<MeasureEvent>) -> ScalePoint {
+        let make = || (spec.make)(&self.config);
+        let ops = (spec.ops_per_rep)(&self.config).max(1);
+        let runs = match self.drive(&make, p, Body::Harness(ops), self.faults.hits(spec.name, p)) {
+            Ok(runs) => runs,
+            Err(reason) => return failed_point(p, reason),
+        };
+        let bytes_per_op = (spec.bytes_per_op)(&self.config);
+        let mut generators = Vec::with_capacity(runs.len());
+        let mut pooled: Vec<f64> = Vec::new();
+        let mut total_ops = 0u64;
+        let mut aggregate = 0.0f64;
+        for (index, run) in runs.into_iter().enumerate() {
+            let rate = per_op_rate(run.samples.mean().unwrap_or(0.0), bytes_per_op);
+            emit(|| EventKind::Generator {
+                p,
+                index: index as u32,
+                ops: run.ops,
+                elapsed_ms: run.elapsed_ns / 1e6,
+            });
+            generators.push(GeneratorSample {
+                index: index as u32,
+                throughput: rate,
+                cv: run.samples.cv(),
+                quality: Quality::from_samples(&run.samples).label().to_string(),
+            });
+            aggregate += rate;
+            total_ops += run.ops;
+            pooled.extend_from_slice(run.samples.values());
+            events.extend(run.events);
+        }
+
+        let pool = Samples::from_values(pooled);
+        // An empty pool has no percentiles. It must fail the point, never
+        // emit p50/p99 = 0.0: a zero latency reads as "fastest ever" to
+        // the lower-is-better differ and would mask a regression.
+        let (Some(p50), Some(p99)) = (pool.p50(), pool.p99()) else {
+            return failed_point(p, "no latency samples were collected".to_string());
+        };
+        ScalePoint {
+            p,
+            ops: total_ops,
+            throughput: aggregate,
+            p50_us: p50 / 1e3,
+            p99_us: p99 / 1e3,
+            cv: pool.cv(),
+            quality: Quality::from_samples(&pool).label().to_string(),
+            efficiency: None,
+            generators,
+            error: None,
+        }
     }
 
     /// Peak closed-loop service rate, ops/s, from one unpaced burst of a
-    /// fresh generator — the denominator the sweep's rate ladder scales.
+    /// fresh generator — the denominator the rate ladder scales.
     pub fn probe_peak(&self, make: MakeGen) -> Result<f64, String> {
-        let mut gen = make().map_err(|e| format!("generator setup failed: {e}"))?;
-        let source = point_clock(gen.as_ref());
-        let t0 = source.now_ns();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            for _ in 0..self.ops {
-                gen.op();
-            }
-        }));
-        if let Err(p) = outcome {
-            return Err(panic_message(p));
-        }
-        if let Some(e) = gen.failure() {
-            return Err(e);
-        }
-        let elapsed_ns = source.now_ns() - t0;
-        if elapsed_ns <= 0.0 {
+        let run = self.drive(make, 1, Body::Burst, false)?.remove(0);
+        if run.elapsed_ns <= 0.0 {
             return Err("service burst took no measurable time".to_string());
         }
-        Ok(self.ops as f64 * 1e9 / elapsed_ns)
+        Ok(run.ops as f64 * 1e9 / run.elapsed_ns)
     }
 
     /// Measures one offered rate in one mode with a fresh generator.
     pub fn run_point(&self, make: MakeGen, mode: LoadMode, rate_per_s: f64) -> RatePoint {
-        let mut gen = match make() {
-            Ok(g) => g,
-            Err(e) => return failed_rate_point(rate_per_s, format!("generator setup failed: {e}")),
+        let body = Body::Paced(mode, self.process.at_rate(rate_per_s));
+        let run = match self.drive(make, 1, body, false) {
+            Ok(mut runs) => runs.remove(0),
+            Err(reason) => return failed_rate_point(rate_per_s, reason),
         };
-        let process = self.process.at_rate(rate_per_s);
-        let source = point_clock(gen.as_ref());
-        let run = match catch_unwind(AssertUnwindSafe(|| {
-            paced_run(&source, gen.as_mut(), mode, &process, self.ops)
-        })) {
-            Ok(run) => run,
-            Err(p) => return failed_rate_point(rate_per_s, panic_message(p)),
-        };
-        if let Some(e) = run.error {
-            return failed_rate_point(rate_per_s, e);
-        }
-        let samples = Samples::from_values(run.latencies_ns);
-        // Same contract as the scale runner: no percentiles, no point —
-        // a fabricated 0.0 latency would read as an improvement.
-        let (Some(p50), Some(p99)) = (samples.p50(), samples.p99()) else {
+        // Same contract as the P ladder: no percentiles, no point — a
+        // fabricated 0.0 latency would read as an improvement.
+        let (Some(p50), Some(p99)) = (run.samples.p50(), run.samples.p99()) else {
             return failed_rate_point(rate_per_s, "no latency samples were collected".to_string());
         };
         let point = RatePoint {
             offered_per_s: rate_per_s,
             achieved_per_s: if run.elapsed_ns > 0.0 {
-                run.completed as f64 * 1e9 / run.elapsed_ns
+                run.ops as f64 * 1e9 / run.elapsed_ns
             } else {
                 0.0
             },
-            ops: run.completed,
+            ops: run.ops,
             late: run.late,
             max_lag_us: run.max_lag_ns / 1e3,
             p50_us: p50 / 1e3,
             p99_us: p99 / 1e3,
-            cv: samples.cv(),
-            quality: Quality::from_samples(&samples).label().to_string(),
+            cv: run.samples.cv(),
+            quality: Quality::from_samples(&run.samples).label().to_string(),
             error: None,
         };
         emit(|| EventKind::RatePoint {
@@ -989,31 +779,73 @@ impl LoadRunner {
         sweep
     }
 
-    /// Sweeps one registered scalable benchmark in the given modes.
-    pub fn run_spec(&self, spec: &LoadSpec, modes: &[LoadMode]) -> (Vec<RateSweep>, BenchRecord) {
-        self.run_target(
-            spec.name,
-            spec.produces,
-            &|| (spec.make)(&self.config),
-            modes,
-        )
-    }
-
-    /// Probes the peak rate, sweeps every requested mode up the same
-    /// fraction ladder, and synthesizes a report record whose metric rows
-    /// (per-fraction throughput and p99, plus the omission gap when both
-    /// modes ran) ride the existing report/diff machinery.
+    /// The rate ladder: probes the peak rate, sweeps every requested mode
+    /// up the same fraction ladder, and synthesizes a report record whose
+    /// metric rows (per-fraction throughput and p99, plus the omission gap
+    /// when both modes ran) ride the existing report/diff machinery.
     pub fn run_target(
         &self,
         bench: &str,
         produces: &str,
+        requires: &[Substrate],
         make: MakeGen,
         modes: &[LoadMode],
     ) -> (Vec<RateSweep>, BenchRecord) {
+        let run = |sweeps: &mut Vec<RateSweep>, record: &mut BenchRecord| {
+            let peak = self
+                .probe_peak(make)
+                .map_err(|e| format!("peak probe: {e}"))?;
+            let rates: Vec<f64> = LADDER_FRACTIONS.iter().map(|f| peak * f).collect();
+            for &mode in modes {
+                sweeps.push(self.sweep(bench, make, mode, &rates));
+            }
+            for sweep in sweeps.iter() {
+                for (pt, f) in sweep.points.iter().zip(LADDER_FRACTIONS) {
+                    if !pt.is_ok() {
+                        continue;
+                    }
+                    for (label, value, unit) in [
+                        ("tput", pt.achieved_per_s, "ops/s"),
+                        ("p99", pt.p99_us, "us"),
+                    ] {
+                        record.metrics.push(MetricValue {
+                            label: format!("{} f{f:.2} {label}", sweep.mode),
+                            value,
+                            unit: unit.to_string(),
+                        });
+                    }
+                }
+            }
+            if let Some((f, gap)) = omission_gap(sweeps) {
+                record.metrics.push(MetricValue {
+                    label: format!("omission gap f{f:.2}"),
+                    value: gap,
+                    unit: "x".to_string(),
+                });
+            }
+            Ok(())
+        };
+        self.ladder("load", bench, produces, requires, Vec::new(), run)
+    }
+
+    /// The record skeleton both ladders share: a `{kind}:{bench}` span, a
+    /// `{kind}_{bench}` record, a skip when a required substrate is
+    /// missing, then `run` fills `out` and the record's metrics and
+    /// provenance. A ladder that returns an error, or pushes no metric row
+    /// (every point failed), fails the record.
+    fn ladder<T>(
+        &self,
+        kind: &str,
+        bench: &str,
+        produces: &str,
+        requires: &[Substrate],
+        mut out: T,
+        run: impl FnOnce(&mut T, &mut BenchRecord) -> Result<(), String>,
+    ) -> (T, BenchRecord) {
         let started = self.clock.now_ns();
-        let span = Span::enter(format!("load:{bench}"));
+        let span = Span::enter(format!("{kind}:{bench}"));
         let mut record = BenchRecord {
-            name: format!("load_{bench}"),
+            name: format!("{kind}_{bench}"),
             produces: produces.to_string(),
             status: BenchStatus::Ok,
             attempts: 1,
@@ -1026,56 +858,120 @@ impl LoadRunner {
             metrics: Vec::new(),
             span: span.id().as_option(),
         };
-        let _guard = ContextGuard::enter(span.id());
-        let peak = match self.probe_peak(make) {
-            Ok(p) => p,
-            Err(e) => {
-                record.status = BenchStatus::Failed(format!("peak probe: {e}"));
-                record.wall_ms = (self.clock.now_ns() - started).max(0.0) / 1e6;
-                return (Vec::new(), record);
+        let wall_ms = || (self.clock.now_ns() - started).max(0.0) / 1e6;
+        if let Err(reason) = probe_substrates(requires) {
+            record.status = BenchStatus::Skipped(reason);
+            record.wall_ms = wall_ms();
+            return (out, record);
+        }
+        match run(&mut out, &mut record) {
+            Err(reason) => record.status = BenchStatus::Failed(reason),
+            Ok(()) if record.metrics.is_empty() => {
+                record.status = BenchStatus::Failed("every point failed".to_string());
             }
-        };
-        let rates: Vec<f64> = LADDER_FRACTIONS.iter().map(|f| peak * f).collect();
-        let sweeps: Vec<RateSweep> = modes
-            .iter()
-            .map(|&mode| self.sweep(bench, make, mode, &rates))
-            .collect();
-
-        for sweep in &sweeps {
-            for (i, pt) in sweep.points.iter().enumerate() {
-                if !pt.is_ok() {
-                    continue;
-                }
-                let f = LADDER_FRACTIONS[i];
-                record.metrics.push(MetricValue {
-                    label: format!("{} f{f:.2} tput", sweep.mode),
-                    value: pt.achieved_per_s,
-                    unit: "ops/s".to_string(),
-                });
-                record.metrics.push(MetricValue {
-                    label: format!("{} f{f:.2} p99", sweep.mode),
-                    value: pt.p99_us,
-                    unit: "us".to_string(),
-                });
-            }
+            Ok(()) => {}
         }
-        if let Some((f, gap)) = omission_gap(&sweeps) {
-            record.metrics.push(MetricValue {
-                label: format!("omission gap f{f:.2}"),
-                value: gap,
-                unit: "x".to_string(),
-            });
-        }
-        if sweeps.iter().all(|s| s.ok_points().next().is_none()) {
-            record.status = BenchStatus::Failed("every rate point failed".to_string());
-        }
-        record.wall_ms = (self.clock.now_ns() - started).max(0.0) / 1e6;
+        record.wall_ms = wall_ms();
         emit(|| EventKind::Outcome {
             status: record.status.label().to_string(),
             attempts: 1,
             wall_ms: record.wall_ms,
         });
-        (sweeps, record)
+        (out, record)
+    }
+
+    /// The one point driver. Builds P generators serially on the calling
+    /// thread, so a failed setup fails the point before anyone parks on
+    /// the start barrier; then releases them together — generator 0 on
+    /// the calling thread, 1..P-1 on scoped threads, so P = 1 spawns no
+    /// thread — and runs `body` on each against its own harness. A panic
+    /// or a transport failure fails the point; `fault` panics the last
+    /// generator.
+    fn drive(&self, make: MakeGen, p: u32, body: Body, fault: bool) -> Result<Vec<GenRun>, String> {
+        // Errors name the generator only when there are several.
+        let gens = (0..p as usize)
+            .map(|index| {
+                make().map_err(|e| match p {
+                    1 => format!("generator setup failed: {e}"),
+                    _ => format!("generator {index} setup failed: {e}"),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let barrier = Barrier::new(gens.len());
+        let options = self.config.options;
+        let run = |index: usize, mut gen: Box<dyn LoadGen>| {
+            let harness = generator_harness(gen.as_ref(), options);
+            barrier.wait();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if fault && index + 1 == p as usize {
+                    panic!("injected fault: scale generator panic");
+                }
+                self.run_body(&harness, gen.as_mut(), body)
+            }));
+            // A generator that swallowed a transport error mid-run measured
+            // no-ops after the failure; its numbers are void and the
+            // underlying io error fails the point.
+            outcome
+                .map_err(panic_message)
+                .and_then(|run| gen.failure().map_or(Ok(run), Err))
+                .map_err(|e| match p {
+                    1 => e,
+                    _ => format!("generator {index}: {e}"),
+                })
+        };
+        let run = &run;
+        let span = lmb_trace::current();
+        let mut gens = gens.into_iter().enumerate();
+        let (_, first) = gens.next().expect("at least one generator");
+        std::thread::scope(|scope| {
+            let others: Vec<_> = gens
+                .map(|(index, gen)| {
+                    scope.spawn(move || {
+                        let _trace_ctx = ContextGuard::enter(span);
+                        run(index, gen)
+                    })
+                })
+                .collect();
+            let joined = others
+                .into_iter()
+                .map(|h| h.join().expect("generator panics are caught inside"));
+            std::iter::once(run(0, first)).chain(joined).collect()
+        })
+    }
+
+    /// Runs one released generator's body against its harness's clock.
+    fn run_body(&self, h: &Harness<EngineClock>, gen: &mut dyn LoadGen, body: Body) -> GenRun {
+        let clock = h.source();
+        match body {
+            Body::Harness(ops) => {
+                let t0 = span_ns(clock);
+                let m = h.measure_block(ops, || {
+                    for _ in 0..ops {
+                        gen.op();
+                    }
+                });
+                let samples = m.samples().clone();
+                GenRun {
+                    ops: ops * samples.len() as u64,
+                    elapsed_ns: span_ns(clock) - t0,
+                    events: take_events(&h.recorder().expect("generator harnesses record")),
+                    samples,
+                    ..GenRun::default()
+                }
+            }
+            Body::Burst => {
+                let t0 = clock.now_ns();
+                for _ in 0..self.ops {
+                    gen.op();
+                }
+                GenRun {
+                    ops: self.ops,
+                    elapsed_ns: clock.now_ns() - t0,
+                    ..GenRun::default()
+                }
+            }
+            Body::Paced(mode, process) => paced_run(clock, gen, mode, &process, self.ops),
+        }
     }
 }
 
@@ -1105,13 +1001,13 @@ mod tests {
 
     #[test]
     fn points_are_powers_of_two_plus_the_cap() {
-        let r = ScaleRunner::new(quick_config()).unwrap();
+        let r = LoadRunner::new(quick_config()).unwrap();
         assert_eq!(r.with_max_p(4).points(), vec![1, 2, 4]);
-        let r = ScaleRunner::new(quick_config()).unwrap();
+        let r = LoadRunner::new(quick_config()).unwrap();
         assert_eq!(r.with_max_p(6).points(), vec![1, 2, 4, 6]);
-        let r = ScaleRunner::new(quick_config()).unwrap();
+        let r = LoadRunner::new(quick_config()).unwrap();
         assert_eq!(r.with_max_p(1).points(), vec![1]);
-        let r = ScaleRunner::new(quick_config()).unwrap();
+        let r = LoadRunner::new(quick_config()).unwrap();
         assert_eq!(r.with_max_p(0).points(), vec![1], "clamped to 1");
     }
 
@@ -1123,10 +1019,10 @@ mod tests {
         let mut gen = SimServerGen::new(&sim, CostModel::Constant { ns: 50_000.0 });
         let process = ArrivalProcess::uniform(10_000.0);
         let run = paced_run(&sim, &mut gen, LoadMode::Open, &process, 50);
-        assert_eq!(run.completed, 50);
+        assert_eq!(run.ops, 50);
         assert_eq!(run.late, 0);
         assert_eq!(run.max_lag_ns, 0.0);
-        for lat in &run.latencies_ns {
+        for lat in run.samples.values() {
             assert!(
                 (*lat - 50_000.0).abs() < 100.0,
                 "underload latency is service time, got {lat}"
@@ -1142,8 +1038,8 @@ mod tests {
         let run = paced_run(&sim, &mut gen, LoadMode::Open, &process, 50);
         assert!(run.late > 40, "almost every arrival starts late");
         assert!(run.max_lag_ns > 1_000_000.0, "lag accumulates past 1 ms");
-        let first = run.latencies_ns[0];
-        let last = *run.latencies_ns.last().unwrap();
+        let first = run.samples.values()[0];
+        let last = *run.samples.values().last().unwrap();
         assert!(
             last > first + 1_000_000.0,
             "latency grows with the backlog ({first} -> {last})"
@@ -1160,7 +1056,7 @@ mod tests {
         let run = paced_run(&sim, &mut gen, LoadMode::Closed, &process, 50);
         assert_eq!(run.late, 0);
         assert_eq!(run.max_lag_ns, 0.0);
-        for lat in &run.latencies_ns {
+        for lat in run.samples.values() {
             assert!(
                 (*lat - 50_000.0).abs() < 100.0,
                 "closed-loop latency stays service time, got {lat}"
@@ -1237,9 +1133,9 @@ mod tests {
 
     #[test]
     fn mem_sweep_produces_graded_points() {
-        let runner = ScaleRunner::new(quick_config()).unwrap().with_max_p(2);
+        let runner = LoadRunner::new(quick_config()).unwrap().with_max_p(2);
         let spec = find_scale_spec("bw_mem").unwrap();
-        let (curve, record) = runner.run(&spec);
+        let (curve, record) = runner.scale(&spec);
         assert_eq!(curve.points.len(), 2);
         for pt in curve.ok_points() {
             assert!(pt.throughput > 0.0, "P={}", pt.p);
@@ -1266,8 +1162,8 @@ mod tests {
             ops_per_rep: |_| 1,
             make: |_| Err("no such device".into()),
         };
-        let runner = ScaleRunner::new(quick_config()).unwrap().with_max_p(2);
-        let (curve, record) = runner.run(&spec);
+        let runner = LoadRunner::new(quick_config()).unwrap().with_max_p(2);
+        let (curve, record) = runner.scale(&spec);
         assert!(curve.points.iter().all(|pt| !pt.is_ok()));
         assert!(curve.points[0]
             .error

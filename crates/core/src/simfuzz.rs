@@ -409,15 +409,6 @@ pub fn check_determinism(scenario: &Scenario) -> Result<(), String> {
 /// past the knee: closed-loop pacing hides at least this much queueing.
 pub const OMISSION_GAP_FLOOR: f64 = 5.0;
 
-/// One virtual load run for `seed`: a scripted server whose constant
-/// per-op service time is drawn from the seed (40–120 µs — far above the
-/// clock-read overhead, small enough that a 256-arrival sweep finishes in
-/// virtual milliseconds), swept open- and closed-loop up the shared
-/// fraction ladder on one [`SimClock`]. Past the knee the inter-arrival
-/// gap drops below the service time, so the open loop must observe the
-/// queueing that closed-loop pacing absorbs. Returns the full report
-/// (record plus sweeps) so callers can check both the gap and byte
-/// determinism.
 /// The scripted rig behind [`run_load_scenario`]: the shared virtual
 /// clock plus the seeded constant service-cost model, exposed so the CLI
 /// can drive the same rig under user-chosen modes and arrival processes.
@@ -428,6 +419,15 @@ pub fn load_sim_rig(seed: u64) -> (SimClock, CostModel) {
     (SimClock::new(seed), CostModel::Constant { ns: service_ns })
 }
 
+/// One virtual load run for `seed`: a scripted server whose constant
+/// per-op service time is drawn from the seed (40–120 µs — far above the
+/// clock-read overhead, small enough that a 256-arrival sweep finishes in
+/// virtual milliseconds), swept open- and closed-loop up the shared
+/// fraction ladder on one [`SimClock`]. Past the knee the inter-arrival
+/// gap drops below the service time, so the open loop must observe the
+/// queueing that closed-loop pacing absorbs. Returns the full report
+/// (record plus sweeps) so callers can check both the gap and byte
+/// determinism.
 #[must_use]
 pub fn run_load_scenario(seed: u64) -> RunReport {
     let (sim, model) = load_sim_rig(seed);
@@ -447,6 +447,7 @@ pub fn run_load_scenario(seed: u64) -> RunReport {
     let (sweeps, record) = runner.run_target(
         "sim_server",
         "virtual service latency under offered load",
+        &[],
         &make,
         &[LoadMode::Open, LoadMode::Closed],
     );

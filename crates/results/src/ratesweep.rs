@@ -21,7 +21,7 @@ const KNEE_ACHIEVED_FRACTION: f64 = 0.9;
 const KNEE_P99_BLOWUP: f64 = 5.0;
 
 /// One offered-rate point of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RatePoint {
     /// Scheduled arrival rate, operations per second.
     pub offered_per_s: f64,

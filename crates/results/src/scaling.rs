@@ -27,7 +27,7 @@ pub struct GeneratorSample {
 
 /// One measured point of a scaling sweep: everything P concurrent
 /// generators produced together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScalePoint {
     /// Concurrent generators at this point.
     pub p: u32,

@@ -42,8 +42,8 @@
 use lmbench::core::service::install_shutdown_handler;
 use lmbench::core::{
     detect_host, find_scale_spec, load_sim_rig, report, scale_registry, scenario_config, Engine,
-    EngineClock, EngineOutcome, FaultPlan, LoadGen, LoadMode, LoadRunner, Registry, ReportClient,
-    ResultsService, ScaleFaultPlan, ScaleRunner, Scenario, ServiceConfig, SimServerGen,
+    EngineClock, EngineOutcome, FaultPlan, LoadGen, LoadMode, LoadRunner, LoadSpec, Registry,
+    ReportClient, ResultsService, ScaleFaultPlan, Scenario, ServiceConfig, SimServerGen, Substrate,
     SuiteConfig, SuiteError, Verbosity,
 };
 use lmbench::results::{
@@ -86,6 +86,19 @@ fn usage() -> ExitCode {
 fn fail(err: &SuiteError) -> ExitCode {
     eprintln!("lmbench: {err}");
     ExitCode::from(err.exit_code())
+}
+
+/// The scalable benchmarks a `scale` or `load` target names: all of them
+/// for `all`, else the one by that name.
+fn load_specs(name: &str) -> Result<Vec<LoadSpec>, SuiteError> {
+    if name == "all" {
+        return Ok(scale_registry());
+    }
+    find_scale_spec(name)
+        .map(|spec| vec![spec])
+        .ok_or_else(|| SuiteError::UnknownBenchmark {
+            name: name.to_string(),
+        })
 }
 
 fn config_from_args(args: &[String]) -> SuiteConfig {
@@ -283,11 +296,11 @@ fn load_command(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(err) => return fail(&err),
     };
-    // One (name, produces, builder) per target; the sim path scripts a
-    // seeded virtual server and shares its clock with the runner so the
-    // report's wall times are deterministic too.
+    // One (name, produces, requirements, builder) per target; the sim path
+    // scripts a seeded virtual server and shares its clock with the runner
+    // so the report's wall times are deterministic too.
     type Make = Box<dyn Fn() -> Result<Box<dyn LoadGen>, String>>;
-    let mut targets: Vec<(String, String, Make)> = Vec::new();
+    let mut targets: Vec<(&str, &str, &[Substrate], Make)> = Vec::new();
     let mut sim_provenance = None;
     if let Some(seed) = sim_seed {
         let (sim, model) = load_sim_rig(seed);
@@ -301,28 +314,21 @@ fn load_command(args: &[String]) -> ExitCode {
             .with_clock(EngineClock::Sim(sim.clone()))
             .with_ops(256);
         targets.push((
-            "sim_server".into(),
-            "virtual service latency under offered load".into(),
+            "sim_server",
+            "virtual service latency under offered load",
+            &[],
             Box::new(move || Ok(Box::new(SimServerGen::new(&sim, model)) as Box<dyn LoadGen>)),
         ));
     } else {
-        let name = target.unwrap_or_default();
-        let specs = if name == "all" {
-            scale_registry()
-        } else {
-            match find_scale_spec(name) {
-                Some(spec) => vec![spec],
-                None => {
-                    return fail(&SuiteError::UnknownBenchmark {
-                        name: name.to_string(),
-                    })
-                }
-            }
+        let specs = match load_specs(target.unwrap_or_default()) {
+            Ok(specs) => specs,
+            Err(err) => return fail(&err),
         };
         for spec in specs {
             targets.push((
-                spec.name.to_string(),
-                spec.produces.to_string(),
+                spec.name,
+                spec.produces,
+                spec.requires,
                 Box::new(move || (spec.make)(&config)),
             ));
         }
@@ -343,7 +349,7 @@ fn load_command(args: &[String]) -> ExitCode {
         sim: sim_provenance,
         ..RunReport::default()
     };
-    for (bench, produces, make) in &targets {
+    for &(bench, produces, requires, ref make) in &targets {
         match rate {
             // A pinned rate: one point per mode, no peak probe, no record.
             Some(r) => {
@@ -354,7 +360,7 @@ fn load_command(args: &[String]) -> ExitCode {
                 }
             }
             None => {
-                let (sweeps, record) = runner.run_target(bench, produces, make, &modes);
+                let (sweeps, record) = runner.run_target(bench, produces, requires, make, &modes);
                 report.records.push(record);
                 report.rate_sweeps.extend(sweeps);
             }
@@ -367,12 +373,12 @@ fn load_command(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--json") {
         println!("{}", report.to_json());
     } else {
-        for (bench, _, _) in &targets {
+        for &(bench, ..) in &targets {
             let sweep_in = |mode: &str| {
                 report
                     .rate_sweeps
                     .iter()
-                    .find(|s| &s.bench == bench && s.mode == mode)
+                    .find(|s| s.bench == bench && s.mode == mode)
             };
             match (sweep_in("open"), sweep_in("closed")) {
                 (Some(open), Some(closed)) => print!("{}", render_side_by_side(open, closed)),
@@ -899,23 +905,22 @@ fn main() -> ExitCode {
                 eprintln!("lmbench scale: missing benchmark name (try `lmbench scale all`)");
                 return usage();
             };
-            let specs = if target == "all" {
-                scale_registry()
-            } else {
-                match find_scale_spec(target) {
-                    Some(spec) => vec![spec],
-                    None => {
-                        return fail(&SuiteError::UnknownBenchmark {
-                            name: target.clone(),
-                        })
+            let max_p = match flag_value(&args, "--max-p") {
+                Some(value) => match value.parse::<u32>() {
+                    Ok(p) if p > 0 => p,
+                    _ => {
+                        eprintln!("lmbench: --max-p needs a positive integer, got {value}");
+                        return ExitCode::from(2);
                     }
-                }
+                },
+                None => 4,
+            };
+            let specs = match load_specs(target) {
+                Ok(specs) => specs,
+                Err(err) => return fail(&err),
             };
             let config = config_from_args(&args);
-            let max_p = flag_value(&args, "--max-p")
-                .and_then(|v| v.parse::<u32>().ok())
-                .unwrap_or(4);
-            let runner = match ScaleRunner::new(config) {
+            let runner = match LoadRunner::new(config) {
                 Ok(r) => r,
                 Err(err) => return fail(&err),
             }
@@ -930,7 +935,7 @@ fn main() -> ExitCode {
             };
             let mut report = RunReport::default();
             for spec in &specs {
-                let (curve, record) = runner.run(spec);
+                let (curve, record) = runner.scale(spec);
                 report.records.push(record);
                 // Skipped sweeps produce an empty curve; keep only
                 // measured ones so consumers need not re-filter.

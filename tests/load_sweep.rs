@@ -46,6 +46,7 @@ fn acceptance_open_loop_p99_blows_past_closed_loop_at_the_same_rate() {
     let (sweeps, record) = runner.run_target(
         "sim_server",
         "virtual service latency under offered load",
+        &[],
         &make,
         &[LoadMode::Open, LoadMode::Closed],
     );
@@ -195,6 +196,7 @@ fn sweeps_emit_typed_trace_events() {
     let (_, record) = runner.run_target(
         "sim_server",
         "virtual service latency under offered load",
+        &[],
         &make,
         &[LoadMode::Open, LoadMode::Closed],
     );

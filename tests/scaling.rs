@@ -9,7 +9,7 @@
 //! noise-aware differ gating on latency-under-load regressions.
 
 use lmbench::core::{
-    find_scale_spec, LoadSpec, ScaleFaultPlan, ScaleRunner, SimServerGen, SuiteConfig,
+    find_scale_spec, LoadRunner, LoadSpec, ScaleFaultPlan, SimServerGen, SuiteConfig,
 };
 use lmbench::results::{
     BenchRecord, BenchStatus, MetricValue, Provenance, ReportDiff, RunReport, ScalingCurve,
@@ -17,21 +17,22 @@ use lmbench::results::{
 use lmbench::timing::{CostModel, Harness, Quality, SimClock};
 use lmbench::trace::{EventKind, MemorySink};
 use std::path::Path;
+use std::process::Command;
 use std::sync::Mutex;
 
 /// The global trace sink is process-wide; tests that install one must not
 /// overlap.
 static TRACE_GATE: Mutex<()> = Mutex::new(());
 
-fn runner(max_p: u32) -> ScaleRunner {
-    ScaleRunner::new(SuiteConfig::quick())
+fn runner(max_p: u32) -> LoadRunner {
+    LoadRunner::new(SuiteConfig::quick())
         .expect("quick config is valid")
         .with_max_p(max_p)
 }
 
 fn sweep(name: &str, max_p: u32) -> (ScalingCurve, BenchRecord) {
     let spec = find_scale_spec(name).expect(name);
-    runner(max_p).run(&spec)
+    runner(max_p).scale(&spec)
 }
 
 #[test]
@@ -112,7 +113,7 @@ fn panicking_generator_fails_only_its_point() {
     let spec = find_scale_spec("bw_mem").unwrap();
     let (curve, record) = runner(4)
         .with_faults(ScaleFaultPlan::panic_at("bw_mem", 2))
-        .run(&spec);
+        .scale(&spec);
     let failed: Vec<u32> = curve
         .points
         .iter()
@@ -145,7 +146,7 @@ fn setup_failure_is_isolated_the_same_way() {
         ops_per_rep: |_| 1,
         make: |_| Err("device withheld".into()),
     };
-    let (curve, record) = runner(2).run(&spec);
+    let (curve, record) = runner(2).scale(&spec);
     assert!(curve.points.iter().all(|pt| !pt.is_ok()));
     assert!(matches!(record.status, BenchStatus::Failed(_)));
 }
@@ -239,7 +240,7 @@ fn virtual_scale_sweep_renders_to_its_golden() {
             )))
         },
     };
-    let (curve, mut record) = runner(3).run(&spec);
+    let (curve, mut record) = runner(3).scale(&spec);
     record.wall_ms = 0.0;
     record.span = None;
     let report = RunReport {
@@ -255,6 +256,48 @@ fn virtual_scale_sweep_renders_to_its_golden() {
         rendered == golden,
         "scale-sim.json: the virtual sweep drifted from the golden\n--- golden\n{golden}\n--- rendered\n{rendered}"
     );
+}
+
+/// Runs the CLI with `TMPDIR` pointing nowhere (on the child only) and
+/// returns its exit code and the single record's status.
+fn cli_without_tmpdir(args: &[&str]) -> (Option<i32>, BenchStatus) {
+    let out = Command::new(env!("CARGO_BIN_EXE_lmbench"))
+        .args(args)
+        .env("TMPDIR", "/nonexistent/lmbench-no-tmp")
+        .output()
+        .expect("spawn lmbench");
+    let report = RunReport::from_json(&String::from_utf8_lossy(&out.stdout)).expect("JSON report");
+    assert_eq!(report.records.len(), 1, "{args:?}");
+    (out.status.code(), report.records[0].status.clone())
+}
+
+#[test]
+fn scale_and_load_skip_a_missing_substrate_alike() {
+    let scale = cli_without_tmpdir(&["scale", "lat_unix", "--max-p", "1", "--json"]);
+    let load = cli_without_tmpdir(&["load", "lat_unix", "--json"]);
+    assert_eq!(scale.0, Some(0));
+    assert!(
+        matches!(&scale.1, BenchStatus::Skipped(r) if r.contains("temp directory")),
+        "{:?}",
+        scale.1
+    );
+    assert_eq!(load, scale, "load skips with the same reason as scale");
+}
+
+#[test]
+fn malformed_max_p_is_a_usage_error() {
+    for bad in ["abc", "0", "-2"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lmbench"))
+            .args(["scale", "bw_mem", "--max-p", bad])
+            .output()
+            .expect("spawn lmbench");
+        assert_eq!(out.status.code(), Some(2), "--max-p {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("--max-p needs a positive integer, got {bad}")),
+            "{stderr}"
+        );
+    }
 }
 
 /// A hand-built record with trustworthy provenance, so the differ's
