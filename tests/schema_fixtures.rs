@@ -295,3 +295,26 @@ fn freshly_written_artifacts_carry_the_current_version() {
     let baseline = Baseline::now("fp", "host", report);
     assert_eq!(baseline.schema_version, SCHEMA_VERSION);
 }
+
+/// A whole virtual-time suite, run by the released CLI in its own process
+/// (so no other test's trace sink or metrics flag can touch its report),
+/// must reproduce its golden byte for byte. Seed 1 carries a retried
+/// record and both the pool and exclusive phases; seed 7 is the CI seed.
+#[test]
+fn sim_suite_reports_match_their_goldens() {
+    for seed in [1, 7] {
+        let path = std::env::temp_dir().join(format!(
+            "lmbench-suite-sim-{seed}-{}.json",
+            std::process::id()
+        ));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lmbench"))
+            .args(["suite", "--sim-seed", &seed.to_string(), "--report-json"])
+            .arg(&path)
+            .output()
+            .expect("spawn lmbench");
+        assert!(out.status.success(), "seed {seed}: {out:?}");
+        let rendered = std::fs::read_to_string(&path).expect("report written");
+        let _ = std::fs::remove_file(&path);
+        assert_golden(&format!("suite-sim-{seed}.json"), &rendered);
+    }
+}
