@@ -1,12 +1,14 @@
 //! The suite execution engine: one uniform, fault-isolated path for every
 //! registered benchmark.
 //!
-//! Each benchmark runs on its own thread behind `catch_unwind` and a
-//! wall-clock budget, so a panicking or wedged benchmark costs its own
-//! result and nothing else: the engine records a [`BenchStatus`] per
-//! registry entry, applies surviving [`TablePatch`]es to a partial
-//! [`SuiteRun`], and returns both alongside a [`RunReport`] with full
-//! measurement provenance.
+//! Each attempt runs behind `catch_unwind` and a time budget, so a
+//! panicking or wedged benchmark costs its own result and nothing else: the
+//! engine records a [`BenchStatus`] per registry entry, applies surviving
+//! [`TablePatch`]es to a partial [`SuiteRun`], and returns both alongside a
+//! [`RunReport`] with full measurement provenance. On the real clock an
+//! attempt gets its own `bench-<name>` thread under a wall-clock watchdog;
+//! under virtual time it runs inline on the engine's thread and is judged
+//! against the virtual deadline, since scripted bodies always return.
 //!
 //! Scheduling follows the registry metadata: entries marked `exclusive`
 //! (memory sweeps, context switching — anything the paper's methodology
@@ -17,7 +19,7 @@
 
 use crate::config::SuiteConfig;
 use crate::error::SuiteError;
-use crate::host::detect_host;
+use crate::host::host_name;
 use crate::registry::{Benchmark, Registry};
 use lmb_results::{
     BenchRecord, BenchStatus, CounterDelta, HarnessMetrics, MetricValue, Provenance, ResourceUsage,
@@ -307,7 +309,7 @@ impl Engine {
     /// Runs every registered benchmark and returns the partial result set
     /// plus the run report. Never panics on a benchmark's behalf.
     pub fn execute(&self) -> EngineOutcome {
-        let host = detect_host().name;
+        let host = host_name();
         let benches = self.registry.all();
         // Virtual runs are single-worker by decree: a shared SimClock has
         // no scheduler, so concurrent workers would interleave virtual
@@ -345,24 +347,24 @@ impl Engine {
         emit(|| EventKind::PhaseStart {
             phase: "pool".into(),
         });
+        let work = |worker: usize| loop {
+            let idx = pool_queue.lock().expect("queue lock").pop_front();
+            let Some(idx) = idx else { break };
+            emit_in(suite_id, || EventKind::Schedule {
+                bench: benches[idx].name.to_string(),
+                worker: worker as u32,
+            });
+            let result = self.run_one(&benches[idx], &host, &empty, suite_id, workers > 1, &budget);
+            slots.lock().expect("slots lock")[idx] = Some(result);
+        };
+        // The calling thread is worker 0; only workers 1..W-1 get scoped
+        // threads, so a one-worker pool (every virtual run) spawns none.
+        let work = &work;
         std::thread::scope(|scope| {
-            // Shadow the owned locals as references so the `move` closures
-            // (which need their per-worker index by value) share them.
-            let (pool_queue, slots, host, empty, budget) =
-                (&pool_queue, &slots, &host, &empty, &budget);
-            for worker in 0..workers {
-                scope.spawn(move || loop {
-                    let idx = pool_queue.lock().expect("queue lock").pop_front();
-                    let Some(idx) = idx else { break };
-                    emit_in(suite_id, || EventKind::Schedule {
-                        bench: benches[idx].name.to_string(),
-                        worker: worker as u32,
-                    });
-                    let result =
-                        self.run_one(&benches[idx], host, empty, suite_id, workers > 1, budget);
-                    slots.lock().expect("slots lock")[idx] = Some(result);
-                });
+            for worker in 1..workers {
+                scope.spawn(move || work(worker));
             }
+            work(0);
         });
 
         // Phase 1b: interference-sensitive benchmarks, strictly serial.
@@ -539,71 +541,69 @@ impl Engine {
                 span: bench_span,
             };
             let runner = bench.runner_fn();
-            // Moved onto the bench thread so the injected hang sleeps on
-            // the engine's clock: real time on hardware, an 86,400 s
-            // virtual advance (and an instant return) under simulation.
+            // The injected hang sleeps on the engine's clock: real time on
+            // hardware, an 86,400 s virtual advance (and an instant return)
+            // under simulation.
             let hang_clock = self.clock.clone();
-            // Virtual deadline anchor, read before the body advances the
-            // shared timeline; `None` on hardware, where the blocking
-            // `recv_timeout` below enforces the budget instead.
-            let attempt_virtual_start = self.clock.is_virtual().then(|| self.clock.now_ns());
-            let (tx, rx) = mpsc::channel();
-            // Detached on purpose: a wedged benchmark thread is abandoned at
-            // the deadline (it cannot be cancelled), and only its result
-            // channel is dropped. The fork-based `lmb_sys::run_isolated` is
-            // the heavier alternative when abandonment is not acceptable.
-            std::thread::Builder::new()
-                .name(format!("bench-{}", bench.name))
-                .spawn(move || {
-                    // The bench span lives on the engine's thread; re-enter
-                    // it here so the harness's warmup/calibration events
-                    // land under the right benchmark.
-                    let _trace_ctx = ContextGuard::enter(bench_span);
-                    // Thread-scope rusage brackets the runner so the delta
-                    // is exactly this attempt's cost, even with pool
-                    // neighbours running; taken outside `catch_unwind` so a
-                    // panicking attempt still reports what it consumed.
-                    let usage_before = RusageSnapshot::thread();
-                    // The hardware-counter bracket nests just inside the
-                    // rusage one and around `catch_unwind`: a panicking
-                    // attempt still closes to a whole (never torn) delta,
-                    // and the counts cover exactly what the attempt ran.
-                    // Opened on this thread because perf groups bind to
-                    // the opener (`pid = 0`).
-                    let mut counters = thread_counters();
-                    let counting = counters.as_mut().is_some_and(|c| c.begin());
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if inject_panic {
-                            panic!("injected fault: forced panic");
-                        }
-                        if inject_hang {
-                            hang_clock.sleep(Duration::from_secs(86_400));
-                        }
-                        (*runner)(&ctx)
-                    }));
-                    let delta = if counting {
-                        counters.as_mut().and_then(|c| c.end())
-                    } else {
-                        None
-                    };
-                    let usage = usage_before.delta(&RusageSnapshot::thread());
-                    let _ = tx.send((outcome.map_err(panic_message), usage, delta));
-                })
-                .expect("spawn benchmark thread");
+            // One attempt, self-contained so it can run on either thread.
+            let attempt = move || {
+                // The bench span is entered on the engine's thread; a bench
+                // thread re-enters it so the harness's warmup/calibration
+                // events land under the right benchmark.
+                let _trace_ctx = ContextGuard::enter(bench_span);
+                // Thread-scope rusage brackets the runner so the delta is
+                // exactly this attempt's cost, even with pool neighbours
+                // running; taken outside `catch_unwind` so a panicking
+                // attempt still reports what it consumed.
+                let usage_before = RusageSnapshot::thread();
+                // The hardware-counter bracket nests just inside the rusage
+                // one and around `catch_unwind`: a panicking attempt still
+                // closes to a whole (never torn) delta, and the counts cover
+                // exactly what the attempt ran. Opened on the attempt's own
+                // thread because perf groups bind to the opener (`pid = 0`).
+                let mut counters = thread_counters();
+                let counting = counters.as_mut().is_some_and(|c| c.begin());
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if inject_panic {
+                        panic!("injected fault: forced panic");
+                    }
+                    if inject_hang {
+                        hang_clock.sleep(Duration::from_secs(86_400));
+                    }
+                    (*runner)(&ctx)
+                }));
+                let delta = if counting {
+                    counters.as_mut().and_then(|c| c.end())
+                } else {
+                    None
+                };
+                let usage = usage_before.delta(&RusageSnapshot::thread());
+                (outcome.map_err(panic_message), usage, delta)
+            };
 
-            // The watchdog. On hardware, `recv_timeout` enforces the
-            // budget in real time and expiry abandons a still-running
-            // thread (a tracked leak, below). Under simulation scripted
-            // bodies always terminate — virtual sleeps return instantly —
-            // so the engine joins the result unconditionally and then
-            // classifies against the virtual clock: deterministic
-            // timeouts, no leak.
-            let received = match attempt_virtual_start {
-                Some(t0) => rx
-                    .recv()
-                    .ok()
-                    .filter(|_| (self.clock.now_ns() - t0) <= timeout.as_nanos() as f64),
-                None => rx.recv_timeout(timeout).ok(),
+            // The watchdog. Under simulation scripted bodies always
+            // terminate — virtual sleeps return instantly — so the attempt
+            // runs inline and is then classified against the virtual
+            // clock: deterministic timeouts, no thread, no leak. On
+            // hardware it runs on a detached `bench-<name>` thread and
+            // `recv_timeout` enforces the budget in real time; expiry
+            // abandons a still-running thread (a tracked leak, below). It
+            // cannot be cancelled, and only its result channel is dropped;
+            // the fork-based `lmb_sys::run_isolated` is the heavier
+            // alternative when abandonment is not acceptable.
+            let received = if self.clock.is_virtual() {
+                let t0 = self.clock.now_ns();
+                let result = attempt();
+                ((self.clock.now_ns() - t0) <= timeout.as_nanos() as f64).then_some(result)
+            } else {
+                let (tx, rx) = mpsc::channel();
+                std::thread::Builder::new()
+                    .name(format!("bench-{}", bench.name))
+                    .spawn(move || {
+                        let _ = tx.send(attempt());
+                    })
+                    .expect("spawn benchmark thread");
+                rx.recv_timeout(timeout).ok()
             };
             let (outcome, usage, counter_delta) = match received {
                 None => {
@@ -1307,6 +1307,51 @@ mod tests {
         let _guard = trace_test_lock();
         let outcome = engine_for(&["sys_info"], fast_config()).execute();
         assert_eq!(outcome.report.find("sys_info").unwrap().span, None);
+    }
+
+    /// Runs a pool entry and an exclusive entry whose bodies record the
+    /// thread they ran on; returns (bench name, thread id, thread name).
+    fn attempt_threads(clock: EngineClock) -> Vec<(&'static str, std::thread::ThreadId, String)> {
+        use crate::output::BenchOutput;
+        use crate::registry::{BenchRunner, Category};
+        use std::sync::Arc;
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let bench = |name: &'static str, exclusive: bool| {
+            let seen = Arc::clone(&seen);
+            let runner: BenchRunner = Arc::new(move |_| {
+                let me = std::thread::current();
+                let thread_name = me.name().unwrap_or_default().to_string();
+                seen.lock().unwrap().push((name, me.id(), thread_name));
+                BenchOutput::new()
+            });
+            Benchmark::scripted(name, "thread probe", Category::Latency, exclusive, runner)
+        };
+        let registry = Registry::custom(vec![bench("pooled", false), bench("alone", true)]);
+        let outcome = Engine::new(registry, fast_config())
+            .unwrap()
+            .with_clock(clock)
+            .execute();
+        assert_eq!(outcome.report.count("ok"), 2, "{:?}", outcome.report);
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(seen.len(), 2, "{seen:?}");
+        seen
+    }
+
+    #[test]
+    fn virtual_attempts_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (name, thread, _) in attempt_threads(EngineClock::Sim(SimClock::new(3))) {
+            assert_eq!(thread, caller, "{name} left the thread that called execute");
+        }
+    }
+
+    #[test]
+    fn real_attempts_run_on_their_own_bench_thread() {
+        let caller = std::thread::current().id();
+        for (name, thread, thread_name) in attempt_threads(EngineClock::default()) {
+            assert_ne!(thread, caller, "{name} ran on the calling thread");
+            assert_eq!(thread_name, format!("bench-{name}"));
+        }
     }
 
     #[test]

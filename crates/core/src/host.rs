@@ -10,6 +10,14 @@ fn proc_field(text: &str, key: &str) -> Option<String> {
     })
 }
 
+/// The host's short name, `"{OS}/{ARCH}"`: a compile-time constant pair,
+/// so callers that need only the name skip the `/proc` reads of
+/// [`detect_host`].
+#[must_use]
+pub fn host_name() -> String {
+    format!("{}/{}", std::env::consts::OS, std::env::consts::ARCH)
+}
+
 /// Builds a [`SystemInfo`] for the current host from /proc and std
 /// constants. Every field degrades gracefully on non-Linux or restricted
 /// systems.
@@ -40,7 +48,7 @@ pub fn detect_host() -> SystemInfo {
         .unwrap_or_else(|_| "localhost".into());
 
     SystemInfo {
-        name: format!("{}/{}", std::env::consts::OS, std::env::consts::ARCH),
+        name: host_name(),
         vendor_model: hostname,
         multiprocessor: cores > 1,
         os,
@@ -76,6 +84,7 @@ mod tests {
         assert!(!h.cpu.is_empty());
         assert!(!h.os.is_empty());
         assert!(h.name.contains('/'));
+        assert_eq!(h.name, host_name());
     }
 
     #[test]
