@@ -6,7 +6,7 @@
 
 use crate::event::{EventKind, TraceEvent};
 use crate::sink::Sink;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -211,6 +211,26 @@ pub fn check_spans(events: &[TraceEvent]) -> Result<(), String> {
     }
 }
 
+/// Checks that every span id a run report names has a `span_start` in the
+/// trace; `refs` pairs each record's name with its non-null span id, and
+/// `Err` names the first record whose span never started.
+pub fn check_span_refs<'a>(
+    events: &[TraceEvent],
+    refs: impl IntoIterator<Item = (&'a str, u64)>,
+) -> Result<(), String> {
+    let started: HashSet<u64> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::SpanStart { .. }))
+        .filter_map(|e| e.span)
+        .collect();
+    match refs.into_iter().find(|(_, id)| !started.contains(id)) {
+        None => Ok(()),
+        Some((name, id)) => Err(format!(
+            "record `{name}`: span {id} has no span_start in the trace"
+        )),
+    }
+}
+
 /// A span that appeared in a trace, with both endpoints when complete.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanSummary {
@@ -380,6 +400,23 @@ mod tests {
         assert_eq!(err, "event 3: span `bench:x` ends twice");
         let err = check_spans(&[start(0, 1), start(1, 2), end(2, 1)]).unwrap_err();
         assert_eq!(err, "span 2 `bench:x` never ends");
+    }
+
+    #[test]
+    fn span_refs_resolve_against_span_starts() {
+        let start = |seq, id| {
+            let name = "bench:x".into();
+            event(seq, Some(id), EventKind::SpanStart { name, parent: None })
+        };
+        // A warmup attributed to span 3 does not make span 3 exist.
+        let events = [
+            start(0, 1),
+            start(1, 2),
+            event(2, Some(3), EventKind::Warmup { runs: 1 }),
+        ];
+        assert_eq!(check_span_refs(&events, [("a", 1), ("b", 2)]), Ok(()));
+        let err = check_span_refs(&events, [("a", 1), ("c", 3)]).unwrap_err();
+        assert_eq!(err, "record `c`: span 3 has no span_start in the trace");
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub mod span;
 
 pub use event::{EventKind, TraceEvent};
 pub use jsonl::{
-    check_seq_order, check_spans, parse_jsonl, span_summaries, JsonlSink, MemorySink, SpanSummary,
+    check_seq_order, check_span_refs, check_spans, parse_jsonl, span_summaries, JsonlSink,
+    MemorySink, SpanSummary,
 };
 pub use progress::{Detail, Progress};
 pub use sink::{

@@ -16,7 +16,10 @@
 //!                                    # is the coordinated omission the closed
 //!                                    # loop hides
 //! lmbench report [--paper]           # suite + all 17 tables + provenance
-//! lmbench trace-validate trace.jsonl # parse + seq-order check, exit 0 if valid
+//! lmbench trace-validate trace.jsonl [--report run.json]
+//!                                    # parse + seq-order + span checks (and
+//!                                    # every report span id resolves), exit
+//!                                    # 0 if valid
 //! lmbench diff base.json new.json    # noise-aware regression table, exit 1
 //!                                    # on significant regressions
 //! ```
@@ -52,7 +55,8 @@ use lmbench::results::{
 };
 use lmbench::timing::{ArrivalProcess, Harness};
 use lmbench::trace::{
-    check_seq_order, check_spans, span_summaries, Detail, JsonlSink, Progress, SinkHandle,
+    check_seq_order, check_span_refs, check_spans, span_summaries, Detail, JsonlSink, Progress,
+    SinkHandle,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -63,6 +67,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: lmbench <list|run NAME|suite|scale BENCH|load BENCH|report|env|trace-validate PATH\n\
          \x20               |diff BASE NEW|serve|report push FILE|query diff|history|table|stats>\n\
+         trace-validate:     PATH [--report RUN.json] (the report's span ids must start in PATH)\n\
          env:                clock + hardware-counter + baseline diagnosis for this host\n\
          suite/report flags: [--paper] [--only A,B] [--trace PATH] [--report-json PATH]\n\
          \x20                [--progress] [--quiet] [--verbose]\n\
@@ -766,8 +771,9 @@ fn baseline_action(mode: &str, outcome: &EngineOutcome) -> ExitCode {
     }
 }
 
-/// Validates a JSONL trace artifact; prints a one-line summary on success.
-fn trace_validate(path: &str) -> ExitCode {
+/// Validates a JSONL trace artifact, and with `report` that every span id
+/// the run report names starts in it; prints a one-line summary on success.
+fn trace_validate(path: &str, report: Option<&str>) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -775,9 +781,29 @@ fn trace_validate(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let report = match report.map(|p| {
+        std::fs::read_to_string(p)
+            .map_err(|e| e.to_string())
+            .and_then(|json| RunReport::from_json(&json).map_err(|e| e.to_string()))
+            .map_err(|e| format!("cannot read report {p}: {e}"))
+    }) {
+        None => None,
+        Some(Ok(report)) => Some(report),
+        Some(Err(e)) => {
+            eprintln!("lmbench: {e}");
+            return ExitCode::from(3);
+        }
+    };
     match lmbench::trace::parse_jsonl(&text).and_then(|events| {
         check_seq_order(&events)?;
         check_spans(&events)?;
+        if let Some(report) = &report {
+            let refs = report
+                .records
+                .iter()
+                .filter_map(|r| Some((r.name.as_str(), r.span?)));
+            check_span_refs(&events, refs)?;
+        }
         Ok(events)
     }) {
         Ok(events) => {
@@ -999,7 +1025,12 @@ fn main() -> ExitCode {
                 eprintln!("lmbench trace-validate: missing trace path");
                 return usage();
             };
-            trace_validate(path)
+            let report = flag_value(&args, "--report");
+            if report.is_none() && args.iter().any(|a| a == "--report") {
+                eprintln!("lmbench trace-validate: --report needs a report path");
+                return usage();
+            }
+            trace_validate(path, report)
         }
         "env" => env_doctor(),
         "diff" => diff_reports(&args),

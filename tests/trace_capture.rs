@@ -4,7 +4,7 @@
 
 use lmbench::results::RunReport;
 use lmbench::trace::{check_seq_order, check_spans, parse_jsonl, span_summaries, EventKind};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -35,9 +35,11 @@ fn traced_run() -> (String, RunReport) {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The same artifact must satisfy the bundled validator (what CI runs).
+    // The same artifacts must satisfy the bundled validator (what CI runs),
+    // every record's span id resolving in the trace.
     let validate = Command::new(env!("CARGO_BIN_EXE_lmbench"))
         .args(["trace-validate", trace.to_str().unwrap()])
+        .args(["--report", report.to_str().unwrap()])
         .output()
         .expect("spawn lmbench trace-validate");
     assert!(
@@ -148,4 +150,50 @@ fn trace_validate_rejects_a_span_that_never_ends() {
     let (code, stderr) = validate("open-span.jsonl", &[start.to_string()]);
     assert_eq!(code, Some(1), "an unclosed span must exit 1:\n{stderr}");
     assert!(stderr.contains("span 7 `suite` never ends"), "{stderr}");
+}
+
+#[test]
+fn trace_validate_resolves_report_span_ids() {
+    let trace = temp_path("spans.jsonl");
+    std::fs::write(
+        &trace,
+        concat!(
+            r#"{"seq":0,"t_us":1.0,"span":7,"kind":"span_start","name":"bench:a","parent":null}"#,
+            "\n",
+            r#"{"seq":1,"t_us":2.0,"span":7,"kind":"span_end","name":"bench:a","elapsed_us":1.0}"#,
+            "\n"
+        ),
+    )
+    .unwrap();
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden/suite-sim-7.json");
+    let mut report = RunReport::from_json(&std::fs::read_to_string(golden).unwrap()).unwrap();
+    let run = |report: &RunReport| {
+        let path = temp_path("spans-report.json");
+        std::fs::write(&path, report.to_json()).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_lmbench"))
+            .args(["trace-validate", trace.to_str().unwrap()])
+            .args(["--report", path.to_str().unwrap()])
+            .output()
+            .expect("spawn lmbench trace-validate");
+        let _ = std::fs::remove_file(&path);
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    // Null span ids (an untraced run) have nothing to resolve.
+    assert_eq!(run(&report).0, Some(0));
+    report.records[0].span = Some(7);
+    let (code, stderr) = run(&report);
+    assert_eq!(code, Some(0), "{stderr}");
+    report.records[1].span = Some(9);
+    let (code, stderr) = run(&report);
+    let _ = std::fs::remove_file(&trace);
+    assert_eq!(code, Some(1), "a dangling span id must exit 1:\n{stderr}");
+    let name = &report.records[1].name;
+    assert!(
+        stderr.contains(&format!("record `{name}`: span 9 has no span_start")),
+        "{stderr}"
+    );
 }
