@@ -5,9 +5,9 @@
 //! from a process-global counter only while tracing is enabled; when it is
 //! disabled a span is [`SpanId::NONE`] and costs the usual relaxed load.
 //!
-//! The engine runs a benchmark's body on a separate watchdogged thread, so
-//! the current span is a *thread-local* that such a thread re-enters with
-//! a [`ContextGuard`] around the body. Instrumentation deeper down (the
+//! On the real clock the engine runs a benchmark's body on a separate
+//! watchdogged thread, so the current span is a *thread-local* that such a
+//! thread re-enters with a [`ContextGuard`] around the body. Instrumentation deeper down (the
 //! timing harness, for instance) then attributes its events correctly
 //! without ever naming the span.
 

@@ -781,15 +781,9 @@ fn trace_validate(path: &str, report: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let report = match report.map(|p| {
-        std::fs::read_to_string(p)
-            .map_err(|e| e.to_string())
-            .and_then(|json| RunReport::from_json(&json).map_err(|e| e.to_string()))
-            .map_err(|e| format!("cannot read report {p}: {e}"))
-    }) {
-        None => None,
-        Some(Ok(report)) => Some(report),
-        Some(Err(e)) => {
+    let report = match report.map(load_report).transpose() {
+        Ok(report) => report,
+        Err(e) => {
             eprintln!("lmbench: {e}");
             return ExitCode::from(3);
         }
