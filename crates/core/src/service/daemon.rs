@@ -15,7 +15,7 @@ use lmb_rpc::{
 use lmb_sys::signal::{install_handler, Signal};
 use lmb_trace::EventKind;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,6 +73,52 @@ impl ServiceMetrics {
     }
 }
 
+/// A `diff` reply already encoded for the wire, and the length of the
+/// series it answers.
+struct CachedDiff {
+    runs: usize,
+    wire: Bytes,
+    regressions: u32,
+}
+
+/// What the request handlers share under one lock: the store, and the
+/// newest encoded `diff` reply per shard.
+struct Shared {
+    store: SegmentStore,
+    diffs: HashMap<String, CachedDiff>,
+}
+
+impl Shared {
+    /// The wire `diff` reply for `fingerprint` and its regression count.
+    ///
+    /// The store is append-only, so a shard's length names its state:
+    /// every push, even one that sorts into the middle of the series,
+    /// grows it. [`proto::diff_reply`] is a pure function of the series,
+    /// so a reply cached at the same length is byte-identical to a fresh
+    /// one. Only shards that exist get an entry; unknown fingerprints
+    /// from clients never grow the map.
+    fn diff(&mut self, fingerprint: &str) -> io::Result<(Bytes, u32)> {
+        let history = self.store.history(fingerprint)?;
+        let runs = history.len();
+        if let Some(hit) = self.diffs.get(fingerprint).filter(|c| c.runs == runs) {
+            return Ok((hit.wire.clone(), hit.regressions));
+        }
+        let reply = proto::diff_reply(&history);
+        let wire = proto::to_wire(&reply);
+        if runs > 0 {
+            self.diffs.insert(
+                fingerprint.to_string(),
+                CachedDiff {
+                    runs,
+                    wire: wire.clone(),
+                    regressions: reply.regressions,
+                },
+            );
+        }
+        Ok((wire, reply.regressions))
+    }
+}
+
 /// Tunables for [`ResultsService::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -102,7 +148,7 @@ impl Default for ServiceConfig {
 /// [`ResultsService::shutdown`] additionally seals pending batches first.
 pub struct ResultsService {
     server: RpcServer,
-    store: Arc<Mutex<SegmentStore>>,
+    shared: Arc<Mutex<Shared>>,
     metrics: Arc<ServiceMetrics>,
     started: Instant,
 }
@@ -111,11 +157,14 @@ impl ResultsService {
     /// Opens the store, binds an ephemeral TCP port, and registers the
     /// four results procedures on a concurrent [`RpcServer`].
     pub fn start(config: ServiceConfig) -> io::Result<ResultsService> {
-        let store = Arc::new(Mutex::new(SegmentStore::open(
-            &config.data_dir,
-            config.batch_size,
-            config.compact_threshold,
-        )?));
+        let shared = Arc::new(Mutex::new(Shared {
+            store: SegmentStore::open(
+                &config.data_dir,
+                config.batch_size,
+                config.compact_threshold,
+            )?,
+            diffs: HashMap::new(),
+        }));
         let server = RpcServer::start_with(
             Registry::new(),
             ServerOptions {
@@ -126,7 +175,7 @@ impl ResultsService {
 
         let metrics = Arc::new(ServiceMetrics::default());
 
-        let s = store.clone();
+        let s = shared.clone();
         let m = metrics.clone();
         register(&server, RESULTS_PROC_PUSH, move |args: Bytes| {
             let bytes = args.len() as u64;
@@ -134,7 +183,7 @@ impl ResultsService {
             let handled = (|| {
                 let req: PushRequest = proto::from_wire(args)?;
                 let fingerprint = req.entry.fingerprint.clone();
-                let shard_seq = s.lock().append(req.entry).map_err(|_| ())?;
+                let shard_seq = s.lock().store.append(req.entry).map_err(|_| ())?;
                 let fp = fingerprint.clone();
                 lmb_trace::emit(|| EventKind::Ingest {
                     fingerprint: fp.clone(),
@@ -152,16 +201,15 @@ impl ResultsService {
             handled
         });
 
-        let s = store.clone();
+        let s = shared.clone();
         let m = metrics.clone();
         register(&server, RESULTS_PROC_DIFF, move |args: Bytes| {
             m.diff.hit(args.len() as u64);
             let handled = (|| {
                 let req: DiffRequest = proto::from_wire(args)?;
-                let history = s.lock().history(&req.fingerprint).map_err(|_| ())?;
-                let reply = proto::diff_reply(&history);
-                note_query("diff", &req.fingerprint, u64::from(reply.regressions));
-                Ok(proto::to_wire(&reply))
+                let (wire, regressions) = s.lock().diff(&req.fingerprint).map_err(|_| ())?;
+                note_query("diff", &req.fingerprint, u64::from(regressions));
+                Ok(wire)
             })();
             if handled.is_err() {
                 m.diff.errors.add_always(1);
@@ -169,14 +217,17 @@ impl ResultsService {
             handled
         });
 
-        let s = store.clone();
+        let s = shared.clone();
         let m = metrics.clone();
         register(&server, RESULTS_PROC_HISTORY, move |args: Bytes| {
             m.history.hit(args.len() as u64);
             let handled = (|| {
                 let req: HistoryRequest = proto::from_wire(args)?;
-                let history = s.lock().history(&req.fingerprint).map_err(|_| ())?;
-                let reply = proto::history_reply(&history, &req.bench, &req.metric);
+                let reply = {
+                    let shared = s.lock();
+                    let history = shared.store.history(&req.fingerprint).map_err(|_| ())?;
+                    proto::history_reply(&history, &req.bench, &req.metric)
+                };
                 note_query("history", &req.fingerprint, reply.points.len() as u64);
                 Ok(proto::to_wire(&reply))
             })();
@@ -186,14 +237,17 @@ impl ResultsService {
             handled
         });
 
-        let s = store.clone();
+        let s = shared.clone();
         let m = metrics.clone();
         register(&server, RESULTS_PROC_TABLE, move |args: Bytes| {
             m.table.hit(args.len() as u64);
             let handled = (|| {
                 let req: TableRequest = proto::from_wire(args)?;
-                let latest = s.lock().latest(&req.fingerprint).map_err(|_| ())?;
-                let reply = proto::table_reply(latest.as_ref());
+                let reply = {
+                    let shared = s.lock();
+                    let history = shared.store.history(&req.fingerprint).map_err(|_| ())?;
+                    proto::table_reply(history.last())
+                };
                 note_query("table", &req.fingerprint, reply.text.lines().count() as u64);
                 Ok(proto::to_wire(&reply))
             })();
@@ -203,7 +257,7 @@ impl ResultsService {
             handled
         });
 
-        let s = store.clone();
+        let s = shared.clone();
         let m = metrics.clone();
         register(&server, RESULTS_PROC_STATS, move |args: Bytes| {
             // Count this call before snapshotting so the reply reflects it:
@@ -211,7 +265,7 @@ impl ResultsService {
             m.stats.hit(args.len() as u64);
             let handled = (|| {
                 let _req: StatsRequest = proto::from_wire(args)?;
-                let store_stats = s.lock().stats();
+                let store_stats = s.lock().store.stats();
                 let reply = proto::stats_reply(m.procedure_rows(), store_stats);
                 note_query("stats", "", reply.procedures.len() as u64);
                 Ok(proto::to_wire(&reply))
@@ -224,7 +278,7 @@ impl ResultsService {
 
         Ok(ResultsService {
             server,
-            store,
+            shared,
             metrics,
             started: Instant::now(),
         })
@@ -237,7 +291,7 @@ impl ResultsService {
 
     /// Seals every shard's pending batch to disk.
     pub fn flush(&self) -> io::Result<()> {
-        self.store.lock().flush_all()
+        self.shared.lock().store.flush_all()
     }
 
     /// Emits a `metrics_snapshot` trace event: the flattened process-wide
@@ -476,6 +530,117 @@ mod tests {
         assert_eq!(stats_row.calls, 4);
         assert_eq!(stats_row.errors, 1);
 
+        drop(client);
+        service.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run whose one metric is its own capture time, so every pair of
+    /// runs diffs to a different table.
+    fn timed_entry(fingerprint: &str, seconds: u64) -> Baseline {
+        use lmb_results::runreport::{BenchRecord, BenchStatus, MetricValue};
+        let mut b = entry(fingerprint, seconds);
+        b.report.records.push(BenchRecord {
+            name: "lat_syscall".into(),
+            produces: "Table 7".into(),
+            status: BenchStatus::Ok,
+            attempts: 1,
+            wall_ms: 1.0,
+            exclusive: false,
+            provenance: None,
+            rusage: None,
+            counters: None,
+            metrics: vec![MetricValue {
+                label: String::new(),
+                value: seconds as f64,
+                unit: "us".into(),
+            }],
+            span: None,
+        });
+        b
+    }
+
+    /// Starts a daemon, pushes `seconds` into one shard in order, and
+    /// returns it with a connected client.
+    fn daemon_with(fingerprint: &str, seconds: &[u64]) -> (ResultsService, RpcClient, PathBuf) {
+        let config = scratch_config();
+        let dir = config.data_dir.clone();
+        let service = ResultsService::start(config).unwrap();
+        let mut client = RpcClient::connect_tcp(
+            ("127.0.0.1", service.tcp_port()),
+            RESULTS_PROGRAM,
+            RESULTS_VERSION,
+        )
+        .unwrap();
+        for &s in seconds {
+            push(&mut client, timed_entry(fingerprint, s));
+        }
+        (service, client, dir)
+    }
+
+    fn push(client: &mut RpcClient, entry: Baseline) {
+        client
+            .call(RESULTS_PROC_PUSH, proto::to_wire(&PushRequest { entry }))
+            .unwrap();
+    }
+
+    fn diff(client: &mut RpcClient, fingerprint: &str) -> Bytes {
+        client
+            .call(
+                RESULTS_PROC_DIFF,
+                proto::to_wire(&DiffRequest {
+                    fingerprint: fingerprint.into(),
+                }),
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn a_mid_series_push_invalidates_the_cached_diff() {
+        let (service, mut client, dir) = daemon_with("fp-m", &[100, 300]);
+        let stale = diff(&mut client, "fp-m");
+        assert_eq!(
+            diff(&mut client, "fp-m"),
+            stale,
+            "unchanged tip, same bytes"
+        );
+        assert_eq!(service.shared.lock().diffs.len(), 1);
+
+        // t=200 sorts between the two: the tip is still t=300, but the
+        // run before it is not, and the series grew.
+        push(&mut client, timed_entry("fp-m", 200));
+        let after = diff(&mut client, "fp-m");
+        assert_ne!(after, stale, "served a diff of the old series");
+        let reply: super::super::proto::DiffReply = proto::from_wire(after.clone()).unwrap();
+        assert!(reply.found);
+        assert_eq!(reply.runs, 3);
+        let series = [100, 200, 300].map(|s| timed_entry("fp-m", s));
+        assert_eq!(
+            after,
+            proto::to_wire(&proto::diff_reply(&series)),
+            "previous must be the t=200 run"
+        );
+
+        let (fresh, mut fresh_client, fresh_dir) = daemon_with("fp-m", &[100, 300, 200]);
+        assert_eq!(after, diff(&mut fresh_client, "fp-m"), "cached != fresh");
+
+        for (svc, c, d) in [(service, client, dir), (fresh, fresh_client, fresh_dir)] {
+            drop(c);
+            svc.shutdown().unwrap();
+            let _ = std::fs::remove_dir_all(&d);
+        }
+    }
+
+    #[test]
+    fn unknown_fingerprints_never_enter_the_diff_cache() {
+        let (service, mut client, dir) = daemon_with("fp-k", &[100, 200]);
+        for _ in 0..2 {
+            let reply: super::super::proto::DiffReply =
+                proto::from_wire(diff(&mut client, "fp-nobody")).unwrap();
+            assert!(!reply.found);
+            assert_eq!(reply.runs, 0);
+        }
+        assert!(service.shared.lock().diffs.is_empty());
         drop(client);
         service.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

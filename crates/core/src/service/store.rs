@@ -12,6 +12,7 @@
 use super::proto::StoreStats;
 use lmb_results::{Baseline, ReportStore};
 use lmb_trace::EventKind;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
@@ -260,18 +261,12 @@ impl ReportStore for SegmentStore {
         Ok(seq)
     }
 
-    fn latest(&self, fingerprint: &str) -> io::Result<Option<Baseline>> {
-        Ok(self
-            .shards
-            .get(fingerprint)
-            .and_then(|s| s.entries.last().cloned()))
-    }
-
-    fn history(&self, fingerprint: &str) -> io::Result<Vec<Baseline>> {
-        Ok(self
-            .shards
-            .get(fingerprint)
-            .map_or_else(Vec::new, |s| s.entries.clone()))
+    fn history(&self, fingerprint: &str) -> io::Result<Cow<'_, [Baseline]>> {
+        Ok(Cow::Borrowed(
+            self.shards
+                .get(fingerprint)
+                .map_or(&[], |s| s.entries.as_slice()),
+        ))
     }
 
     fn iter(&self) -> io::Result<Vec<Baseline>> {
@@ -393,6 +388,12 @@ mod tests {
         store.append(entry("fp-a", 30)).unwrap();
         assert_eq!(store.len(), 3, "pending entries are still queryable");
         assert_eq!(store.latest("fp-a").unwrap().unwrap().unix_seconds, 30);
+        let history = store.history("fp-a").unwrap();
+        assert!(matches!(history, Cow::Borrowed(_)), "shard copied");
+        assert_eq!(history.len(), 3, "sealed and pending entries alike");
+        let absent = store.history("fp-missing").unwrap();
+        assert!(matches!(absent, Cow::Borrowed(_)), "absent shard allocated");
+        assert!(absent.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 

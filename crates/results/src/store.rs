@@ -29,6 +29,7 @@
 use crate::baseline::Baseline;
 use crate::runreport::RunReport;
 use lmb_trace::EventKind;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -60,14 +61,18 @@ pub trait ReportStore {
     /// sequence number).
     fn append(&mut self, entry: Baseline) -> io::Result<u64>;
 
+    /// All entries for `fingerprint`, oldest first. In-memory stores
+    /// lend their own series ([`Cow::Borrowed`]); only a store that has
+    /// to read the entries in hands back an owned copy.
+    fn history(&self, fingerprint: &str) -> io::Result<Cow<'_, [Baseline]>>;
+
     /// The newest entry for `fingerprint`, or `None` when the store holds
     /// nothing comparable. Unreadable entries are skipped (with a
     /// warning, see [`DirStore`]), never fatal: a corrupt baseline must
     /// read as "no baseline", not as "no regression".
-    fn latest(&self, fingerprint: &str) -> io::Result<Option<Baseline>>;
-
-    /// All entries for `fingerprint`, oldest first.
-    fn history(&self, fingerprint: &str) -> io::Result<Vec<Baseline>>;
+    fn latest(&self, fingerprint: &str) -> io::Result<Option<Baseline>> {
+        Ok(self.history(fingerprint)?.last().cloned())
+    }
 
     /// Every entry in the store, fingerprint-ordered, then oldest first
     /// within each fingerprint.
@@ -121,15 +126,10 @@ impl ReportStore for MemoryStore {
         Ok(shard.len() as u64)
     }
 
-    fn latest(&self, fingerprint: &str) -> io::Result<Option<Baseline>> {
-        Ok(self
-            .shards
-            .get(fingerprint)
-            .and_then(|shard| shard.last().cloned()))
-    }
-
-    fn history(&self, fingerprint: &str) -> io::Result<Vec<Baseline>> {
-        Ok(self.shards.get(fingerprint).cloned().unwrap_or_default())
+    fn history(&self, fingerprint: &str) -> io::Result<Cow<'_, [Baseline]>> {
+        Ok(Cow::Borrowed(
+            self.shards.get(fingerprint).map_or(&[], Vec::as_slice),
+        ))
     }
 
     fn iter(&self) -> io::Result<Vec<Baseline>> {
@@ -264,12 +264,8 @@ impl ReportStore for DirStore {
         Ok(self.shard(&entry.fingerprint)?.len() as u64)
     }
 
-    fn latest(&self, fingerprint: &str) -> io::Result<Option<Baseline>> {
-        DirStore::latest(self, fingerprint)
-    }
-
-    fn history(&self, fingerprint: &str) -> io::Result<Vec<Baseline>> {
-        self.shard(fingerprint)
+    fn history(&self, fingerprint: &str) -> io::Result<Cow<'_, [Baseline]>> {
+        Ok(Cow::Owned(self.shard(fingerprint)?))
     }
 
     fn iter(&self) -> io::Result<Vec<Baseline>> {
@@ -365,13 +361,13 @@ mod tests {
         assert_eq!(store.append(entry(&fp, "hostA", 300, "third")).unwrap(), 3);
         assert_eq!(store.len(), 3);
         let history = store.history(&fp).unwrap();
+        assert!(matches!(history, Cow::Borrowed(_)), "shard copied");
         assert_eq!(bench_names(&history), ["first", "second", "third"]);
         let latest = ReportStore::latest(&store, &fp).unwrap().unwrap();
         assert_eq!(latest.report.records[0].name, "third");
-        assert_eq!(
-            store.history("absent-0000000000000000").unwrap(),
-            Vec::new()
-        );
+        let absent = store.history("absent-0000000000000000").unwrap();
+        assert!(matches!(absent, Cow::Borrowed(_)), "absent shard allocated");
+        assert!(absent.is_empty());
     }
 
     #[test]
@@ -409,7 +405,9 @@ mod tests {
             let seq_mem = mem.append(e).unwrap();
             assert_eq!(seq_disk, seq_mem);
         }
-        assert_eq!(disk.history(&fp).unwrap(), mem.history(&fp).unwrap());
+        let from_disk = disk.history(&fp).unwrap();
+        assert!(matches!(from_disk, Cow::Owned(_)), "read from disk, owned");
+        assert_eq!(from_disk, mem.history(&fp).unwrap());
         assert_eq!(disk.iter().unwrap(), mem.iter().unwrap());
         assert_eq!(
             ReportStore::latest(&disk, &fp).unwrap(),
