@@ -28,13 +28,13 @@ use lmb_results::{
 use lmb_sys::{RusageDelta, RusageSnapshot};
 use lmb_timing::{
     new_recorder, open_perf, take_events, ClockInfo, CounterValues, Counters, Harness,
-    MeasureEvent, PerfCounters, Quality, RealClock, SimClock, TimeSource,
+    HarnessBudget, MeasureEvent, PerfCounters, Quality, RealClock, SimClock, TimeSource,
 };
 use lmb_trace::{emit, emit_in, ContextGuard, EventKind, Span, SpanId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Mutex, Once};
+use std::sync::{mpsc, Arc, Mutex, Once};
 use std::time::Duration;
 
 /// The clock every engine-level decision reads: scheduling stamps, phase
@@ -97,6 +97,10 @@ impl TimeSource for EngineClock {
 /// therefore CPU-ish time and may exceed the suite's wall clock.
 #[derive(Default)]
 struct PhaseBudget {
+    /// Warm-up and calibration time, billed by every attempt's harness.
+    /// Shared through an `Arc` because on the real clock the harness
+    /// runs on its `bench-<name>` thread, which may outlive the run.
+    harness: Arc<HarnessBudget>,
     probe_ns: AtomicU64,
     attempt_ns: AtomicU64,
     retry_ns: AtomicU64,
@@ -207,7 +211,7 @@ pub(crate) fn probe_substrates(requires: &[Substrate]) -> Result<(), String> {
 #[derive(Debug, Clone)]
 pub struct RunCtx {
     /// Measurement harness, pre-wired with the engine's provenance
-    /// recorder.
+    /// recorder and the run's harness budget.
     pub harness: Harness,
     /// Suite configuration.
     pub config: SuiteConfig,
@@ -319,13 +323,10 @@ impl Engine {
         } else {
             self.config.workers.max(1)
         };
-        // The self-budget brackets: wall clock, the process-wide metrics
-        // registry (harness warmup/calibration counters accumulate only
-        // while the switch is on), and the trace sink's emission stats.
+        // The self-budget brackets: wall clock and the trace sink's
+        // emission stats. Phase times, the harness's warm-up and
+        // calibration included, accumulate in this run's own budget.
         let suite_started = self.clock.now_ns();
-        let metrics_were_enabled = lmb_metrics::enabled();
-        lmb_metrics::enable();
-        let metrics_before = lmb_metrics::snapshot();
         let sink_before = lmb_trace::sink_stats();
         let budget = PhaseBudget::default();
         let suite_span = Span::enter("suite");
@@ -404,16 +405,7 @@ impl Engine {
             }
         }
 
-        let harness = harness_budget(
-            &self.clock,
-            suite_started,
-            &budget,
-            &metrics_before,
-            &sink_before,
-        );
-        if !metrics_were_enabled {
-            lmb_metrics::disable();
-        }
+        let harness = harness_budget(&self.clock, suite_started, &budget, &sink_before);
         let report = RunReport {
             records: slots
                 .into_iter()
@@ -534,7 +526,9 @@ impl Engine {
                 None => Harness::new(self.config.options),
             };
             let ctx = RunCtx {
-                harness: harness.with_recorder(recorder.clone()),
+                harness: harness
+                    .with_recorder(recorder.clone())
+                    .with_budget(Arc::clone(&budget.harness)),
                 config: self.config,
                 host: host.to_string(),
                 snapshot: snapshot.clone(),
@@ -700,33 +694,24 @@ impl Engine {
     }
 }
 
-/// Assembles the run's self-budget: wall clock, phase atomics, the
-/// metrics-registry delta (the timing harness accumulates warmup and
-/// calibration time there) and the trace sink's emission delta.
+/// Assembles the run's self-budget: wall clock, phase atomics (the
+/// harness's warm-up and calibration among them) and the trace sink's
+/// emission delta.
 fn harness_budget(
     clock: &EngineClock,
     suite_started: f64,
     budget: &PhaseBudget,
-    metrics_before: &lmb_metrics::Snapshot,
     sink_before: &lmb_trace::SinkStatsSnapshot,
 ) -> HarnessMetrics {
-    let ns_to_ms = |ns: u64| ns as f64 / 1e6;
-    let delta = lmb_metrics::snapshot().delta_from(metrics_before);
-    let counter = |name: &str| {
-        delta
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
+    let ns_to_ms = |ns: &AtomicU64| ns.load(Ordering::Relaxed) as f64 / 1e6;
     let sink = lmb_trace::sink_stats().delta_from(sink_before);
     HarnessMetrics {
         suite_ms: (clock.now_ns() - suite_started).max(0.0) / 1e6,
-        probe_ms: ns_to_ms(budget.probe_ns.load(Ordering::Relaxed)),
-        warmup_ms: ns_to_ms(counter("harness.warmup_ns")),
-        calibrate_ms: ns_to_ms(counter("harness.calibrate_ns")),
-        attempt_ms: ns_to_ms(budget.attempt_ns.load(Ordering::Relaxed)),
-        retry_ms: ns_to_ms(budget.retry_ns.load(Ordering::Relaxed)),
+        probe_ms: ns_to_ms(&budget.probe_ns),
+        warmup_ms: ns_to_ms(&budget.harness.warmup_ns),
+        calibrate_ms: ns_to_ms(&budget.harness.calibrate_ns),
+        attempt_ms: ns_to_ms(&budget.attempt_ns),
+        retry_ms: ns_to_ms(&budget.retry_ns),
         trace_events: sink.events,
         trace_bytes: sink.bytes,
         trace_writes: sink.writes,
@@ -1103,6 +1088,7 @@ mod tests {
         assert!(h.suite_ms > 0.0, "{h:?}");
         assert!(h.probe_ms > 0.0, "substrate probes ran: {h:?}");
         assert!(h.attempt_ms > 0.0, "{h:?}");
+        assert!(h.warmup_ms > 0.0, "the harness warmed up: {h:?}");
         assert!(h.calibrate_ms > 0.0, "the harness calibrated: {h:?}");
         // A single clean attempt bills nothing to the retry phase.
         assert_eq!(h.retry_ms, 0.0, "{h:?}");

@@ -24,7 +24,7 @@ use crate::output::{BenchOutput, Unit};
 use crate::registry::{BenchRunner, Benchmark, Category, Registry};
 use crate::scale::{omission_gap, LoadGen, LoadMode, LoadRunner, SimServerGen};
 use lmb_results::{ReportDiff, RunReport, SimProvenance};
-use lmb_timing::{ClockInfo, CostModel, Harness, SimClock, TimeUnit};
+use lmb_timing::{ClockInfo, CostModel, SimClock, TimeUnit};
 use std::sync::Arc;
 
 /// The scripted benchmark names a scenario draws from. Static because
@@ -254,22 +254,18 @@ fn scripted_benchmark(bench: &ScriptedBench, sim: &SimClock) -> Benchmark {
     let block_ops = bench.block_ops;
     let runner: BenchRunner = Arc::new(move |ctx| {
         // The context harness is real-clocked (RunCtx is not generic); a
-        // scripted body instead builds its own harness over the shared
-        // sim clock, pinned to the scenario's true clock properties so
-        // calibration and overhead compensation see exactly the clock
-        // the scenario scripted — and hands it the engine's recorder so
-        // provenance flows into the record as usual.
-        let mut harness = Harness::with_source_and_clock(
-            ctx.config.options,
+        // scripted body rebases it onto the shared sim clock, pinned to
+        // the scenario's true clock properties so calibration and overhead
+        // compensation see exactly the clock the scenario scripted, while
+        // provenance and the harness budget still flow into the engine's
+        // run as usual.
+        let harness = ctx.harness.rebased(
             sim.clone(),
             ClockInfo {
                 resolution_ns: sim.resolution_ns(),
                 overhead_ns: sim.read_overhead_ns(),
             },
         );
-        if let Some(recorder) = ctx.harness.recorder() {
-            harness = harness.with_recorder(recorder);
-        }
         let body = sim.scripted_body(model);
         let m = match block_ops {
             Some(ops) => harness.measure_block(ops, body),

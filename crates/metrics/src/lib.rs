@@ -326,60 +326,6 @@ impl Snapshot {
         rows.sort();
         rows
     }
-
-    /// What happened between `earlier` and `self`: counters and histogram
-    /// totals subtract (saturating, so a fresh registry diffs cleanly),
-    /// gauges keep their latest value.
-    pub fn delta_from(&self, earlier: &Snapshot) -> Snapshot {
-        let base_counters: BTreeMap<&str, u64> = earlier
-            .counters
-            .iter()
-            .map(|(n, v)| (n.as_str(), *v))
-            .collect();
-        let base_hists: BTreeMap<&str, &HistogramSnapshot> = earlier
-            .histograms
-            .iter()
-            .map(|(n, h)| (n.as_str(), h))
-            .collect();
-        let counters = self
-            .counters
-            .iter()
-            .map(|(n, v)| {
-                let before = base_counters.get(n.as_str()).copied().unwrap_or(0);
-                (n.clone(), v.saturating_sub(before))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                let mut out = h.clone();
-                if let Some(before) = base_hists.get(n.as_str()) {
-                    out.count = h.count.saturating_sub(before.count);
-                    out.sum = h.sum.saturating_sub(before.sum);
-                    let earlier_buckets: BTreeMap<u32, u64> =
-                        before.buckets.iter().copied().collect();
-                    out.buckets = h
-                        .buckets
-                        .iter()
-                        .map(|(i, c)| {
-                            (
-                                *i,
-                                c.saturating_sub(earlier_buckets.get(i).copied().unwrap_or(0)),
-                            )
-                        })
-                        .filter(|(_, c)| *c > 0)
-                        .collect();
-                }
-                (n.clone(), out)
-            })
-            .collect();
-        Snapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-        }
-    }
 }
 
 /// Snapshot every registered instrument. Deterministic: BTreeMap order, no
@@ -522,31 +468,5 @@ mod tests {
         assert!(flat.contains(&("h.sum".to_string(), 1005)));
         assert!(flat.contains(&("h.ge_4".to_string(), 1)));
         assert!(flat.contains(&("h.ge_512".to_string(), 1)));
-    }
-
-    #[test]
-    fn snapshot_delta_subtracts_counters_and_histograms() {
-        let h = Histogram::new();
-        h.record_always(10);
-        let before = Snapshot {
-            counters: vec![("c".into(), 5)],
-            gauges: vec![("g".into(), 1)],
-            histograms: vec![("h".into(), h.snapshot())],
-        };
-        h.record_always(10);
-        h.record_always(2000);
-        let after = Snapshot {
-            counters: vec![("c".into(), 9), ("new".into(), 4)],
-            gauges: vec![("g".into(), 7)],
-            histograms: vec![("h".into(), h.snapshot())],
-        };
-        let d = after.delta_from(&before);
-        assert!(d.counters.contains(&("c".to_string(), 4)));
-        assert!(d.counters.contains(&("new".to_string(), 4)));
-        assert!(d.gauges.contains(&("g".to_string(), 7)));
-        let (_, hd) = &d.histograms[0];
-        assert_eq!(hd.count, 2);
-        assert_eq!(hd.sum, 2010);
-        assert_eq!(hd.buckets, vec![(4, 1), (11, 1)]);
     }
 }

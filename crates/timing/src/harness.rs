@@ -23,6 +23,8 @@ use crate::clock::{ClockInfo, RealClock, TimeSource};
 use crate::record::{MeasureEvent, Recorder};
 use crate::result::Measurement;
 use crate::stats::{Samples, SummaryPolicy};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tunable harness parameters.
@@ -112,6 +114,23 @@ impl Default for Options {
     }
 }
 
+/// One run's harness self-budget: nanoseconds spent warming up and
+/// calibrating, read from each harness's own source (virtual under
+/// simulation).
+///
+/// Run-scoped, never process-wide: the run that wants the budget builds
+/// one, attaches it to its harnesses with [`Harness::with_budget`] and
+/// reads it back when the run ends, so concurrent runs cannot mix their
+/// budgets. A harness without one performs no accounting clock reads, so
+/// an unobserved measurement is not perturbed by its observer.
+#[derive(Debug, Default)]
+pub struct HarnessBudget {
+    /// Time spent in warm-up runs.
+    pub warmup_ns: AtomicU64,
+    /// Time spent calibrating the loop count.
+    pub calibrate_ns: AtomicU64,
+}
+
 /// A configured measurement harness, generic over its clock.
 ///
 /// The default type parameter keeps every existing call site spelled
@@ -124,6 +143,7 @@ pub struct Harness<T: TimeSource = RealClock> {
     options: Options,
     clock: ClockInfo,
     recorder: Option<Recorder>,
+    budget: Option<Arc<HarnessBudget>>,
     source: T,
 }
 
@@ -139,12 +159,7 @@ impl<T: TimeSource> Harness<T> {
     /// up front exactly as [`Harness::new`] probes the host clock.
     pub fn with_source(options: Options, source: T) -> Self {
         let clock = ClockInfo::probe_with(&source);
-        Self {
-            options,
-            clock,
-            recorder: None,
-            source,
-        }
+        Self::with_source_and_clock(options, source, clock)
     }
 
     /// Builds a harness with a pinned [`ClockInfo`] instead of probing.
@@ -157,6 +172,21 @@ impl<T: TimeSource> Harness<T> {
             options,
             clock,
             recorder: None,
+            budget: None,
+            source,
+        }
+    }
+
+    /// The same harness — options, recorder and budget — over another
+    /// source with a pinned [`ClockInfo`]. Scripted sim benchmark bodies
+    /// use this to measure on their virtual clock while still reporting
+    /// into the engine's provenance recorder and run budget.
+    pub fn rebased<U: TimeSource>(&self, source: U, clock: ClockInfo) -> Harness<U> {
+        Harness {
+            options: self.options,
+            clock,
+            recorder: self.recorder.clone(),
+            budget: self.budget.clone(),
             source,
         }
     }
@@ -168,11 +198,31 @@ impl<T: TimeSource> Harness<T> {
         self
     }
 
-    /// The attached provenance recorder, if any. Scripted sim benchmark
-    /// bodies use this to build their own sim-clocked harness that still
-    /// reports calibration provenance into the engine's record stream.
+    /// Attaches a run's [`HarnessBudget`]: every subsequent measurement
+    /// bills its warm-up and calibration time to it, at the cost of two
+    /// clock reads per billed phase.
+    pub fn with_budget(mut self, budget: Arc<HarnessBudget>) -> Self {
+        self.budget = Some(budget);
+        self
+    }
+
+    /// The attached provenance recorder, if any.
     pub fn recorder(&self) -> Option<Recorder> {
         self.recorder.clone()
+    }
+
+    /// Runs one harness phase, billing its elapsed time to the `phase`
+    /// field of the attached budget; without a budget the clock is not
+    /// read at all.
+    fn billed<R>(&self, phase: fn(&HarnessBudget) -> &AtomicU64, run: impl FnOnce() -> R) -> R {
+        let Some(budget) = &self.budget else {
+            return run();
+        };
+        let started = self.source.now_ns();
+        let result = run();
+        let elapsed = (self.source.now_ns() - started).max(0.0) as u64;
+        phase(budget).fetch_add(elapsed, Ordering::Relaxed);
+        result
     }
 
     fn record(&self, iterations: u64, samples: &Samples, clamped_samples: u32) {
@@ -234,21 +284,13 @@ impl<T: TimeSource> Harness<T> {
         lmb_trace::emit(|| lmb_trace::EventKind::Warmup {
             runs: self.options.warmup_runs,
         });
-        let budget = lmb_metrics::enabled().then(|| self.source.now_ns());
-        for _ in 0..self.options.warmup_runs {
-            body();
-        }
-        account_phase(
-            &self.source,
-            lmb_metrics::counter!("harness.warmup_ns"),
-            budget,
+        self.billed(
+            |b| &b.warmup_ns,
+            || (0..self.options.warmup_runs).for_each(|_| body()),
         );
-        let budget = lmb_metrics::enabled().then(|| self.source.now_ns());
-        let cal = calibrate_iterations_with(&self.source, self.target_interval(), &mut body);
-        account_phase(
-            &self.source,
-            lmb_metrics::counter!("harness.calibrate_ns"),
-            budget,
+        let cal = self.billed(
+            |b| &b.calibrate_ns,
+            || calibrate_iterations_with(&self.source, self.target_interval(), &mut body),
         );
         lmb_trace::emit(|| lmb_trace::EventKind::Calibrated {
             iterations: cal.iterations,
@@ -279,14 +321,9 @@ impl<T: TimeSource> Harness<T> {
         lmb_trace::emit(|| lmb_trace::EventKind::Warmup {
             runs: self.options.warmup_runs,
         });
-        let budget = lmb_metrics::enabled().then(|| self.source.now_ns());
-        for _ in 0..self.options.warmup_runs {
-            body();
-        }
-        account_phase(
-            &self.source,
-            lmb_metrics::counter!("harness.warmup_ns"),
-            budget,
+        self.billed(
+            |b| &b.warmup_ns,
+            || (0..self.options.warmup_runs).for_each(|_| body()),
         );
         lmb_trace::emit(|| lmb_trace::EventKind::Calibrated {
             iterations: ops,
@@ -329,20 +366,6 @@ impl<T: TimeSource> Harness<T> {
     }
 }
 
-/// Folds a phase's elapsed time (read from the harness's own source, so
-/// virtual under simulation) into the named harness-budget counter. The
-/// `started` option is `Some` only when the process-wide metrics switch
-/// was on at phase entry, so a disabled registry never reads the clock.
-fn account_phase<T: TimeSource>(
-    source: &T,
-    counter: &'static lmb_metrics::Counter,
-    started: Option<f64>,
-) {
-    if let Some(t) = started {
-        counter.add_always((source.now_ns() - t).max(0.0) as u64);
-    }
-}
-
 impl Default for Harness<RealClock> {
     fn default() -> Self {
         Self::new(Options::paper())
@@ -354,7 +377,6 @@ mod tests {
     use super::*;
     use crate::quality::Quality;
     use crate::sim::{CostModel, SimClock};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn measure_reports_positive_time_for_real_work() {
@@ -555,6 +577,38 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].clamped_samples, 3);
         assert_eq!(events[0].quality(), Quality::Suspect);
+    }
+
+    #[test]
+    fn a_budget_costs_clock_reads_only_when_attached() {
+        // Two identical sim runs, one observed: the budgeted harness pays
+        // exactly two reads per billed phase (warm-up and calibration for
+        // `measure`, warm-up alone for `measure_block`); the bare one pays
+        // none, so an unobserved run is not perturbed by accounting.
+        let run = |budget: Option<Arc<HarnessBudget>>| {
+            let sim = SimClock::new(80).with_read_overhead_ns(50.0);
+            let clock = ClockInfo {
+                resolution_ns: 1.0,
+                overhead_ns: 50.0,
+            };
+            let mut h = Harness::with_source_and_clock(Options::quick(), sim.clone(), clock);
+            if let Some(budget) = budget {
+                h = h.with_budget(budget);
+            }
+            let before = sim.reads();
+            h.measure(sim.scripted_body(CostModel::Constant { ns: 200.0 }));
+            let measure = sim.reads() - before;
+            let before = sim.reads();
+            h.measure_block(64, sim.scripted_body(CostModel::Constant { ns: 200.0 }));
+            (measure, sim.reads() - before)
+        };
+        let budget = Arc::new(HarnessBudget::default());
+        let (bare_measure, bare_block) = run(None);
+        let (billed_measure, billed_block) = run(Some(Arc::clone(&budget)));
+        assert_eq!(billed_measure, bare_measure + 4);
+        assert_eq!(billed_block, bare_block + 2);
+        assert!(budget.warmup_ns.load(Ordering::Relaxed) > 0);
+        assert!(budget.calibrate_ns.load(Ordering::Relaxed) > 0);
     }
 
     #[test]

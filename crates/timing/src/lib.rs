@@ -55,7 +55,7 @@ pub use counters::{
     open_perf, CounterSource, CounterValues, Counters, PerfCounters, PerfError, SimCounters,
 };
 pub use cycle::{estimate_clock, ClockEstimate};
-pub use harness::{Harness, Options};
+pub use harness::{Harness, HarnessBudget, Options};
 pub use quality::Quality;
 pub use record::{new_recorder, take_events, MeasureEvent, Recorder};
 pub use result::{Bandwidth, Latency, Measurement, TimeUnit};

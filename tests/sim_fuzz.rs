@@ -100,3 +100,34 @@ fn pinned_knee_scenario_completes_ok() {
     }
     check_determinism(&scenario).unwrap();
 }
+
+/// Concurrent same-seed suites in one process must each reproduce their
+/// serial report byte for byte: a run's harness budget and its clock
+/// reads belong to that run, so neighbours can neither mix budgets nor
+/// switch off each other's accounting. No lock serializes the threads.
+#[test]
+fn concurrent_sim_suites_match_their_serial_runs() {
+    let scenarios = [
+        Scenario::from_seed(3),
+        Scenario::from_seed(3),
+        Scenario::from_seed(4),
+    ];
+    let references: Vec<String> = scenarios
+        .iter()
+        .map(|s| run_scenario(s).report.to_json())
+        .collect();
+    std::thread::scope(|scope| {
+        for (scenario, reference) in scenarios.iter().zip(&references) {
+            scope.spawn(move || {
+                for round in 0..16 {
+                    let json = run_scenario(scenario).report.to_json();
+                    assert!(
+                        json == *reference,
+                        "seed {} diverged from its serial run in round {round}",
+                        scenario.seed
+                    );
+                }
+            });
+        }
+    });
+}
