@@ -30,7 +30,7 @@ use lmb_timing::{
     new_recorder, open_perf, take_events, ClockInfo, CounterValues, Counters, Harness,
     HarnessBudget, MeasureEvent, PerfCounters, Quality, RealClock, SimClock, TimeSource,
 };
-use lmb_trace::{emit, emit_in, ContextGuard, EventKind, Span, SpanId};
+use lmb_trace::{emit, emit_in, ContextGuard, EventKind, Span, SpanId, Trace};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -220,10 +220,6 @@ pub struct RunCtx {
     /// Results measured so far — empty in phase 1, populated for
     /// `derived` entries in phase 2.
     pub snapshot: SuiteRun,
-    /// The benchmark's trace span (`SpanId::NONE` when tracing is off);
-    /// runners may attribute their own events to it via
-    /// [`lmb_trace::emit_in`].
-    pub span: SpanId,
 }
 
 /// Injected failures, for tests and fault drills. Each field names the
@@ -323,11 +319,10 @@ impl Engine {
         } else {
             self.config.workers.max(1)
         };
-        // The self-budget brackets: wall clock and the trace sink's
-        // emission stats. Phase times, the harness's warm-up and
+        // The self-budget brackets: wall clock here, and the run's trace
+        // counts at the end. Phase times, the harness's warm-up and
         // calibration included, accumulate in this run's own budget.
         let suite_started = self.clock.now_ns();
-        let sink_before = lmb_trace::sink_stats();
         let budget = PhaseBudget::default();
         let suite_span = Span::enter("suite");
         let suite_id = suite_span.id();
@@ -405,7 +400,7 @@ impl Engine {
             }
         }
 
-        let harness = harness_budget(&self.clock, suite_started, &budget, &sink_before);
+        let harness = harness_budget(&self.clock, suite_started, &budget, suite_id);
         let report = RunReport {
             records: slots
                 .into_iter()
@@ -437,7 +432,7 @@ impl Engine {
         bench: &Benchmark,
         host: &str,
         snapshot: &SuiteRun,
-        suite_span: SpanId,
+        suite_span: &SpanId,
         contended: bool,
         budget: &PhaseBudget,
     ) -> BenchResult {
@@ -509,7 +504,7 @@ impl Engine {
             // a neighbour's calls — the counters are process-global.
             let sys_before = lmb_sys::syscall_snapshot();
             let recorder = new_recorder();
-            let bench_span = span.id();
+            let bench_span = span.id().clone();
             // Under simulation the context harness is never measured with
             // (scripted bodies build their own sim-clocked harness), so a
             // pinned ClockInfo replaces the real probe: no wall-clock work
@@ -532,7 +527,6 @@ impl Engine {
                 config: self.config,
                 host: host.to_string(),
                 snapshot: snapshot.clone(),
-                span: bench_span,
             };
             let runner = bench.runner_fn();
             // The injected hang sleeps on the engine's clock: real time on
@@ -544,7 +538,7 @@ impl Engine {
                 // The bench span is entered on the engine's thread; a bench
                 // thread re-enters it so the harness's warmup/calibration
                 // events land under the right benchmark.
-                let _trace_ctx = ContextGuard::enter(bench_span);
+                let _trace_ctx = ContextGuard::enter(&bench_span);
                 // Thread-scope rusage brackets the runner so the delta is
                 // exactly this attempt's cost, even with pool neighbours
                 // running; taken outside `catch_unwind` so a panicking
@@ -695,16 +689,16 @@ impl Engine {
 }
 
 /// Assembles the run's self-budget: wall clock, phase atomics (the
-/// harness's warm-up and calibration among them) and the trace sink's
-/// emission delta.
+/// harness's warm-up and calibration among them) and the emission counts
+/// of the suite span's trace (zero when the run is untraced).
 fn harness_budget(
     clock: &EngineClock,
     suite_started: f64,
     budget: &PhaseBudget,
-    sink_before: &lmb_trace::SinkStatsSnapshot,
+    suite_span: &SpanId,
 ) -> HarnessMetrics {
     let ns_to_ms = |ns: &AtomicU64| ns.load(Ordering::Relaxed) as f64 / 1e6;
-    let sink = lmb_trace::sink_stats().delta_from(sink_before);
+    let sink = suite_span.trace().map(Trace::stats).unwrap_or_default();
     HarnessMetrics {
         suite_ms: (clock.now_ns() - suite_started).max(0.0) / 1e6,
         probe_ms: ns_to_ms(&budget.probe_ns),
@@ -1110,20 +1104,13 @@ mod tests {
 
     #[test]
     fn traced_run_budgets_its_trace_emission() {
-        let _guard = trace_test_lock();
         let engine = engine_for(&["lat_syscall"], fast_config());
         let (outcome, events) = traced_execute(&engine);
         let h = outcome.report.harness.expect("self-budget attached");
-        assert!(h.trace_events > 0, "{h:?}");
-        // The budget is sealed before the run's own closing events
-        // (`suite_end`, the suite `span_end`), so it may trail the sink's
-        // final count by exactly those two.
-        assert!(
-            h.trace_events + 2 >= events.len() as u64 && h.trace_events <= events.len() as u64,
-            "sink saw {} events, budget claims {}",
-            events.len(),
-            h.trace_events
-        );
+        // The budget reads the run's own trace, sealed before the run's
+        // closing events (`suite_end`, the suite `span_end`): it trails
+        // the sink's final count by exactly those two.
+        assert_eq!(h.trace_events + 2, events.len() as u64, "{h:?}");
     }
 
     #[test]
@@ -1139,18 +1126,12 @@ mod tests {
         assert_eq!(reported, names);
     }
 
-    /// Serializes the tests that install a process-global trace sink.
-    fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn traced_execute(engine: &Engine) -> (EngineOutcome, Vec<lmb_trace::TraceEvent>) {
         let sink = lmb_trace::MemorySink::shared();
-        let handle = lmb_trace::install(Box::new(sink.clone()));
+        let trace = Trace::new(vec![Box::new(sink.clone())]);
+        let ctx = trace.enter();
         let outcome = engine.execute();
-        lmb_trace::uninstall(handle);
+        drop(ctx);
         (outcome, sink.events())
     }
 
@@ -1167,7 +1148,6 @@ mod tests {
 
     #[test]
     fn traced_run_narrates_lifecycle_and_links_spans() {
-        let _guard = trace_test_lock();
         let engine = engine_for(&["sys_info", "lat_syscall"], fast_config());
         let (outcome, events) = traced_execute(&engine);
         assert!(
@@ -1227,7 +1207,6 @@ mod tests {
 
     #[test]
     fn retry_on_noise_emits_retry_events_with_the_cv() {
-        let _guard = trace_test_lock();
         let config = fast_config().with_retry(RetryPolicy {
             max_attempts: 3,
             cv_threshold: -1.0,
@@ -1263,7 +1242,6 @@ mod tests {
 
     #[test]
     fn faulted_runs_emit_their_terminal_events() {
-        let _guard = trace_test_lock();
         let config = fast_config().with_timeout(Duration::from_millis(150));
         let engine =
             engine_for(&["lat_syscall", "lat_sig", "lat_fs"], config).with_faults(FaultPlan {
@@ -1290,7 +1268,6 @@ mod tests {
 
     #[test]
     fn untraced_run_records_no_span_ids() {
-        let _guard = trace_test_lock();
         let outcome = engine_for(&["sys_info"], fast_config()).execute();
         assert_eq!(outcome.report.find("sys_info").unwrap().span, None);
     }

@@ -109,7 +109,6 @@ impl Benchmark {
             config: *config,
             host: "host".into(),
             snapshot: SuiteRun::default(),
-            span: lmb_trace::SpanId::NONE,
         };
         self.run(&ctx).run_line()
     }

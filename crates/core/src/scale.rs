@@ -920,7 +920,7 @@ impl LoadRunner {
                 })
         };
         let run = &run;
-        let span = lmb_trace::current();
+        let span = &lmb_trace::current();
         let mut gens = gens.into_iter().enumerate();
         let (_, first) = gens.next().expect("at least one generator");
         std::thread::scope(|scope| {

@@ -13,7 +13,7 @@ use lmb_rpc::{
     RESULTS_PROC_STATS, RESULTS_PROC_TABLE, RESULTS_PROGRAM, RESULTS_VERSION,
 };
 use lmb_sys::signal::{install_handler, Signal};
-use lmb_trace::EventKind;
+use lmb_trace::{ContextGuard, EventKind, SpanId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -151,12 +151,16 @@ pub struct ResultsService {
     shared: Arc<Mutex<Shared>>,
     metrics: Arc<ServiceMetrics>,
     started: Instant,
+    /// The trace [`ResultsService::start`] ran in.
+    ctx: SpanId,
 }
 
 impl ResultsService {
     /// Opens the store, binds an ephemeral TCP port, and registers the
-    /// four results procedures on a concurrent [`RpcServer`].
+    /// four results procedures on a concurrent [`RpcServer`]. The calling
+    /// thread's trace, if any, is the daemon's audit log.
     pub fn start(config: ServiceConfig) -> io::Result<ResultsService> {
+        let ctx = lmb_trace::current();
         let shared = Arc::new(Mutex::new(Shared {
             store: SegmentStore::open(
                 &config.data_dir,
@@ -177,7 +181,7 @@ impl ResultsService {
 
         let s = shared.clone();
         let m = metrics.clone();
-        register(&server, RESULTS_PROC_PUSH, move |args: Bytes| {
+        register(&server, &ctx, RESULTS_PROC_PUSH, move |args: Bytes| {
             let bytes = args.len() as u64;
             m.push.hit(bytes);
             let handled = (|| {
@@ -203,7 +207,7 @@ impl ResultsService {
 
         let s = shared.clone();
         let m = metrics.clone();
-        register(&server, RESULTS_PROC_DIFF, move |args: Bytes| {
+        register(&server, &ctx, RESULTS_PROC_DIFF, move |args: Bytes| {
             m.diff.hit(args.len() as u64);
             let handled = (|| {
                 let req: DiffRequest = proto::from_wire(args)?;
@@ -219,7 +223,7 @@ impl ResultsService {
 
         let s = shared.clone();
         let m = metrics.clone();
-        register(&server, RESULTS_PROC_HISTORY, move |args: Bytes| {
+        register(&server, &ctx, RESULTS_PROC_HISTORY, move |args: Bytes| {
             m.history.hit(args.len() as u64);
             let handled = (|| {
                 let req: HistoryRequest = proto::from_wire(args)?;
@@ -239,7 +243,7 @@ impl ResultsService {
 
         let s = shared.clone();
         let m = metrics.clone();
-        register(&server, RESULTS_PROC_TABLE, move |args: Bytes| {
+        register(&server, &ctx, RESULTS_PROC_TABLE, move |args: Bytes| {
             m.table.hit(args.len() as u64);
             let handled = (|| {
                 let req: TableRequest = proto::from_wire(args)?;
@@ -259,7 +263,7 @@ impl ResultsService {
 
         let s = shared.clone();
         let m = metrics.clone();
-        register(&server, RESULTS_PROC_STATS, move |args: Bytes| {
+        register(&server, &ctx, RESULTS_PROC_STATS, move |args: Bytes| {
             // Count this call before snapshotting so the reply reflects it:
             // a client that asks twice in a row sees calls go 1 -> 2.
             m.stats.hit(args.len() as u64);
@@ -281,6 +285,7 @@ impl ResultsService {
             shared,
             metrics,
             started: Instant::now(),
+            ctx,
         })
     }
 
@@ -294,17 +299,26 @@ impl ResultsService {
         self.shared.lock().store.flush_all()
     }
 
-    /// Emits a `metrics_snapshot` trace event: the flattened process-wide
-    /// registry (rpc.*, trace.*, service.*) plus this service's own
-    /// per-procedure counters and wall-clock values. Wall-clock rows live
-    /// here — in the audit log — and never in the versioned `query stats`
-    /// reply, which stays deterministic.
+    /// Emits a `metrics_snapshot` event into the daemon's trace: the
+    /// flattened process-wide registry (rpc.*, service.*), the trace's own
+    /// counts (trace.*), plus this service's own per-procedure counters
+    /// and wall-clock values. Wall-clock rows live here — in the audit
+    /// log — and never in the versioned `query stats` reply, which stays
+    /// deterministic.
     pub fn emit_metrics_snapshot(&self) {
-        if !lmb_trace::enabled() {
+        let Some(trace) = self.ctx.trace() else {
             return;
-        }
+        };
         let mut counters: BTreeMap<String, u64> =
             lmb_metrics::snapshot().flatten().into_iter().collect();
+        let t = trace.stats();
+        let own = [t.events, t.bytes, t.writes, t.dropped];
+        for (name, value) in ["events", "bytes", "writes", "dropped"]
+            .into_iter()
+            .zip(own)
+        {
+            counters.insert(format!("trace.{name}"), value);
+        }
         counters.insert(
             "service.uptime_ms".into(),
             self.started.elapsed().as_millis() as u64,
@@ -314,9 +328,7 @@ impl ResultsService {
             counters.insert(format!("service.{}.errors", row.procedure), row.errors);
             counters.insert(format!("service.{}.bytes_in", row.procedure), row.bytes_in);
         }
-        lmb_trace::emit(|| EventKind::MetricsSnapshot {
-            counters: counters.clone(),
-        });
+        lmb_trace::emit_in(&self.ctx, || EventKind::MetricsSnapshot { counters });
     }
 
     /// Flushes, then stops the server (joining its connection threads).
@@ -327,16 +339,23 @@ impl ResultsService {
     }
 }
 
+/// Registers a results procedure whose handler runs inside `ctx` on
+/// whichever connection thread serves the call.
 fn register(
     server: &RpcServer,
+    ctx: &SpanId,
     procedure: u32,
     handler: impl Fn(Bytes) -> Result<Bytes, ()> + Send + Sync + 'static,
 ) {
+    let ctx = ctx.clone();
     server.register(
         RESULTS_PROGRAM,
         RESULTS_VERSION,
         procedure,
-        Box::new(handler),
+        Box::new(move |args| {
+            let _ctx = ContextGuard::enter(&ctx);
+            handler(args)
+        }),
     );
 }
 
@@ -643,6 +662,59 @@ mod tests {
         assert!(service.shared.lock().diffs.is_empty());
         drop(client);
         service.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records the thread each event was delivered on.
+    #[derive(Clone, Default)]
+    struct Threads(Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl lmb_trace::Sink for Threads {
+        fn event(&mut self, _: &lmb_trace::TraceEvent) {
+            self.0.lock().unwrap().push(std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn handler_events_reach_the_trace_the_daemon_started_in() {
+        let (sink, threads) = (lmb_trace::MemorySink::shared(), Threads::default());
+        let trace = lmb_trace::Trace::new(vec![Box::new(sink.clone()), Box::new(threads.clone())]);
+        let config = scratch_config();
+        let dir = config.data_dir.clone();
+        let service = {
+            let _ctx = trace.enter();
+            ResultsService::start(config).unwrap()
+        };
+        let mut client =
+            crate::service::ReportClient::new(format!("127.0.0.1:{}", service.tcp_port()));
+        client.push(entry("fp-t", 10)).unwrap();
+        client.diff("fp-t").unwrap();
+        let events = sink.events();
+        let count = |want: fn(&EventKind) -> bool| events.iter().filter(|e| want(&e.kind)).count();
+        assert_eq!(
+            count(|k| matches!(k, EventKind::Ingest { .. })),
+            1,
+            "{events:?}"
+        );
+        assert_eq!(
+            count(|k| matches!(k, EventKind::Query { .. })),
+            1,
+            "{events:?}"
+        );
+        let me = std::thread::current().id();
+        assert!(
+            threads.0.lock().unwrap().iter().all(|&t| t != me),
+            "every event came from an RPC connection thread"
+        );
+
+        drop(client);
+        service.shutdown().unwrap();
+        match &sink.events().last().unwrap().kind {
+            EventKind::MetricsSnapshot { counters } => {
+                assert_eq!(counters["trace.events"], events.len() as u64);
+            }
+            other => panic!("want the shutdown metrics_snapshot, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -235,7 +235,9 @@ impl SegmentStore {
             self.sealed_batches += 1;
             // A seal is a durability point: push buffered audit-trace
             // lines out with it so the JSONL never lags the store.
-            lmb_trace::flush_all();
+            if let Some(trace) = lmb_trace::current().trace() {
+                trace.flush();
+            }
         }
         if shard.sealed.len() > threshold {
             compact_shard(&dir, fingerprint, shard)?;
@@ -358,7 +360,7 @@ fn warn_skipped(path: &Path, detail: &str) {
 mod tests {
     use super::*;
     use lmb_results::RunReport;
-    use lmb_trace::MemorySink;
+    use lmb_trace::{MemorySink, Trace};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -425,7 +427,8 @@ mod tests {
     fn compaction_bounds_the_segment_count() {
         let dir = scratch_dir("compact");
         let sink = MemorySink::shared();
-        let handle = lmb_trace::install(Box::new(sink.clone()));
+        let trace = Trace::new(vec![Box::new(sink.clone())]);
+        let ctx = trace.enter();
         let mut store = SegmentStore::open(&dir, 1, 3).unwrap();
         for s in 0..20 {
             store.append(entry("fp-a", s)).unwrap();
@@ -435,7 +438,7 @@ mod tests {
                 store.segment_count("fp-a")
             );
         }
-        lmb_trace::uninstall(handle);
+        drop(ctx);
         let compactions = sink
             .events()
             .iter()
@@ -462,9 +465,10 @@ mod tests {
         fs::write(dir.join("notes.txt"), "ignored").unwrap();
 
         let sink = MemorySink::shared();
-        let handle = lmb_trace::install(Box::new(sink.clone()));
+        let trace = Trace::new(vec![Box::new(sink.clone())]);
+        let ctx = trace.enter();
         let store = SegmentStore::open(&dir, 1, 100).unwrap();
-        lmb_trace::uninstall(handle);
+        drop(ctx);
 
         assert_eq!(store.len(), 1, "good entry survives, bad line skipped");
         let warnings: Vec<String> = sink

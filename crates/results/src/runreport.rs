@@ -269,7 +269,7 @@ pub struct HarnessMetrics {
     pub attempt_ms: f64,
     /// Noise-retry attempts beyond the first, ms.
     pub retry_ms: f64,
-    /// Trace events delivered to the installed sink (0 when untraced).
+    /// Events delivered to the run's trace (0 when untraced).
     pub trace_events: u64,
     /// Bytes the JSONL trace sink wrote.
     pub trace_bytes: u64,

@@ -426,9 +426,10 @@ mod tests {
         std::fs::write(dir.join("notes.txt"), "not ours, no warning").unwrap();
 
         let sink = MemorySink::shared();
-        let handle = lmb_trace::install(Box::new(sink.clone()));
+        let trace = lmb_trace::Trace::new(vec![Box::new(sink.clone())]);
+        let ctx = trace.enter();
         let history = store.history(&fp).unwrap();
-        lmb_trace::uninstall(handle);
+        drop(ctx);
 
         assert_eq!(bench_names(&history), ["good"], "corrupt file skipped");
         let warnings: Vec<_> = sink

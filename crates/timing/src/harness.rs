@@ -487,11 +487,9 @@ mod tests {
 
     #[test]
     fn measurements_emit_warmup_and_calibration_trace_events() {
-        // The only sink-installing test in this crate; other tests never
-        // emit (tracing stays disabled for them), so no cross-test filter
-        // beyond event kind is needed.
         let sink = lmb_trace::MemorySink::shared();
-        let handle = lmb_trace::install(Box::new(sink.clone()));
+        let trace = lmb_trace::Trace::new(vec![Box::new(sink.clone())]);
+        let ctx = trace.enter();
         let h = Harness::new(Options::quick());
         h.measure(|| {
             std::hint::black_box(2u64 * 2);
@@ -499,7 +497,7 @@ mod tests {
         h.measure_block(64, || {
             std::hint::black_box((0..64u64).product::<u64>());
         });
-        lmb_trace::uninstall(handle);
+        drop(ctx);
         let events = sink.events();
         let warmups = events
             .iter()

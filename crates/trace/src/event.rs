@@ -490,13 +490,13 @@ impl EventKind {
     }
 }
 
-/// One trace line: a globally sequenced, timestamped event, attributed to
-/// the span it happened inside.
+/// One trace line: a sequenced, timestamped event, attributed to the span
+/// it happened inside.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Process-global sequence number (total order across threads).
+    /// The trace's sequence number (total order across threads).
     pub seq: u64,
-    /// Microseconds since the trace epoch (first tracer use).
+    /// Microseconds since the trace epoch (its creation).
     pub t_us: f64,
     /// The span this event belongs to. For `SpanStart`/`SpanEnd` this is
     /// the span being opened/closed itself.

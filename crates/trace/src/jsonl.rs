@@ -5,7 +5,7 @@
 //! back into the exact event structs that produced it ([`parse_jsonl`]).
 
 use crate::event::{EventKind, TraceEvent};
-use crate::sink::Sink;
+use crate::sink::{Sink, SinkStatsSnapshot};
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -21,23 +21,22 @@ const BATCH_BYTES: usize = 64 * 1024;
 ///
 /// Emission is batched: events append to an in-memory buffer which is
 /// written out when it reaches [`BATCH_BYTES`] or when the sink is flushed
-/// (the global tracer flushes every sink on span close, and [`install`]d
-/// sinks are flushed on uninstall — so the artifact is valid up to the last
-/// closed span even after a crash).
+/// (its trace flushes every sink on span close and when the trace drops —
+/// so the artifact is valid up to the last closed span even after a
+/// crash).
 ///
 /// Write errors are never allowed to panic the benchmark being observed;
 /// instead every event lost to a failed write or serialization is counted
-/// in the process-wide `trace.dropped` metric and reported once on stderr
-/// when the sink is dropped.
-///
-/// [`install`]: crate::install
+/// in the sink's [`Sink::stats`], which its trace reports as `dropped`,
+/// and reported once on stderr when the sink is dropped.
 pub struct JsonlSink<W: Write + Send> {
     out: W,
     buf: Vec<u8>,
     /// Events currently sitting in `buf` (lost in one batch if a write fails).
     buffered: u64,
-    /// Events this sink lost to failed serialization or I/O.
-    dropped: u64,
+    /// Bytes and batches written, and events lost to failed
+    /// serialization or I/O.
+    stats: SinkStatsSnapshot,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -54,13 +53,8 @@ impl<W: Write + Send> JsonlSink<W> {
             out,
             buf: Vec::new(),
             buffered: 0,
-            dropped: 0,
+            stats: SinkStatsSnapshot::default(),
         }
-    }
-
-    fn drop_events(&mut self, n: u64) {
-        self.dropped += n;
-        crate::sink::stats().dropped.add_always(n);
     }
 
     /// Pushes the line buffer to the writer (one batched write).
@@ -70,15 +64,13 @@ impl<W: Write + Send> JsonlSink<W> {
         }
         match self.out.write_all(&self.buf) {
             Ok(()) => {
-                let stats = crate::sink::stats();
-                stats.writes.add_always(1);
-                stats.bytes.add_always(self.buf.len() as u64);
+                self.stats.writes += 1;
+                self.stats.bytes += self.buf.len() as u64;
             }
             Err(_) => {
                 // Best-effort, like any flight recorder with a dying disk:
                 // the whole batch is lost, counted, and reported at drop.
-                let lost = self.buffered;
-                self.drop_events(lost);
+                self.stats.dropped += self.buffered;
             }
         }
         self.buf.clear();
@@ -94,7 +86,7 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
                 self.buf.push(b'\n');
                 self.buffered += 1;
             }
-            Err(_) => self.drop_events(1),
+            Err(_) => self.stats.dropped += 1,
         }
         if self.buf.len() >= BATCH_BYTES {
             self.write_batch();
@@ -105,15 +97,19 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
         self.write_batch();
         let _ = self.out.flush();
     }
+
+    fn stats(&self) -> SinkStatsSnapshot {
+        self.stats
+    }
 }
 
 impl<W: Write + Send> Drop for JsonlSink<W> {
     fn drop(&mut self) {
         self.flush();
-        if self.dropped > 0 {
+        if self.stats.dropped > 0 {
             eprintln!(
                 "lmb-trace: warning: {} trace event(s) dropped on write errors",
-                self.dropped
+                self.stats.dropped
             );
         }
     }
@@ -345,7 +341,11 @@ mod tests {
         sink.event(&event(0, None, EventKind::Warmup { runs: 1 }));
         sink.event(&event(1, None, EventKind::Warmup { runs: 2 }));
         sink.flush();
-        assert_eq!(sink.dropped, 2, "both buffered events lost in one batch");
+        assert_eq!(
+            sink.stats().dropped,
+            2,
+            "both buffered events lost in one batch"
+        );
         assert_eq!(sink.buffered, 0);
     }
 

@@ -11,15 +11,20 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero overhead when disabled.** Every instrumentation site costs
-//!    one relaxed atomic load and a predictable branch when no sink is
-//!    installed ([`enabled`]); event payloads are built inside closures
+//! 1. **A trace belongs to its run.** A [`Trace`] owns its sinks, its
+//!    `seq` and span-id counters and its activity counts. It reaches code
+//!    through the calling thread's current span, which carries it
+//!    ([`Trace::enter`], [`ContextGuard`], [`current`]), so two runs in
+//!    one process never stamp, count or swallow each other's events.
+//! 2. **Zero overhead when disabled.** On a thread with no trace, every
+//!    instrumentation site costs one thread-local read and a predictable
+//!    branch ([`enabled`]); event payloads are built inside closures
 //!    that are never called. `tests/overhead.rs` holds the crate to this
 //!    with a calibrated timing loop.
-//! 2. **No dependencies.** There is no external `tracing` crate here; the
+//! 3. **No dependencies.** There is no external `tracing` crate here; the
 //!    event model is built on the workspace's own `serde`/`serde_json`
 //!    stand-ins, and a trace line is plain JSON.
-//! 3. **One stream, many views.** The human report, the live progress
+//! 4. **One stream, many views.** The human report, the live progress
 //!    lines and the JSONL artifact are renderings of the same
 //!    [`TraceEvent`] sequence, so they can never disagree about what the
 //!    engine did.
@@ -27,15 +32,16 @@
 //! # Example
 //!
 //! ```
-//! use lmb_trace::{EventKind, MemorySink, Span};
+//! use lmb_trace::{EventKind, MemorySink, Span, Trace};
 //!
 //! let sink = MemorySink::shared();
-//! let handle = lmb_trace::install(Box::new(sink.clone()));
+//! let trace = Trace::new(vec![Box::new(sink.clone())]);
 //! {
+//!     let _ctx = trace.enter();
 //!     let _span = Span::enter("bench:example");
 //!     lmb_trace::emit(|| EventKind::Warmup { runs: 2 });
 //! }
-//! lmb_trace::uninstall(handle);
+//! lmb_trace::emit(|| EventKind::Warmup { runs: 9 }); // no trace here
 //! assert_eq!(sink.events().len(), 3); // span_start, warmup, span_end
 //! ```
 
@@ -51,17 +57,5 @@ pub use jsonl::{
     MemorySink, SpanSummary,
 };
 pub use progress::{Detail, Progress};
-pub use sink::{
-    emit, emit_in, enabled, flush_all, install, sink_stats, stats, uninstall, Sink, SinkHandle,
-    SinkStatsSnapshot, TraceStats,
-};
+pub use sink::{emit, emit_in, enabled, Sink, SinkStatsSnapshot, Trace};
 pub use span::{current, ContextGuard, Span, SpanId};
-
-/// Serializes unit tests that install global sinks, so parallel tests in
-/// this crate never observe each other's events or enabled-flag flips.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}

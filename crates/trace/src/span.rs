@@ -1,48 +1,65 @@
 //! Spans: named intervals that give events a place in the run's tree.
 //!
 //! A [`Span`] is an RAII guard — entering emits `span_start`, dropping
-//! emits `span_end` with the measured lifetime. Span ids are allocated
-//! from a process-global counter only while tracing is enabled; when it is
-//! disabled a span is [`SpanId::NONE`] and costs the usual relaxed load.
+//! emits `span_end` with the measured lifetime. Span ids come from the
+//! span's own [`Trace`], so every run numbers its spans from 1; on a
+//! thread with no trace a span is [`SpanId::NONE`].
 //!
-//! On the real clock the engine runs a benchmark's body on a separate
-//! watchdogged thread, so the current span is a *thread-local* that such a
-//! thread re-enters with a [`ContextGuard`] around the body. Instrumentation deeper down (the
-//! timing harness, for instance) then attributes its events correctly
-//! without ever naming the span.
+//! The current span is a *thread-local* that carries its trace. A thread
+//! that runs work for a span it never entered (the engine's watchdogged
+//! benchmark thread, a load generator, an RPC handler) re-enters it with
+//! a [`ContextGuard`]. Instrumentation deeper down (the timing harness,
+//! for instance) then attributes its events to the right span of the
+//! right trace without ever naming either.
 
 use crate::event::EventKind;
-use crate::sink;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sink::{emit_in, Trace};
+use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-// Span 0 is reserved as "no span".
-static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
+    static CURRENT: RefCell<SpanId> = const { RefCell::new(SpanId::NONE) };
+    /// Whether `CURRENT` carries a trace: the disabled fast path reads
+    /// only this plain flag, never the handle.
+    pub(crate) static TRACED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A span identifier; `NONE` (id 0) means "not traced".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(u64);
+/// A span in a trace: the handle that carries a run's trace from thread
+/// to thread. [`SpanId::NONE`] means "not traced".
+#[derive(Debug, Clone)]
+pub struct SpanId {
+    pub(crate) trace: Option<Trace>,
+    // 0 is the trace's root: inside the trace, outside any span.
+    pub(crate) id: u64,
+}
 
 impl SpanId {
-    /// The null span: tracing was disabled when the span was created.
-    pub const NONE: SpanId = SpanId(0);
+    /// The null span, in no trace.
+    pub const NONE: SpanId = SpanId { trace: None, id: 0 };
 
-    /// The id as an optional raw value (`None` for [`SpanId::NONE`]).
+    /// The id as an optional raw value (`None` outside any span).
     #[must_use]
-    pub fn as_option(self) -> Option<u64> {
-        (self.0 != 0).then_some(self.0)
+    pub fn as_option(&self) -> Option<u64> {
+        (self.id != 0).then_some(self.id)
+    }
+
+    /// The trace this span belongs to (`None` when untraced).
+    #[must_use]
+    pub fn trace(&self) -> Option<&Trace> {
+        self.trace.as_ref()
     }
 }
 
-/// The calling thread's current span.
+/// The calling thread's current span, trace included.
 #[must_use]
 pub fn current() -> SpanId {
-    SpanId(CURRENT.with(Cell::get))
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Makes `span` current and returns the span it replaced.
+fn swap_current(span: SpanId) -> SpanId {
+    TRACED.with(|t| t.set(span.trace.is_some()));
+    CURRENT.with(|c| c.replace(span))
 }
 
 /// A live span; ends (and emits `span_end`) on drop.
@@ -51,50 +68,42 @@ pub struct Span {
     id: SpanId,
     name: String,
     started: Instant,
-    entered_from: u64,
+    entered_from: SpanId,
 }
 
 impl Span {
     /// Opens a span under the calling thread's current span and makes it
     /// current for this thread until the guard drops.
     pub fn enter(name: impl Into<String>) -> Span {
-        Self::enter_with_parent(name, current())
+        Self::enter_with_parent(name, &current())
     }
 
-    /// Opens a span under an explicit parent (for worker threads holding a
-    /// parent id they never entered) and makes it current for this thread.
-    pub fn enter_with_parent(name: impl Into<String>, parent: SpanId) -> Span {
+    /// Opens a span under an explicit parent, in the parent's trace (none
+    /// when the parent is untraced), and makes it current for this thread
+    /// (for worker threads holding a parent they never entered).
+    pub fn enter_with_parent(name: impl Into<String>, parent: &SpanId) -> Span {
+        let id = SpanId {
+            trace: parent.trace.clone(),
+            id: parent.trace().map_or(0, Trace::next_span_id),
+        };
         let name = name.into();
-        let prev = CURRENT.with(Cell::get);
-        if !sink::enabled() {
-            return Span {
-                id: SpanId::NONE,
-                name,
-                started: Instant::now(),
-                entered_from: prev,
-            };
-        }
-        let id = SpanId(NEXT_SPAN.fetch_add(1, Ordering::Relaxed));
-        sink::deliver(
-            id.as_option(),
-            EventKind::SpanStart {
-                name: name.clone(),
-                parent: parent.as_option(),
-            },
-        );
-        CURRENT.with(|c| c.set(id.0));
+        emit_in(&id, || EventKind::SpanStart {
+            name: name.clone(),
+            parent: parent.as_option(),
+        });
         Span {
+            entered_from: swap_current(id.clone()),
             id,
             name,
             started: Instant::now(),
-            entered_from: prev,
         }
     }
 
-    /// This span's id (persist it to link other records to the trace).
+    /// This span (persist [`SpanId::as_option`] to link other records to
+    /// the trace).
     #[must_use]
-    pub fn id(&self) -> SpanId {
-        self.id
+    pub fn id(&self) -> &SpanId {
+        &self.id
     }
 
     /// This span's name.
@@ -106,44 +115,33 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.id == SpanId::NONE {
-            return;
-        }
-        CURRENT.with(|c| c.set(self.entered_from));
-        // Sinks may have been uninstalled since the span opened; emit the
-        // end anyway only if tracing is still live so a trailing JSONL
-        // flush never blocks on a dead registry. An unclosed span in the
-        // artifact is the honest record of that race.
-        if sink::enabled() {
-            sink::deliver(
-                self.id.as_option(),
-                EventKind::SpanEnd {
-                    name: std::mem::take(&mut self.name),
-                    elapsed_us: self.started.elapsed().as_secs_f64() * 1e6,
-                },
-            );
-        }
+        swap_current(std::mem::replace(&mut self.entered_from, SpanId::NONE));
+        emit_in(&self.id, || EventKind::SpanEnd {
+            name: std::mem::take(&mut self.name),
+            elapsed_us: self.started.elapsed().as_secs_f64() * 1e6,
+        });
     }
 }
 
-/// Re-enters an existing span on the calling thread (no events emitted);
-/// restores the previous current span on drop.
+/// Re-enters an existing span, and so its trace, on the calling thread
+/// (no events emitted); restores the previous current span on drop.
 #[derive(Debug)]
 pub struct ContextGuard {
-    prev: u64,
+    prev: SpanId,
 }
 
 impl ContextGuard {
     /// Makes `span` the calling thread's current span.
-    pub fn enter(span: SpanId) -> ContextGuard {
-        let prev = CURRENT.with(|c| c.replace(span.0));
-        ContextGuard { prev }
+    pub fn enter(span: &SpanId) -> ContextGuard {
+        ContextGuard {
+            prev: swap_current(span.clone()),
+        }
     }
 }
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
+        swap_current(std::mem::replace(&mut self.prev, SpanId::NONE));
     }
 }
 
@@ -152,7 +150,11 @@ mod tests {
     use super::*;
     use crate::event::TraceEvent;
     use crate::jsonl::MemorySink;
-    use crate::test_lock;
+
+    fn traced() -> (Trace, MemorySink) {
+        let sink = MemorySink::shared();
+        (Trace::new(vec![Box::new(sink.clone())]), sink)
+    }
 
     fn span_events(events: &[TraceEvent], name: &str) -> Vec<TraceEvent> {
         events
@@ -168,26 +170,25 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_none_and_silent() {
-        let _guard = test_lock();
         let span = Span::enter("quiet");
-        assert_eq!(span.id(), SpanId::NONE);
+        assert!(span.id().trace().is_none());
         assert_eq!(span.id().as_option(), None);
         drop(span);
-        assert_eq!(current(), SpanId::NONE);
+        assert!(current().trace().is_none());
     }
 
     #[test]
     fn span_start_and_end_pair_with_elapsed() {
-        let _guard = test_lock();
-        let sink = MemorySink::shared();
-        let handle = crate::install(Box::new(sink.clone()));
+        let (trace, sink) = traced();
         {
+            let _ctx = trace.enter();
             let span = Span::enter("outer-test-span");
-            assert_eq!(current(), span.id());
+            assert_eq!(span.id().as_option(), Some(1), "ids start at 1");
+            assert_eq!(current().as_option(), span.id().as_option());
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        crate::uninstall(handle);
-        let events = span_events(&sink.events(), "outer-test-span");
+        let events = sink.events();
+        assert_eq!(span_events(&events, "outer-test-span"), events);
         assert_eq!(events.len(), 2, "{events:?}");
         assert_eq!(events[0].span, events[1].span);
         match &events[1].kind {
@@ -200,18 +201,18 @@ mod tests {
 
     #[test]
     fn nesting_restores_the_parent_and_records_it() {
-        let _guard = test_lock();
-        let sink = MemorySink::shared();
-        let handle = crate::install(Box::new(sink.clone()));
+        let (trace, sink) = traced();
+        let ctx = trace.enter();
         let outer = Span::enter("nest-outer");
         let outer_id = outer.id().as_option();
         {
             let inner = Span::enter("nest-inner");
-            assert_eq!(current(), inner.id());
+            assert_eq!(current().as_option(), inner.id().as_option());
         }
-        assert_eq!(current(), outer.id());
+        assert_eq!(current().as_option(), outer_id);
         drop(outer);
-        crate::uninstall(handle);
+        drop(ctx);
+        assert!(current().trace().is_none(), "the guard left the trace");
         let inner_start = &span_events(&sink.events(), "nest-inner")[0];
         match &inner_start.kind {
             EventKind::SpanStart { parent, .. } => assert_eq!(*parent, outer_id),
@@ -220,25 +221,27 @@ mod tests {
     }
 
     #[test]
-    fn context_guard_carries_a_span_across_threads() {
-        let _guard = test_lock();
-        let sink = MemorySink::shared();
-        let handle = crate::install(Box::new(sink.clone()));
-        let span = Span::enter_with_parent("cross-thread", SpanId::NONE);
-        let id = span.id();
+    fn context_guard_carries_a_span_and_its_trace_across_threads() {
+        let (trace, sink) = traced();
+        let ctx = trace.enter();
+        let span = Span::enter("cross-thread");
+        let id = span.id().clone();
         std::thread::spawn(move || {
-            let _ctx = ContextGuard::enter(id);
+            crate::emit(|| EventKind::Warmup { runs: 1 });
+            let _ctx = ContextGuard::enter(&id);
             crate::emit(|| EventKind::Warmup { runs: 123 });
         })
         .join()
         .unwrap();
         drop(span);
-        crate::uninstall(handle);
-        let warmup = sink
+        drop(ctx);
+        let warmups: Vec<_> = sink
             .events()
             .into_iter()
-            .find(|e| matches!(e.kind, EventKind::Warmup { runs: 123 }))
-            .expect("cross-thread event recorded");
-        assert_eq!(warmup.span, id.as_option());
+            .filter(|e| matches!(e.kind, EventKind::Warmup { .. }))
+            .collect();
+        assert_eq!(warmups.len(), 1, "a thread without the guard is untraced");
+        assert!(matches!(warmups[0].kind, EventKind::Warmup { runs: 123 }));
+        assert_eq!(warmups[0].span, Some(1));
     }
 }

@@ -55,8 +55,8 @@ use lmbench::results::{
 };
 use lmbench::timing::{ArrivalProcess, Harness};
 use lmbench::trace::{
-    check_seq_order, check_span_refs, check_spans, span_summaries, Detail, JsonlSink, Progress,
-    SinkHandle,
+    check_seq_order, check_span_refs, check_spans, span_summaries, ContextGuard, Detail, JsonlSink,
+    Progress, Sink, Trace,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -150,59 +150,75 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// The observability surface of `suite` and `report`: which sinks the
-/// flags asked for, installed for the duration of the engine run.
+/// The observability surface of `suite` and `report`: the run's trace,
+/// over the sinks the flags asked for, entered on this thread for the
+/// duration of the engine run.
 struct Observer {
     verbosity: Verbosity,
-    jsonl: Option<SinkHandle>,
-    progress: Option<SinkHandle>,
+    progress: bool,
     report_json: Option<String>,
+    traced: Option<ContextGuard>,
 }
 
 impl Observer {
-    /// Parses the shared flags and installs the requested sinks. `Err`
-    /// carries an unopenable `--trace` path.
-    fn install(args: &[String]) -> Result<Observer, String> {
+    /// Parses the shared flags, builds the run's trace when any sink is
+    /// asked for, and enters it. `None` after reporting an unopenable
+    /// `--trace` path.
+    fn install(args: &[String]) -> Option<Observer> {
         let verbosity = Verbosity::from_flags(
             args.iter().any(|a| a == "--quiet"),
             args.iter().any(|a| a == "--verbose"),
         );
-        let jsonl = match flag_value(args, "--trace") {
-            Some(path) => {
-                let sink = JsonlSink::create(Path::new(path))
-                    .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
-                Some(lmbench::trace::install(Box::new(sink)))
-            }
-            None => None,
-        };
+        let mut sinks = jsonl_sinks(args)?;
         let wants_progress = args.iter().any(|a| a == "--progress");
         let progress = match (verbosity, wants_progress) {
             (Verbosity::Quiet, _) => None,
             (Verbosity::Verbose, _) => Some(Detail::Verbose),
             (Verbosity::Normal, true) => Some(Detail::Normal),
             (Verbosity::Normal, false) => None,
+        };
+        if let Some(detail) = progress {
+            sinks.push(Box::new(Progress::new(std::io::stderr(), detail)));
         }
-        .map(|detail| lmbench::trace::install(Box::new(Progress::new(std::io::stderr(), detail))));
-        Ok(Observer {
+        Some(Observer {
             verbosity,
-            jsonl,
-            progress,
+            progress: progress.is_some(),
             report_json: flag_value(args, "--report-json").map(String::from),
+            traced: enter(sinks),
         })
     }
 
-    /// Flushes and detaches the sinks, then writes the `--report-json`
-    /// artifact.
+    /// Leaves the trace, which flushes its sinks, then writes the
+    /// `--report-json` artifact.
     fn finish(self, report: &RunReport) {
-        for handle in [self.progress, self.jsonl].into_iter().flatten() {
-            lmbench::trace::uninstall(handle);
-        }
+        drop(self.traced);
         if let Some(path) = &self.report_json {
             if let Err(e) = std::fs::write(path, report.to_json()) {
                 eprintln!("lmbench: cannot write run report {path}: {e}");
             }
         }
     }
+}
+
+/// The `--trace PATH` JSONL sink, if asked for; `None` after reporting an
+/// unopenable path.
+fn jsonl_sinks(args: &[String]) -> Option<Vec<Box<dyn Sink>>> {
+    let Some(path) = flag_value(args, "--trace") else {
+        return Some(Vec::new());
+    };
+    match JsonlSink::create(Path::new(path)) {
+        Ok(sink) => Some(vec![Box::new(sink)]),
+        Err(e) => {
+            eprintln!("lmbench: cannot create trace file {path}: {e}");
+            None
+        }
+    }
+}
+
+/// A trace over `sinks`, entered on the calling thread until the guard
+/// drops; `None` (the run stays untraced) when there are no sinks.
+fn enter(sinks: Vec<Box<dyn Sink>>) -> Option<ContextGuard> {
+    (!sinks.is_empty()).then(|| Trace::new(sinks).enter())
 }
 
 /// Loads a run report from a `--report-json` artifact or a saved baseline
@@ -343,12 +359,8 @@ fn load_command(args: &[String]) -> ExitCode {
         // per point; only the shape and seed matter here.
         runner = runner.with_process(ArrivalProcess::poisson(1.0, sim_seed.unwrap_or(42)));
     }
-    let observer = match Observer::install(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("lmbench: {msg}");
-            return ExitCode::from(3);
-        }
+    let Some(observer) = Observer::install(args) else {
+        return ExitCode::from(3);
     };
     let mut report = RunReport {
         sim: sim_provenance,
@@ -444,16 +456,10 @@ fn serve_daemon(args: &[String]) -> ExitCode {
     }
     // The daemon's audit log: every ingest, query, compaction and store
     // warning as trace JSONL.
-    let trace = match flag_value(args, "--trace") {
-        Some(path) => match JsonlSink::create(Path::new(path)) {
-            Ok(sink) => Some(lmbench::trace::install(Box::new(sink))),
-            Err(e) => {
-                eprintln!("lmbench: cannot create trace file {path}: {e}");
-                return ExitCode::from(3);
-            }
-        },
-        None => None,
+    let Some(sinks) = jsonl_sinks(args) else {
+        return ExitCode::from(3);
     };
+    let traced = enter(sinks);
     let shutdown = match install_shutdown_handler() {
         Ok(flag) => flag,
         Err(e) => {
@@ -496,9 +502,8 @@ fn serve_daemon(args: &[String]) -> ExitCode {
             ExitCode::from(3)
         }
     };
-    if let Some(handle) = trace {
-        lmbench::trace::uninstall(handle);
-    }
+    // The trace's last handle goes with the guard, flushing the log.
+    drop(traced);
     code
 }
 
@@ -891,12 +896,8 @@ fn main() -> ExitCode {
                 Err(err) => return fail(&err),
             };
             let engine = engine.with_clock(clock);
-            let observer = match Observer::install(&args) {
-                Ok(o) => o,
-                Err(msg) => {
-                    eprintln!("lmbench: {msg}");
-                    return ExitCode::from(3);
-                }
+            let Some(observer) = Observer::install(&args) else {
+                return ExitCode::from(3);
             };
             let outcome = engine.with_faults(FaultPlan::from_env()).execute();
             // Per-benchmark outcomes to stderr; a failed benchmark costs
@@ -946,12 +947,8 @@ fn main() -> ExitCode {
             }
             .with_max_p(max_p)
             .with_faults(ScaleFaultPlan::from_env());
-            let observer = match Observer::install(&args) {
-                Ok(o) => o,
-                Err(msg) => {
-                    eprintln!("lmbench: {msg}");
-                    return ExitCode::from(3);
-                }
+            let Some(observer) = Observer::install(&args) else {
+                return ExitCode::from(3);
             };
             let mut report = RunReport::default();
             for spec in &specs {
@@ -988,16 +985,12 @@ fn main() -> ExitCode {
                 Ok(e) => e,
                 Err(err) => return fail(&err),
             };
-            let observer = match Observer::install(&args) {
-                Ok(o) => o,
-                Err(msg) => {
-                    eprintln!("lmbench: {msg}");
-                    return ExitCode::from(3);
-                }
+            let Some(observer) = Observer::install(&args) else {
+                return ExitCode::from(3);
             };
             // The old hard-coded "running full suite..." stderr line is now
             // the reporter's suite_start rendering — same stream as --trace.
-            if observer.verbosity == Verbosity::Normal && observer.progress.is_none() {
+            if observer.verbosity == Verbosity::Normal && !observer.progress {
                 eprintln!("running full suite...");
             }
             let outcome = engine.with_faults(FaultPlan::from_env()).execute();

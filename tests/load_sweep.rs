@@ -15,12 +15,7 @@ use lmbench::core::{
 };
 use lmbench::results::{RateSweep, RunReport};
 use lmbench::timing::{ArrivalProcess, CostModel, SimClock};
-use lmbench::trace::{EventKind, MemorySink};
-use std::sync::Mutex;
-
-/// The global trace sink is process-wide; tests that install one must not
-/// overlap.
-static TRACE_GATE: Mutex<()> = Mutex::new(());
+use lmbench::trace::{EventKind, MemorySink, Trace};
 
 /// A sim-clocked runner over a constant-cost scripted server.
 fn sim_runner(seed: u64, service_ns: f64) -> (LoadRunner, SimClock, CostModel) {
@@ -70,8 +65,6 @@ fn acceptance_open_loop_p99_blows_past_closed_loop_at_the_same_rate() {
 
 #[test]
 fn same_seed_sweeps_reproduce_byte_for_byte() {
-    // An installed sink stamps span ids into the report: compare like with like.
-    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let a = run_load_scenario(23).to_json();
     let b = run_load_scenario(23).to_json();
     assert_eq!(
@@ -186,9 +179,9 @@ fn rate_sweeps_round_trip_through_the_run_report() {
 
 #[test]
 fn sweeps_emit_typed_trace_events() {
-    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let sink = MemorySink::shared();
-    let handle = lmbench::trace::install(Box::new(sink.clone()));
+    let trace = Trace::new(vec![Box::new(sink.clone())]);
+    let ctx = trace.enter();
     let (runner, sim, model) = sim_runner(13, 80_000.0);
     let make = move || -> Result<Box<dyn LoadGen>, String> {
         Ok(Box::new(SimServerGen::new(&sim, model)))
@@ -200,14 +193,9 @@ fn sweeps_emit_typed_trace_events() {
         &make,
         &[LoadMode::Open, LoadMode::Closed],
     );
-    lmbench::trace::uninstall(handle);
-    // Sibling tests' sweeps can emit into the global sink while it is
-    // installed; keep only this sweep's own span.
-    let events: Vec<_> = sink
-        .events()
-        .into_iter()
-        .filter(|e| e.span == record.span)
-        .collect();
+    drop(ctx);
+    let events = sink.events();
+    assert_eq!(record.span, Some(1), "the sweep is the trace's first span");
     let sweep_starts = events
         .iter()
         .filter(|e| matches!(&e.kind, EventKind::SweepStart { bench, .. } if bench == "sim_server"))

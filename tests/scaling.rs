@@ -15,14 +15,9 @@ use lmbench::results::{
     BenchRecord, BenchStatus, MetricValue, Provenance, ReportDiff, RunReport, ScalingCurve,
 };
 use lmbench::timing::{CostModel, Harness, Quality, SimClock};
-use lmbench::trace::{EventKind, MemorySink};
+use lmbench::trace::{EventKind, MemorySink, Trace};
 use std::path::Path;
 use std::process::Command;
-use std::sync::Mutex;
-
-/// The global trace sink is process-wide; tests that install one must not
-/// overlap.
-static TRACE_GATE: Mutex<()> = Mutex::new(());
 
 fn runner(max_p: u32) -> LoadRunner {
     LoadRunner::new(SuiteConfig::quick())
@@ -171,19 +166,14 @@ fn curves_roundtrip_through_runreport_json() {
 
 #[test]
 fn sweep_narrates_itself_into_the_trace() {
-    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let sink = MemorySink::shared();
-    let handle = lmbench::trace::install(Box::new(sink.clone()));
+    let trace = Trace::new(vec![Box::new(sink.clone())]);
+    let ctx = trace.enter();
     let (curve, record) = sweep("bw_mem", 2);
-    lmbench::trace::uninstall(handle);
+    drop(ctx);
 
-    // Sibling tests' sweeps can emit into the global sink while it is
-    // installed; keep only this sweep's own span.
-    let events: Vec<_> = sink
-        .events()
-        .into_iter()
-        .filter(|e| e.span == record.span)
-        .collect();
+    let events = sink.events();
+    assert_eq!(record.span, Some(1), "the sweep is the trace's first span");
     let starts: Vec<_> = events
         .iter()
         .filter_map(|e| match &e.kind {
@@ -222,7 +212,7 @@ fn virtual_scale_sweep_renders_to_its_golden() {
     // Every generator scripts its own server on a fresh virtual clock, so
     // the curve is a function of the cost model alone: thread interleaving
     // cannot move a byte. Only the host-timed wall clock and the span id
-    // (allocated when a sink is installed) are scrubbed.
+    // (allocated when the thread has a trace) are scrubbed.
     let spec = LoadSpec {
         name: "sim_server",
         produces: "virtual service rate under P scripted servers",

@@ -13,6 +13,7 @@ use lmbench::core::simfuzz::{
 use lmbench::core::{Engine, EngineClock, FaultPlan};
 use lmbench::results::BenchStatus;
 use lmbench::timing::CostModel;
+use lmbench::trace::{check_seq_order, check_span_refs, check_spans, EventKind, MemorySink, Trace};
 
 /// Sweep a band of the scenario space: every property over a run of
 /// consecutive seeds, through the complete engine, in virtual time. Each
@@ -102,9 +103,11 @@ fn pinned_knee_scenario_completes_ok() {
 }
 
 /// Concurrent same-seed suites in one process must each reproduce their
-/// serial report byte for byte: a run's harness budget and its clock
-/// reads belong to that run, so neighbours can neither mix budgets nor
-/// switch off each other's accounting. No lock serializes the threads.
+/// serial report byte for byte: a run's harness budget, its clock reads
+/// and its trace belong to that run, so neighbours can neither mix
+/// budgets, switch off each other's accounting, nor stamp span ids into
+/// or swallow events from an untraced run. A fourth thread runs each
+/// round under its own fresh trace. No lock serializes the threads.
 #[test]
 fn concurrent_sim_suites_match_their_serial_runs() {
     let scenarios = [
@@ -116,7 +119,8 @@ fn concurrent_sim_suites_match_their_serial_runs() {
         .iter()
         .map(|s| run_scenario(s).report.to_json())
         .collect();
-    std::thread::scope(|scope| {
+    let traced = Scenario::from_seed(5);
+    let rounds = std::thread::scope(|scope| {
         for (scenario, reference) in scenarios.iter().zip(&references) {
             scope.spawn(move || {
                 for round in 0..16 {
@@ -129,5 +133,44 @@ fn concurrent_sim_suites_match_their_serial_runs() {
                 }
             });
         }
+        scope
+            .spawn(|| {
+                (0..16)
+                    .map(|_| {
+                        let sink = MemorySink::shared();
+                        let trace = Trace::new(vec![Box::new(sink.clone())]);
+                        let _ctx = trace.enter();
+                        (run_scenario(&traced).report, sink.events())
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .join()
+            .expect("the traced thread ran")
     });
+    let (first, first_events) = &rounds[0];
+    assert!(first.records.iter().all(|r| r.span.is_some()));
+    for (round, (report, events)) in rounds.iter().enumerate() {
+        assert!(
+            report.to_json() == first.to_json(),
+            "traced round {round} diverged from round 0"
+        );
+        let suites = events
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::SpanStart { name, .. } if name == "suite"))
+            .count();
+        assert_eq!(suites, 1, "round {round} trace holds {suites} suite spans");
+        assert_eq!(
+            events.len(),
+            first_events.len(),
+            "round {round} event count"
+        );
+        let refs = report
+            .records
+            .iter()
+            .filter_map(|r| Some((r.name.as_str(), r.span?)));
+        check_seq_order(events)
+            .and_then(|()| check_spans(events))
+            .and_then(|()| check_span_refs(events, refs))
+            .unwrap_or_else(|e| panic!("round {round} trace: {e}"));
+    }
 }
