@@ -13,7 +13,6 @@
 
 use crate::event::{EventKind, TraceEvent};
 use crate::span::{current, SpanId, TRACED};
-use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -161,7 +160,7 @@ impl fmt::Debug for Trace {
 #[inline(always)]
 #[must_use]
 pub fn enabled() -> bool {
-    TRACED.with(Cell::get)
+    TRACED.with(|t| t.load(Ordering::Relaxed))
 }
 
 /// Emits an event attributed to the calling thread's current span. The

@@ -14,14 +14,17 @@
 
 use crate::event::EventKind;
 use crate::sink::{emit_in, Trace};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 thread_local! {
     static CURRENT: RefCell<SpanId> = const { RefCell::new(SpanId::NONE) };
     /// Whether `CURRENT` carries a trace: the disabled fast path reads
-    /// only this plain flag, never the handle.
-    pub(crate) static TRACED: Cell<bool> = const { Cell::new(false) };
+    /// only this flag, never the handle. Atomic though thread-local, so
+    /// the check stays one load and a branch at each site instead of
+    /// being hoisted out of (and duplicating) the caller's loop.
+    pub(crate) static TRACED: AtomicBool = const { AtomicBool::new(false) };
 }
 
 /// A span in a trace: the handle that carries a run's trace from thread
@@ -58,7 +61,7 @@ pub fn current() -> SpanId {
 
 /// Makes `span` current and returns the span it replaced.
 fn swap_current(span: SpanId) -> SpanId {
-    TRACED.with(|t| t.set(span.trace.is_some()));
+    TRACED.with(|t| t.store(span.trace.is_some(), Ordering::Relaxed));
     CURRENT.with(|c| c.replace(span))
 }
 

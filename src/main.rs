@@ -164,7 +164,7 @@ impl Observer {
     /// Parses the shared flags, builds the run's trace when any sink is
     /// asked for, and enters it. `None` after reporting an unopenable
     /// `--trace` path.
-    fn install(args: &[String]) -> Option<Observer> {
+    fn start(args: &[String]) -> Option<Observer> {
         let verbosity = Verbosity::from_flags(
             args.iter().any(|a| a == "--quiet"),
             args.iter().any(|a| a == "--verbose"),
@@ -359,7 +359,7 @@ fn load_command(args: &[String]) -> ExitCode {
         // per point; only the shape and seed matter here.
         runner = runner.with_process(ArrivalProcess::poisson(1.0, sim_seed.unwrap_or(42)));
     }
-    let Some(observer) = Observer::install(args) else {
+    let Some(observer) = Observer::start(args) else {
         return ExitCode::from(3);
     };
     let mut report = RunReport {
@@ -896,7 +896,7 @@ fn main() -> ExitCode {
                 Err(err) => return fail(&err),
             };
             let engine = engine.with_clock(clock);
-            let Some(observer) = Observer::install(&args) else {
+            let Some(observer) = Observer::start(&args) else {
                 return ExitCode::from(3);
             };
             let outcome = engine.with_faults(FaultPlan::from_env()).execute();
@@ -947,7 +947,7 @@ fn main() -> ExitCode {
             }
             .with_max_p(max_p)
             .with_faults(ScaleFaultPlan::from_env());
-            let Some(observer) = Observer::install(&args) else {
+            let Some(observer) = Observer::start(&args) else {
                 return ExitCode::from(3);
             };
             let mut report = RunReport::default();
@@ -985,7 +985,7 @@ fn main() -> ExitCode {
                 Ok(e) => e,
                 Err(err) => return fail(&err),
             };
-            let Some(observer) = Observer::install(&args) else {
+            let Some(observer) = Observer::start(&args) else {
                 return ExitCode::from(3);
             };
             // The old hard-coded "running full suite..." stderr line is now
