@@ -24,7 +24,7 @@ use crate::output::{BenchOutput, Unit};
 use crate::registry::{BenchRunner, Benchmark, Category, Registry};
 use crate::scale::{omission_gap, LoadGen, LoadMode, LoadRunner, SimServerGen};
 use lmb_results::{ReportDiff, RunReport, SimProvenance};
-use lmb_timing::{ClockInfo, CostModel, SimClock, TimeUnit};
+use lmb_timing::{ClockInfo, CostModel, SimClock, SplitMix, TimeUnit};
 use std::sync::Arc;
 
 /// The scripted benchmark names a scenario draws from. Static because
@@ -47,34 +47,11 @@ const NAMES: [&str; 8] = [
 /// 10 ms `gettimeofday`).
 const RESOLUTIONS: [f64; 3] = [1.0, 100.0, 10_000.0];
 
-/// splitmix64, duplicated from `lmb_timing::sim` (private there) so the
-/// scenario stream is stable and dependency-free. Scenario derivation and
-/// clock jitter draw from different seeds, so sharing the algorithm does
-/// not correlate them.
-struct SplitMix {
-    state: u64,
-}
-
-impl SplitMix {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
+/// A uniform index in `0..n` from the shared splitmix64 stream. Scenario
+/// derivation and clock jitter draw from different seeds, so sharing the
+/// algorithm does not correlate them.
+fn pick(rng: &mut SplitMix, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
 }
 
 /// One scripted benchmark inside a scenario.
@@ -118,17 +95,17 @@ impl Scenario {
     #[must_use]
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = SplitMix::new(seed ^ 0x5CE2_A210_F022_D00D);
-        let resolution_ns = RESOLUTIONS[rng.pick(RESOLUTIONS.len())];
+        let resolution_ns = RESOLUTIONS[pick(&mut rng, RESOLUTIONS.len())];
         let read_jitter_ns = if rng.uniform() < 0.5 { 0.0 } else { 5.0 };
         let floor = resolution_ns.max(50.0);
-        let count = 4 + rng.pick(4);
+        let count = 4 + pick(&mut rng, 4);
         let benches = (0..count)
             .map(|i| {
                 let base_ns = floor * (2.0 + 30.0 * rng.uniform());
-                let model = match rng.pick(4) {
+                let model = match pick(&mut rng, 4) {
                     0 => CostModel::Constant { ns: base_ns },
                     1 => CostModel::Step {
-                        knee: 64 + rng.pick(1000) as u64,
+                        knee: 64 + pick(&mut rng, 1000) as u64,
                         before_ns: base_ns,
                         after_ns: base_ns * (1.2 + rng.uniform()),
                     },

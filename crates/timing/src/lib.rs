@@ -59,7 +59,7 @@ pub use harness::{Harness, HarnessBudget, Options};
 pub use quality::Quality;
 pub use record::{new_recorder, take_events, MeasureEvent, Recorder};
 pub use result::{Bandwidth, Latency, Measurement, TimeUnit};
-pub use sim::{CostModel, SimClock};
+pub use sim::{CostModel, SimClock, SplitMix};
 pub use sizing::{paged_out_fraction_with, probe_available_memory, MemorySizer};
 pub use stats::{Samples, SummaryPolicy};
 
