@@ -351,8 +351,8 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Serializes tests that flip the process-global [`enable`] switch, exactly
-/// like `lmb_trace::test_lock`.
+/// Serializes tests that flip the process-global [`enable`] switch. (Traces
+/// are run-scoped, so traced tests need no such lock.)
 #[doc(hidden)]
 pub fn test_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
