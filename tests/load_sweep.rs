@@ -229,14 +229,14 @@ fn the_cli_rig_matches_the_fuzzer_rig() {
     assert_eq!(sweeps[1].mode, "closed");
 }
 
-/// The CLI's whole virtual rate sweep, run in its own process, must
-/// reproduce its golden byte for byte — the load-side twin of the suite
-/// goldens in `tests/schema_fixtures.rs`.
-#[test]
-fn sim_load_sweep_report_matches_its_golden() {
-    let path = std::env::temp_dir().join(format!("lmbench-load-sim-7-{}.json", std::process::id()));
+/// Runs `lmbench load --sim-seed 7` with `extra` args in its own process
+/// and asserts its report reproduces the named golden byte for byte.
+fn assert_sim_load_sweep_matches(extra: &[&str], golden: &str) {
+    let path = std::env::temp_dir().join(format!("lmbench-{}-{}", golden, std::process::id()));
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_lmbench"))
-        .args(["load", "--sim-seed", "7", "--report-json"])
+        .args(["load", "--sim-seed", "7"])
+        .args(extra)
+        .arg("--report-json")
         .arg(&path)
         .output()
         .expect("spawn lmbench");
@@ -244,11 +244,27 @@ fn sim_load_sweep_report_matches_its_golden() {
     let rendered = std::fs::read_to_string(&path).expect("report written");
     let _ = std::fs::remove_file(&path);
     let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/golden/load-sim-7.json");
-    let golden = std::fs::read_to_string(&golden_path)
+        .join("tests/fixtures/golden")
+        .join(golden);
+    let expected = std::fs::read_to_string(&golden_path)
         .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
     assert!(
-        rendered == golden,
-        "load-sim-7.json: serialized bytes drifted from the golden\n--- golden\n{golden}\n--- rendered\n{rendered}"
+        rendered == expected,
+        "{golden}: serialized bytes drifted from the golden\n--- golden\n{expected}\n--- rendered\n{rendered}"
     );
+}
+
+/// The CLI's whole virtual rate sweep, run in its own process, must
+/// reproduce its golden byte for byte — the load-side twin of the suite
+/// goldens in `tests/schema_fixtures.rs`.
+#[test]
+fn sim_load_sweep_report_matches_its_golden() {
+    assert_sim_load_sweep_matches(&[], "load-sim-7.json");
+}
+
+/// The same sweep under Poisson arrivals: bursty, unsorted latency sets
+/// whose percentiles and grades must come out byte for byte the same.
+#[test]
+fn sim_poisson_load_sweep_report_matches_its_golden() {
+    assert_sim_load_sweep_matches(&["--poisson"], "load-sim-7-poisson.json");
 }
