@@ -875,16 +875,18 @@ fn emit_quality_metrics(provenance: Option<&Provenance>) {
 /// set of identical zero floors: its CV is 0.0, and sorting by CV alone
 /// would bury the suite's most broken measurement under ordinary noise.
 pub(crate) fn provenance_from(events: &[MeasureEvent]) -> Option<Provenance> {
-    let worst = events
+    // Grade each event once: the key is built per event, not per
+    // comparison, and `max_by` still resolves ties toward the last.
+    let (_, quality, worst) = events
         .iter()
         .enumerate()
-        .max_by(|(ai, a), (bi, b)| {
-            (a.quality().severity(), a.cv(), ai)
-                .partial_cmp(&(b.quality().severity(), b.cv(), bi))
-                .unwrap_or(std::cmp::Ordering::Equal)
+        .map(|(i, e)| {
+            let quality = e.quality();
+            ((quality.severity(), e.cv(), i), quality, e)
         })
-        .map(|(_, e)| e)?;
+        .max_by(|(a, ..), (b, ..)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))?;
     let samples = worst.samples();
+    let sorted = samples.sorted();
     Some(Provenance {
         repetitions: worst.per_op_ns.len() as u32,
         warmup_runs: worst.warmup_runs,
@@ -892,14 +894,14 @@ pub(crate) fn provenance_from(events: &[MeasureEvent]) -> Option<Provenance> {
         clock_resolution_ns: worst.clock_resolution_ns,
         sample_min_ns: worst.min_ns(),
         sample_median_ns: worst.median_ns(),
-        sample_p90_ns: samples.p90().unwrap_or(worst.max_ns()),
-        sample_p99_ns: samples.p99().unwrap_or(worst.max_ns()),
+        sample_p90_ns: sorted.p90().unwrap_or(worst.max_ns()),
+        sample_p99_ns: sorted.p99().unwrap_or(worst.max_ns()),
         sample_max_ns: worst.max_ns(),
         mad_ns: samples.mad().unwrap_or(0.0),
         min_median_gap: worst.min_median_gap(),
         cv: worst.cv(),
-        iqr_outliers: samples.outliers() as u32,
-        quality: worst.quality().label().to_string(),
+        iqr_outliers: sorted.outliers() as u32,
+        quality: quality.label().to_string(),
         measure_calls: events.len() as u32,
         clamped_samples: worst.clamped_samples,
     })
@@ -976,9 +978,13 @@ mod tests {
         assert_eq!(p.calibrated_iterations, 7, "clamped event selected");
         // Without clamps anywhere, the highest-CV event is still the pick.
         let quiet = event(&[100.0, 101.0, 99.0, 100.5], 200, 0);
-        let p = provenance_from(&[quiet, noisy]).expect("provenance");
+        let p = provenance_from(&[quiet, noisy.clone()]).expect("provenance");
         assert_eq!(p.calibrated_iterations, 100, "noisiest event selected");
         assert_eq!(p.clamped_samples, 0);
+        // Equal grade and CV: the later event is the pick.
+        let twin = event(&[100.0, 150.0, 90.0, 160.0], 300, 0);
+        let p = provenance_from(&[noisy, twin]).expect("provenance");
+        assert_eq!(p.calibrated_iterations, 300, "ties resolve toward the last");
         assert!(provenance_from(&[]).is_none());
     }
 

@@ -677,10 +677,11 @@ impl LoadRunner {
         }
 
         let pool = Samples::from_values(pooled);
+        let sorted = pool.sorted();
         // An empty pool has no percentiles. It must fail the point, never
         // emit p50/p99 = 0.0: a zero latency reads as "fastest ever" to
         // the lower-is-better differ and would mask a regression.
-        let (Some(p50), Some(p99)) = (pool.p50(), pool.p99()) else {
+        let (Some(p50), Some(p99)) = (sorted.p50(), sorted.p99()) else {
             return failed_point(p, "no latency samples were collected".to_string());
         };
         ScalePoint {
@@ -690,7 +691,7 @@ impl LoadRunner {
             p50_us: p50 / 1e3,
             p99_us: p99 / 1e3,
             cv: pool.cv(),
-            quality: Quality::from_samples(&pool).label().to_string(),
+            quality: Quality::from_sorted(&sorted).label().to_string(),
             efficiency: None,
             generators,
             error: None,
@@ -714,9 +715,10 @@ impl LoadRunner {
             Ok(mut runs) => runs.remove(0),
             Err(reason) => return failed_rate_point(rate_per_s, reason),
         };
+        let sorted = run.samples.sorted();
         // Same contract as the P ladder: no percentiles, no point — a
         // fabricated 0.0 latency would read as an improvement.
-        let (Some(p50), Some(p99)) = (run.samples.p50(), run.samples.p99()) else {
+        let (Some(p50), Some(p99)) = (sorted.p50(), sorted.p99()) else {
             return failed_rate_point(rate_per_s, "no latency samples were collected".to_string());
         };
         let point = RatePoint {
@@ -732,7 +734,7 @@ impl LoadRunner {
             p50_us: p50 / 1e3,
             p99_us: p99 / 1e3,
             cv: run.samples.cv(),
-            quality: Quality::from_samples(&run.samples).label().to_string(),
+            quality: Quality::from_sorted(&sorted).label().to_string(),
             error: None,
         };
         emit(|| EventKind::RatePoint {

@@ -61,7 +61,7 @@ pub use record::{new_recorder, take_events, MeasureEvent, Recorder};
 pub use result::{Bandwidth, Latency, Measurement, TimeUnit};
 pub use sim::{CostModel, SimClock, SplitMix};
 pub use sizing::{paged_out_fraction_with, probe_available_memory, MemorySizer};
-pub use stats::{Samples, SummaryPolicy};
+pub use stats::{Samples, Sorted, SummaryPolicy};
 
 /// Consumes a computed value so the optimizer cannot elide the loop that
 /// produced it.

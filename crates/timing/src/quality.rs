@@ -8,7 +8,7 @@
 //! three labels that travel with every reported number, so a consumer can
 //! decide whether a delta against it means anything.
 
-use crate::stats::Samples;
+use crate::stats::{Samples, Sorted};
 use std::fmt;
 
 /// CV at or below which a measurement is considered quiet.
@@ -41,10 +41,19 @@ impl Quality {
     /// information the honest answer is "cannot assess", not "quiet".
     #[must_use]
     pub fn from_samples(samples: &Samples) -> Quality {
+        Quality::from_sorted(&samples.sorted())
+    }
+
+    /// Grades a repetition set from a sorted view the caller already
+    /// holds, so percentiles and the grade share one sort. Same rules as
+    /// [`Quality::from_samples`]; the CV still sums in insertion order.
+    #[must_use]
+    pub fn from_sorted(sorted: &Sorted<'_>) -> Quality {
+        let samples = sorted.samples();
         if samples.len() < 2 {
             return Quality::Suspect;
         }
-        Quality::grade(samples.cv(), samples.outlier_fraction())
+        Quality::grade(samples.cv(), sorted.outlier_fraction())
     }
 
     /// Grades a repetition set of which `clamped` samples were floored at
