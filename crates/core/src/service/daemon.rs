@@ -6,39 +6,34 @@ use super::proto::{
 };
 use super::store::SegmentStore;
 use bytes::Bytes;
-use lmb_metrics::Counter;
+use lmb_metrics::{Counter, Histogram, Rows};
 use lmb_results::ReportStore;
 use lmb_rpc::{
-    Registry, RpcServer, ServerOptions, RESULTS_PROC_DIFF, RESULTS_PROC_HISTORY, RESULTS_PROC_PUSH,
-    RESULTS_PROC_STATS, RESULTS_PROC_TABLE, RESULTS_PROGRAM, RESULTS_VERSION,
+    Registry, RpcMetrics, RpcServer, ServerOptions, RESULTS_PROC_DIFF, RESULTS_PROC_HISTORY,
+    RESULTS_PROC_PUSH, RESULTS_PROC_STATS, RESULTS_PROC_TABLE, RESULTS_PROGRAM, RESULTS_VERSION,
 };
 use lmb_sys::signal::{install_handler, Signal};
 use lmb_trace::{ContextGuard, EventKind, SpanId};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One procedure's request accounting. Updates use the ungated metrics
-/// path: the versioned `query stats` reply is built from these, so they
-/// must be correct whether or not anyone turned the process-wide metrics
-/// switch on — and the daemon's request path is not a measured benchmark.
+/// One procedure's books: request accounting for the versioned `query
+/// stats` reply, and handler latency for the audit log. The daemon's
+/// `register` wrapper records every call into them.
 #[derive(Default)]
 struct ProcCounters {
     calls: Counter,
     errors: Counter,
     bytes_in: Counter,
+    latency_us: Histogram,
 }
 
 impl ProcCounters {
-    fn hit(&self, bytes: u64) {
-        self.calls.add_always(1);
-        self.bytes_in.add_always(bytes);
-    }
-
     fn row(&self, procedure: &str) -> ProcedureStats {
         ProcedureStats {
             procedure: procedure.to_string(),
@@ -49,27 +44,35 @@ impl ProcCounters {
     }
 }
 
-/// Per-service operational counters. Owned by the service (not the
-/// process-global registry) so two daemons in one test process never mix
-/// their deterministic stats replies.
+/// The daemon's one metrics value: its procedures' books and the
+/// instruments of the RPC server it runs. Owned by the service, so two
+/// daemons in one process never mix their stats replies or audit logs.
 #[derive(Default)]
 struct ServiceMetrics {
-    push: ProcCounters,
-    diff: ProcCounters,
-    history: ProcCounters,
-    table: ProcCounters,
-    stats: ProcCounters,
+    push: Arc<ProcCounters>,
+    diff: Arc<ProcCounters>,
+    history: Arc<ProcCounters>,
+    table: Arc<ProcCounters>,
+    stats: Arc<ProcCounters>,
+    rpc: Arc<RpcMetrics>,
 }
 
 impl ServiceMetrics {
-    fn procedure_rows(&self) -> Vec<ProcedureStats> {
-        vec![
-            self.push.row("push"),
-            self.diff.row("diff"),
-            self.history.row("history"),
-            self.table.row("table"),
-            self.stats.row("stats"),
+    fn procedures(&self) -> [(&'static str, &ProcCounters); 5] {
+        [
+            ("push", &self.push),
+            ("diff", &self.diff),
+            ("history", &self.history),
+            ("table", &self.table),
+            ("stats", &self.stats),
         ]
+    }
+
+    fn procedure_rows(&self) -> Vec<ProcedureStats> {
+        self.procedures()
+            .into_iter()
+            .map(|(name, p)| p.row(name))
+            .collect()
     }
 }
 
@@ -169,63 +172,50 @@ impl ResultsService {
             )?,
             diffs: HashMap::new(),
         }));
+        let metrics = Arc::new(ServiceMetrics::default());
         let server = RpcServer::start_with(
             Registry::new(),
             ServerOptions {
                 concurrent: true,
                 max_record_bytes: Some(config.max_record_bytes),
+                metrics: Some(metrics.rpc.clone()),
             },
         )?;
 
-        let metrics = Arc::new(ServiceMetrics::default());
-
+        let m = &metrics;
         let s = shared.clone();
-        let m = metrics.clone();
-        register(&server, &ctx, RESULTS_PROC_PUSH, move |args: Bytes| {
+        register(&server, &ctx, RESULTS_PROC_PUSH, &m.push, move |args| {
             let bytes = args.len() as u64;
-            m.push.hit(bytes);
-            let handled = (|| {
-                let req: PushRequest = proto::from_wire(args)?;
-                let fingerprint = req.entry.fingerprint.clone();
-                let shard_seq = s.lock().store.append(req.entry).map_err(|_| ())?;
-                let fp = fingerprint.clone();
-                lmb_trace::emit(|| EventKind::Ingest {
-                    fingerprint: fp.clone(),
-                    shard_seq,
-                    bytes,
-                });
-                Ok(proto::to_wire(&PushReply {
-                    fingerprint,
-                    shard_seq,
-                }))
-            })();
-            if handled.is_err() {
-                m.push.errors.add_always(1);
-            }
-            handled
+            let req: PushRequest = proto::from_wire(args)?;
+            let fingerprint = req.entry.fingerprint.clone();
+            let shard_seq = s.lock().store.append(req.entry).map_err(|_| ())?;
+            let fp = fingerprint.clone();
+            lmb_trace::emit(|| EventKind::Ingest {
+                fingerprint: fp.clone(),
+                shard_seq,
+                bytes,
+            });
+            Ok(proto::to_wire(&PushReply {
+                fingerprint,
+                shard_seq,
+            }))
         });
 
         let s = shared.clone();
-        let m = metrics.clone();
-        register(&server, &ctx, RESULTS_PROC_DIFF, move |args: Bytes| {
-            m.diff.hit(args.len() as u64);
-            let handled = (|| {
-                let req: DiffRequest = proto::from_wire(args)?;
-                let (wire, regressions) = s.lock().diff(&req.fingerprint).map_err(|_| ())?;
-                note_query("diff", &req.fingerprint, u64::from(regressions));
-                Ok(wire)
-            })();
-            if handled.is_err() {
-                m.diff.errors.add_always(1);
-            }
-            handled
+        register(&server, &ctx, RESULTS_PROC_DIFF, &m.diff, move |args| {
+            let req: DiffRequest = proto::from_wire(args)?;
+            let (wire, regressions) = s.lock().diff(&req.fingerprint).map_err(|_| ())?;
+            note_query("diff", &req.fingerprint, u64::from(regressions));
+            Ok(wire)
         });
 
         let s = shared.clone();
-        let m = metrics.clone();
-        register(&server, &ctx, RESULTS_PROC_HISTORY, move |args: Bytes| {
-            m.history.hit(args.len() as u64);
-            let handled = (|| {
+        register(
+            &server,
+            &ctx,
+            RESULTS_PROC_HISTORY,
+            &m.history,
+            move |args| {
                 let req: HistoryRequest = proto::from_wire(args)?;
                 let reply = {
                     let shared = s.lock();
@@ -234,50 +224,31 @@ impl ResultsService {
                 };
                 note_query("history", &req.fingerprint, reply.points.len() as u64);
                 Ok(proto::to_wire(&reply))
-            })();
-            if handled.is_err() {
-                m.history.errors.add_always(1);
-            }
-            handled
+            },
+        );
+
+        let s = shared.clone();
+        register(&server, &ctx, RESULTS_PROC_TABLE, &m.table, move |args| {
+            let req: TableRequest = proto::from_wire(args)?;
+            let reply = {
+                let shared = s.lock();
+                let history = shared.store.history(&req.fingerprint).map_err(|_| ())?;
+                proto::table_reply(history.last())
+            };
+            note_query("table", &req.fingerprint, reply.text.lines().count() as u64);
+            Ok(proto::to_wire(&reply))
         });
 
         let s = shared.clone();
-        let m = metrics.clone();
-        register(&server, &ctx, RESULTS_PROC_TABLE, move |args: Bytes| {
-            m.table.hit(args.len() as u64);
-            let handled = (|| {
-                let req: TableRequest = proto::from_wire(args)?;
-                let reply = {
-                    let shared = s.lock();
-                    let history = shared.store.history(&req.fingerprint).map_err(|_| ())?;
-                    proto::table_reply(history.last())
-                };
-                note_query("table", &req.fingerprint, reply.text.lines().count() as u64);
-                Ok(proto::to_wire(&reply))
-            })();
-            if handled.is_err() {
-                m.table.errors.add_always(1);
-            }
-            handled
-        });
-
-        let s = shared.clone();
-        let m = metrics.clone();
-        register(&server, &ctx, RESULTS_PROC_STATS, move |args: Bytes| {
-            // Count this call before snapshotting so the reply reflects it:
-            // a client that asks twice in a row sees calls go 1 -> 2.
-            m.stats.hit(args.len() as u64);
-            let handled = (|| {
-                let _req: StatsRequest = proto::from_wire(args)?;
-                let store_stats = s.lock().store.stats();
-                let reply = proto::stats_reply(m.procedure_rows(), store_stats);
-                note_query("stats", "", reply.procedures.len() as u64);
-                Ok(proto::to_wire(&reply))
-            })();
-            if handled.is_err() {
-                m.stats.errors.add_always(1);
-            }
-            handled
+        let books = metrics.clone();
+        // `register` counts this call before the handler snapshots, so the
+        // reply reflects it: a client that asks twice sees calls go 1 -> 2.
+        register(&server, &ctx, RESULTS_PROC_STATS, &m.stats, move |args| {
+            let _req: StatsRequest = proto::from_wire(args)?;
+            let store_stats = s.lock().store.stats();
+            let reply = proto::stats_reply(books.procedure_rows(), store_stats);
+            note_query("stats", "", reply.procedures.len() as u64);
+            Ok(proto::to_wire(&reply))
         });
 
         Ok(ResultsService {
@@ -299,18 +270,28 @@ impl ResultsService {
         self.shared.lock().store.flush_all()
     }
 
-    /// Emits a `metrics_snapshot` event into the daemon's trace: the
-    /// flattened process-wide registry (rpc.*, service.*), the trace's own
-    /// counts (trace.*), plus this service's own per-procedure counters
-    /// and wall-clock values. Wall-clock rows live here — in the audit
-    /// log — and never in the versioned `query stats` reply, which stays
-    /// deterministic.
+    /// Emits a `metrics_snapshot` event into the daemon's trace: this
+    /// daemon's RPC server (rpc.*), store and procedures (service.*), its
+    /// trace's own counts (trace.*) and its uptime. Wall-clock rows live
+    /// here — in the audit log — and never in the versioned `query stats`
+    /// reply, which stays deterministic.
     pub fn emit_metrics_snapshot(&self) {
         let Some(trace) = self.ctx.trace() else {
             return;
         };
-        let mut counters: BTreeMap<String, u64> =
-            lmb_metrics::snapshot().flatten().into_iter().collect();
+        let mut counters = Rows::new();
+        self.metrics.rpc.flatten_into(&mut counters);
+        self.shared.lock().store.flatten_into(&mut counters);
+        for (name, p) in self.metrics.procedures() {
+            p.calls
+                .flatten_into(&format!("service.{name}.calls"), &mut counters);
+            p.errors
+                .flatten_into(&format!("service.{name}.errors"), &mut counters);
+            p.bytes_in
+                .flatten_into(&format!("service.{name}.bytes_in"), &mut counters);
+            p.latency_us
+                .flatten_into(&format!("service.{name}.latency_us"), &mut counters);
+        }
         let t = trace.stats();
         let own = [t.events, t.bytes, t.writes, t.dropped];
         for (name, value) in ["events", "bytes", "writes", "dropped"]
@@ -323,11 +304,6 @@ impl ResultsService {
             "service.uptime_ms".into(),
             self.started.elapsed().as_millis() as u64,
         );
-        for row in self.metrics.procedure_rows() {
-            counters.insert(format!("service.{}.calls", row.procedure), row.calls);
-            counters.insert(format!("service.{}.errors", row.procedure), row.errors);
-            counters.insert(format!("service.{}.bytes_in", row.procedure), row.bytes_in);
-        }
         lmb_trace::emit_in(&self.ctx, || EventKind::MetricsSnapshot { counters });
     }
 
@@ -340,21 +316,35 @@ impl ResultsService {
 }
 
 /// Registers a results procedure whose handler runs inside `ctx` on
-/// whichever connection thread serves the call.
+/// whichever connection thread serves the call, booking every call into
+/// `books`: calls and bytes before the handler runs, then its error and
+/// latency.
 fn register(
     server: &RpcServer,
     ctx: &SpanId,
     procedure: u32,
+    books: &Arc<ProcCounters>,
     handler: impl Fn(Bytes) -> Result<Bytes, ()> + Send + Sync + 'static,
 ) {
     let ctx = ctx.clone();
+    let books = Arc::clone(books);
     server.register(
         RESULTS_PROGRAM,
         RESULTS_VERSION,
         procedure,
         Box::new(move |args| {
             let _ctx = ContextGuard::enter(&ctx);
-            handler(args)
+            let started = Instant::now();
+            books.calls.add(1);
+            books.bytes_in.add(args.len() as u64);
+            let handled = handler(args);
+            if handled.is_err() {
+                books.errors.add(1);
+            }
+            books
+                .latency_us
+                .record(started.elapsed().as_micros() as u64);
+            handled
         }),
     );
 }
@@ -715,6 +705,70 @@ mod tests {
             }
             other => panic!("want the shutdown metrics_snapshot, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Starts a daemon over `config` in a trace of its own, pushes
+    /// `pushes` entries, shuts it down and returns its shutdown
+    /// `metrics_snapshot` rows.
+    fn audited_run(config: ServiceConfig, pushes: u64) -> lmb_metrics::Rows {
+        let sink = lmb_trace::MemorySink::shared();
+        let trace = lmb_trace::Trace::new(vec![Box::new(sink.clone())]);
+        let service = {
+            let _ctx = trace.enter();
+            ResultsService::start(config).unwrap()
+        };
+        let mut client = RpcClient::connect_tcp(
+            ("127.0.0.1", service.tcp_port()),
+            RESULTS_PROGRAM,
+            RESULTS_VERSION,
+        )
+        .unwrap();
+        for s in 1..=pushes {
+            push(&mut client, entry("fp-audit", s));
+        }
+        drop(client);
+        service.shutdown().unwrap();
+        match sink.events().pop().map(|e| e.kind) {
+            Some(EventKind::MetricsSnapshot { counters }) => counters,
+            other => panic!("want the shutdown metrics_snapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_daemons_in_one_process_keep_separate_books() {
+        let (config_a, config_b) = (scratch_config(), scratch_config());
+        let dirs = [config_a.data_dir.clone(), config_b.data_dir.clone()];
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| audited_run(config_a, 3));
+            let b = s.spawn(|| audited_run(config_b, 5));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (rows, pushes) in [(&a, 3), (&b, 5)] {
+            assert_eq!(rows["rpc.requests"], pushes, "{rows:?}");
+            assert_eq!(rows["rpc.connections"], 1, "{rows:?}");
+            assert_eq!(rows["service.push.calls"], pushes, "{rows:?}");
+            assert_eq!(rows["service.push.latency_us.count"], pushes, "{rows:?}");
+            // batch_size = 2, and the snapshot precedes the shutdown flush.
+            assert_eq!(rows["service.batch_runs.count"], pushes / 2, "{rows:?}");
+        }
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_reopened_store_books_its_replay() {
+        let config = scratch_config();
+        let dir = config.data_dir.clone();
+        let first = audited_run(config.clone(), 4);
+        assert_eq!(
+            first["service.replay_ms.count"], 1,
+            "an empty dir replays too"
+        );
+        let second = audited_run(config, 0);
+        assert_eq!(second["service.replay_ms.count"], 1, "{second:?}");
+        assert_eq!(second["service.push.calls"], 0, "{second:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,6 +10,7 @@
 //! restart replays the directory back into exactly the series it held.
 
 use super::proto::StoreStats;
+use lmb_metrics::{Histogram, Rows};
 use lmb_results::{Baseline, ReportStore};
 use lmb_trace::EventKind;
 use std::borrow::Cow;
@@ -18,28 +19,6 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// Registry-backed instruments for every store in the process, under
-/// `service.*` names; they feed the daemon's periodic `metrics_snapshot`
-/// trace events. The deterministic per-store totals for `query stats`
-/// come from [`SegmentStore::stats`] instead, so parallel stores in one
-/// process never mix their versioned replies.
-struct StoreInstruments {
-    batch_runs: &'static lmb_metrics::Histogram,
-    seal_latency_us: &'static lmb_metrics::Histogram,
-    compactions: &'static lmb_metrics::Counter,
-    replay_ms: &'static lmb_metrics::Histogram,
-}
-
-fn instruments() -> &'static StoreInstruments {
-    static I: std::sync::OnceLock<StoreInstruments> = std::sync::OnceLock::new();
-    I.get_or_init(|| StoreInstruments {
-        batch_runs: lmb_metrics::histogram("service.batch_runs"),
-        seal_latency_us: lmb_metrics::histogram("service.seal_latency_us"),
-        compactions: lmb_metrics::counter("service.compactions"),
-        replay_ms: lmb_metrics::histogram("service.replay_ms"),
-    })
-}
 
 /// Suffix shared by every segment file.
 const SEGMENT_SUFFIX: &str = ".seg.jsonl";
@@ -74,6 +53,12 @@ pub struct SegmentStore {
     compactions: u64,
     /// Entries replayed from disk at open.
     replayed_runs: u64,
+    /// Runs per sealed batch. This and the two timings below are the
+    /// store's wall-clock telemetry for the daemon's `metrics_snapshot`;
+    /// [`SegmentStore::stats`] keeps the deterministic totals.
+    batch_runs: Histogram,
+    seal_latency_us: Histogram,
+    replay_ms: Histogram,
 }
 
 impl SegmentStore {
@@ -96,13 +81,14 @@ impl SegmentStore {
             sealed_batches: 0,
             compactions: 0,
             replayed_runs: 0,
+            batch_runs: Histogram::new(),
+            seal_latency_us: Histogram::new(),
+            replay_ms: Histogram::new(),
         };
         let started = Instant::now();
         store.replay()?;
         store.replayed_runs = store.len() as u64;
-        instruments()
-            .replay_ms
-            .record(started.elapsed().as_millis() as u64);
+        store.replay_ms.record(started.elapsed().as_millis() as u64);
         Ok(store)
     }
 
@@ -145,6 +131,15 @@ impl SegmentStore {
             compactions: self.compactions,
             replayed_runs: self.replayed_runs,
         }
+    }
+
+    /// Renders the store's telemetry as `service.*` rows.
+    pub(crate) fn flatten_into(&self, rows: &mut Rows) {
+        self.batch_runs.flatten_into("service.batch_runs", rows);
+        self.seal_latency_us
+            .flatten_into("service.seal_latency_us", rows);
+        self.replay_ms.flatten_into("service.replay_ms", rows);
+        rows.insert("service.compactions".into(), self.compactions);
     }
 
     /// Seals every shard's pending batch to disk. Called on shutdown and
@@ -220,17 +215,14 @@ impl SegmentStore {
             return Ok(());
         };
         if !shard.pending.is_empty() {
-            let timer = lmb_metrics::enabled().then(Instant::now);
+            let started = Instant::now();
             let path = segment_path(&dir, fingerprint, shard.next_segment);
             write_segment(&path, &shard.pending)?;
             shard.next_segment += 1;
             shard.sealed.push(path);
-            instruments().batch_runs.record(shard.pending.len() as u64);
-            if let Some(t) = timer {
-                instruments()
-                    .seal_latency_us
-                    .record(t.elapsed().as_micros() as u64);
-            }
+            self.batch_runs.record(shard.pending.len() as u64);
+            self.seal_latency_us
+                .record(started.elapsed().as_micros() as u64);
             shard.pending.clear();
             self.sealed_batches += 1;
             // A seal is a durability point: push buffered audit-trace
@@ -242,7 +234,6 @@ impl SegmentStore {
         if shard.sealed.len() > threshold {
             compact_shard(&dir, fingerprint, shard)?;
             self.compactions += 1;
-            instruments().compactions.add_always(1);
         }
         Ok(())
     }

@@ -33,7 +33,7 @@ pub use client::{CallError, RpcClient};
 pub use message::{Body, CallBody, MsgType, ReplyBody, RpcFault, RpcMessage, RPC_VERSION};
 pub use record::{read_record, read_record_limited, write_record, MAX_FRAGMENT};
 pub use registry::{Protocol, Registry};
-pub use server::{Procedure, RpcServer, ServerOptions};
+pub use server::{Procedure, RpcMetrics, RpcServer, ServerOptions};
 pub use xdr::{XdrDecoder, XdrEncoder, XdrError};
 
 /// The echo program used by the latency benchmarks.

@@ -16,13 +16,13 @@ use crate::message::{Body, RpcFault, RpcMessage};
 use crate::record::{read_record_limited, write_record};
 use crate::registry::{Protocol, Registry};
 use bytes::Bytes;
-use lmb_metrics::{Counter, Gauge, Histogram};
+use lmb_metrics::{Counter, Gauge, Histogram, Rows};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A procedure implementation: XDR-encoded args in, XDR-encoded result out.
@@ -30,117 +30,91 @@ use std::time::Instant;
 /// Returning `Err` produces a `GARBAGE_ARGS` fault.
 pub type Procedure = Box<dyn Fn(Bytes) -> Result<Bytes, ()> + Send + Sync>;
 
-/// Registry-backed instruments shared by every `RpcServer` in the process,
-/// all under `rpc.*` names. Every update is gated on the `lmb-metrics`
-/// switch, so the measured echo-latency path (Tables 12–13) pays one
-/// relaxed load per touch when nobody is collecting.
-struct ServerStats {
-    requests: &'static Counter,
-    faults: &'static Counter,
-    bytes_in: &'static Counter,
-    bytes_out: &'static Counter,
-    connections: &'static Counter,
-    active: &'static Gauge,
-    latency_us: &'static Histogram,
+/// A server's own instruments, under `rpc.*` row names. Only a server
+/// started with [`ServerOptions::metrics`] set records into them; the
+/// benchmark servers (Tables 12–13) carry none, so their echo path
+/// touches no instrument at all.
+#[derive(Debug, Default)]
+pub struct RpcMetrics {
+    /// Decoded calls for a known RPC version, answered or faulted.
+    pub(crate) requests: Counter,
+    /// Fault replies of every kind.
+    pub(crate) faults: Counter,
+    /// Call bytes received (reassembled records and datagrams).
+    pub(crate) bytes_in: Counter,
+    /// Reply bytes sent.
+    pub(crate) bytes_out: Counter,
+    /// TCP connections accepted.
+    pub(crate) connections: Counter,
+    /// TCP connections being served right now.
+    pub(crate) active: Gauge,
+    /// Handler time of calls that reached a registered procedure.
+    pub(crate) latency_us: Histogram,
 }
 
-fn stats() -> &'static ServerStats {
-    static STATS: OnceLock<ServerStats> = OnceLock::new();
-    STATS.get_or_init(|| ServerStats {
-        requests: lmb_metrics::counter("rpc.requests"),
-        faults: lmb_metrics::counter("rpc.faults"),
-        bytes_in: lmb_metrics::counter("rpc.bytes_in"),
-        bytes_out: lmb_metrics::counter("rpc.bytes_out"),
-        connections: lmb_metrics::counter("rpc.connections"),
-        active: lmb_metrics::gauge("rpc.active_connections"),
-        latency_us: lmb_metrics::histogram("rpc.latency_us"),
-    })
-}
-
-/// One dispatch-table entry: the handler plus its per-procedure
-/// instruments, resolved once at [`RpcServer::register`] time so the
-/// request path never touches the metrics registry lock.
-struct ProcEntry {
-    handler: Procedure,
-    calls: &'static Counter,
-    errors: &'static Counter,
-    latency_us: &'static Histogram,
+impl RpcMetrics {
+    /// Renders every instrument as `rpc.*` rows.
+    pub fn flatten_into(&self, rows: &mut Rows) {
+        self.requests.flatten_into("rpc.requests", rows);
+        self.faults.flatten_into("rpc.faults", rows);
+        self.bytes_in.flatten_into("rpc.bytes_in", rows);
+        self.bytes_out.flatten_into("rpc.bytes_out", rows);
+        self.connections.flatten_into("rpc.connections", rows);
+        self.active.flatten_into("rpc.active_connections", rows);
+        self.latency_us.flatten_into("rpc.latency_us", rows);
+    }
 }
 
 #[derive(Default)]
 struct Dispatch {
-    procs: HashMap<(u32, u32, u32), ProcEntry>,
+    procs: HashMap<(u32, u32, u32), Procedure>,
     versions: HashMap<u32, Vec<u32>>,
 }
 
 impl Dispatch {
     fn add(&mut self, program: u32, version: u32, procedure: u32, handler: Procedure) {
-        // The instrument names live as long as the registry; one small
-        // leak per registered procedure, never per request.
-        let name = |kind: &str| -> &'static str {
-            Box::leak(format!("rpc.{program:08x}.{procedure}.{kind}").into_boxed_str())
-        };
-        self.procs.insert(
-            (program, version, procedure),
-            ProcEntry {
-                handler,
-                calls: lmb_metrics::counter(name("calls")),
-                errors: lmb_metrics::counter(name("errors")),
-                latency_us: lmb_metrics::histogram(name("latency_us")),
-            },
-        );
+        self.procs.insert((program, version, procedure), handler);
         let versions = self.versions.entry(program).or_default();
         if !versions.contains(&version) {
             versions.push(version);
         }
     }
 
-    fn answer(&self, call: RpcMessage) -> RpcMessage {
+    fn answer(&self, call: RpcMessage, metrics: Option<&RpcMetrics>) -> RpcMessage {
         let xid = call.xid;
+        let fault = |f: RpcFault| {
+            if let Some(m) = metrics {
+                m.faults.add(1);
+            }
+            RpcMessage::reply_fault(xid, f)
+        };
         let c = match call.body {
             Body::Call(c) => c,
-            Body::Reply(_) => {
-                stats().faults.add(1);
-                return RpcMessage::reply_fault(xid, RpcFault::GarbageArguments);
-            }
+            Body::Reply(_) => return fault(RpcFault::GarbageArguments),
         };
         if c.program == 0 {
             // The decoder marks wrong-rpc-version calls with program 0.
-            stats().faults.add(1);
-            return RpcMessage::reply_fault(xid, RpcFault::RpcMismatch);
+            return fault(RpcFault::RpcMismatch);
         }
-        stats().requests.add(1);
-        match self.procs.get(&(c.program, c.version, c.procedure)) {
-            Some(entry) => {
-                entry.calls.add(1);
-                let timer = lmb_metrics::enabled().then(Instant::now);
-                let reply = match (entry.handler)(c.args) {
-                    Ok(result) => RpcMessage::reply_success(xid, result),
-                    Err(()) => {
-                        stats().faults.add(1);
-                        entry.errors.add(1);
-                        RpcMessage::reply_fault(xid, RpcFault::GarbageArguments)
-                    }
-                };
-                if let Some(t) = timer {
-                    let us = t.elapsed().as_micros() as u64;
-                    stats().latency_us.record(us);
-                    entry.latency_us.record(us);
-                }
-                reply
-            }
-            None => {
-                stats().faults.add(1);
-                let versions = self.versions.get(&c.program);
-                match versions {
-                    None => RpcMessage::reply_fault(xid, RpcFault::ProgramUnavailable),
-                    Some(vs) if !vs.contains(&c.version) => {
-                        RpcMessage::reply_fault(xid, RpcFault::VersionMismatch)
-                    }
-                    Some(_) => RpcMessage::reply_fault(xid, RpcFault::ProcedureUnavailable),
-                }
-            }
+        if let Some(m) = metrics {
+            m.requests.add(1);
         }
+        let Some(handler) = self.procs.get(&(c.program, c.version, c.procedure)) else {
+            return fault(match self.versions.get(&c.program) {
+                None => RpcFault::ProgramUnavailable,
+                Some(vs) if !vs.contains(&c.version) => RpcFault::VersionMismatch,
+                Some(_) => RpcFault::ProcedureUnavailable,
+            });
+        };
+        let started = metrics.map(|_| Instant::now());
+        let reply = match handler(c.args) {
+            Ok(result) => RpcMessage::reply_success(xid, result),
+            Err(()) => fault(RpcFault::GarbageArguments),
+        };
+        if let (Some(m), Some(t)) = (metrics, started) {
+            m.latency_us.record(t.elapsed().as_micros() as u64);
+        }
+        reply
     }
 }
 
@@ -154,6 +128,9 @@ pub struct ServerOptions {
     /// records close the connection without being buffered. `None`
     /// keeps the per-fragment cap only (the benchmark default).
     pub max_record_bytes: Option<usize>,
+    /// Instruments to record into. `None` (the benchmark default)
+    /// records nothing.
+    pub metrics: Option<Arc<RpcMetrics>>,
 }
 
 /// An RPC server serving registered programs over loopback TCP and UDP.
@@ -187,6 +164,7 @@ impl RpcServer {
         let udp_port = udp.local_addr()?.port();
         udp.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
 
+        let udp_metrics = options.metrics.clone();
         let mut threads = Vec::new();
         {
             let dispatch = Arc::clone(&dispatch);
@@ -204,7 +182,7 @@ impl RpcServer {
             let dispatch = Arc::clone(&dispatch);
             let stop = Arc::clone(&stop);
             threads.push(std::thread::spawn(move || {
-                udp_loop(&udp, &dispatch, &stop);
+                udp_loop(&udp, &dispatch, &stop, udp_metrics.as_deref());
             }));
         }
 
@@ -272,24 +250,18 @@ fn tcp_loop(
             return;
         }
         let _ = conn.set_nodelay(true);
-        stats().connections.add(1);
-        stats().active.add(1);
+        let _active = ActiveGuard::open(options.metrics.as_deref());
         // Serve this connection until it closes; benchmark clients hold one
         // connection for the whole run.
         let max = options.max_record_bytes.unwrap_or(usize::MAX);
         while let Ok(record) = read_record_limited(&mut conn, max) {
-            stats().bytes_in.add(record.len() as u64);
-            let reply = match RpcMessage::decode(record) {
-                Ok(call) => dispatch.read().answer(call),
-                Err(_) => break,
+            let Some(encoded) = serve_record(dispatch, options.metrics.as_deref(), record) else {
+                break;
             };
-            let encoded = reply.encode();
-            stats().bytes_out.add(encoded.len() as u64);
             if write_record(&mut conn, &encoded).is_err() {
                 break;
             }
         }
-        stats().active.add(-1);
     }
 }
 
@@ -311,8 +283,9 @@ fn tcp_accept_concurrent(
         let dispatch = Arc::clone(dispatch);
         let stop = Arc::clone(stop);
         let max = options.max_record_bytes.unwrap_or(usize::MAX);
+        let metrics = options.metrics.clone();
         conn_threads.lock().push(std::thread::spawn(move || {
-            serve_connection(conn, &dispatch, &stop, max);
+            serve_connection(conn, &dispatch, &stop, max, metrics.as_deref());
         }));
     }
 }
@@ -328,19 +301,11 @@ fn serve_connection(
     dispatch: &Arc<RwLock<Dispatch>>,
     stop: &Arc<AtomicBool>,
     max_record_bytes: usize,
+    metrics: Option<&RpcMetrics>,
 ) {
     let _ = conn.set_nodelay(true);
     let _ = conn.set_read_timeout(Some(std::time::Duration::from_millis(100)));
-    stats().connections.add(1);
-    stats().active.add(1);
-    // Balance the gauge on every exit path below.
-    struct ActiveGuard;
-    impl Drop for ActiveGuard {
-        fn drop(&mut self) {
-            stats().active.add(-1);
-        }
-    }
-    let _active = ActiveGuard;
+    let _active = ActiveGuard::open(metrics);
     while !stop.load(Ordering::Relaxed) {
         let record = match read_record_limited(&mut conn, max_record_bytes) {
             Ok(record) => record,
@@ -351,34 +316,72 @@ fn serve_connection(
             }
             Err(_) => return, // Closed, torn or oversized: drop the peer.
         };
-        stats().bytes_in.add(record.len() as u64);
-        let reply = match RpcMessage::decode(record) {
-            Ok(call) => dispatch.read().answer(call),
-            Err(_) => return,
+        let Some(encoded) = serve_record(dispatch, metrics, record) else {
+            return;
         };
-        let encoded = reply.encode();
-        stats().bytes_out.add(encoded.len() as u64);
         if write_record(&mut conn, &encoded).is_err() {
             return;
         }
     }
 }
 
-fn udp_loop(udp: &UdpSocket, dispatch: &Arc<RwLock<Dispatch>>, stop: &Arc<AtomicBool>) {
+fn udp_loop(
+    udp: &UdpSocket,
+    dispatch: &Arc<RwLock<Dispatch>>,
+    stop: &Arc<AtomicBool>,
+    metrics: Option<&RpcMetrics>,
+) {
     let mut buf = vec![0u8; 64 << 10];
     while !stop.load(Ordering::Relaxed) {
         let (n, peer) = match udp.recv_from(&mut buf) {
             Ok(x) => x,
             Err(_) => continue, // Timeout: re-check stop flag.
         };
-        stats().bytes_in.add(n as u64);
-        let reply = match RpcMessage::decode(Bytes::copy_from_slice(&buf[..n])) {
-            Ok(call) => dispatch.read().answer(call),
-            Err(_) => continue, // Undecodable datagram: drop, as real servers do.
-        };
-        let encoded = reply.encode();
-        stats().bytes_out.add(encoded.len() as u64);
-        let _ = udp.send_to(&encoded, peer);
+        let datagram = Bytes::copy_from_slice(&buf[..n]);
+        // An undecodable datagram is dropped, as real servers do.
+        if let Some(encoded) = serve_record(dispatch, metrics, datagram) {
+            let _ = udp.send_to(&encoded, peer);
+        }
+    }
+}
+
+/// Decodes one call record, answers it and encodes the reply; `None`
+/// when the record does not decode.
+fn serve_record(
+    dispatch: &RwLock<Dispatch>,
+    metrics: Option<&RpcMetrics>,
+    record: Bytes,
+) -> Option<Bytes> {
+    if let Some(m) = metrics {
+        m.bytes_in.add(record.len() as u64);
+    }
+    let call = RpcMessage::decode(record).ok()?;
+    let encoded = dispatch.read().answer(call, metrics).encode();
+    if let Some(m) = metrics {
+        m.bytes_out.add(encoded.len() as u64);
+    }
+    Some(encoded)
+}
+
+/// Counts an accepted TCP connection and holds it in the `active` gauge
+/// until dropped, on every exit path of the serving loop.
+struct ActiveGuard<'a>(Option<&'a RpcMetrics>);
+
+impl<'a> ActiveGuard<'a> {
+    fn open(metrics: Option<&'a RpcMetrics>) -> Self {
+        if let Some(m) = metrics {
+            m.connections.add(1);
+            m.active.add(1);
+        }
+        ActiveGuard(metrics)
+    }
+}
+
+impl Drop for ActiveGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(m) = self.0 {
+            m.active.add(-1);
+        }
     }
 }
 
@@ -419,7 +422,7 @@ mod tests {
             d.add(5, 1, 0, Box::new(Ok));
             d
         };
-        let fault = |msg: RpcMessage| match d.answer(msg).body {
+        let fault = |msg: RpcMessage| match d.answer(msg, None).body {
             Body::Reply(ReplyBody::Fault(f)) => f,
             other => panic!("expected fault, got {other:?}"),
         };
@@ -442,7 +445,7 @@ mod tests {
         let mut d = Dispatch::default();
         d.add(5, 1, 0, Box::new(Ok));
         let args = Bytes::from_static(b"1234");
-        let reply = d.answer(RpcMessage::call(77, 5, 1, 0, args.clone()));
+        let reply = d.answer(RpcMessage::call(77, 5, 1, 0, args.clone()), None);
         assert_eq!(reply.xid, 77);
         assert_eq!(reply.body, Body::Reply(ReplyBody::Success(args)));
     }
@@ -451,11 +454,54 @@ mod tests {
     fn handler_error_becomes_garbage_args() {
         let mut d = Dispatch::default();
         d.add(5, 1, 0, Box::new(|_| Err(())));
-        let reply = d.answer(RpcMessage::call(1, 5, 1, 0, Bytes::new()));
+        let reply = d.answer(RpcMessage::call(1, 5, 1, 0, Bytes::new()), None);
         assert_eq!(
             reply.body,
             Body::Reply(ReplyBody::Fault(RpcFault::GarbageArguments))
         );
+    }
+
+    #[test]
+    fn a_server_with_metrics_counts_its_own_traffic() {
+        for concurrent in [false, true] {
+            let metrics = Arc::new(RpcMetrics::default());
+            let server = RpcServer::start_with(
+                Registry::new(),
+                ServerOptions {
+                    concurrent,
+                    metrics: Some(Arc::clone(&metrics)),
+                    ..ServerOptions::default()
+                },
+            )
+            .unwrap();
+            server.register(5, 1, 0, Box::new(Ok));
+            let addr = ("127.0.0.1", server.tcp_port());
+
+            let args = Bytes::from_static(b"1234");
+            let mut client = crate::RpcClient::connect_tcp(addr, 5, 1).unwrap();
+            assert_eq!(client.call(0, args.clone()).unwrap(), args);
+            assert!(client.call(7, Bytes::new()).is_err(), "unknown procedure");
+            drop(client);
+            // A peer that connects and leaves without a call.
+            drop(TcpStream::connect(addr).unwrap());
+
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            while metrics.connections.get() < 2 || metrics.active.get() != 0 {
+                assert!(Instant::now() < deadline, "connections never closed");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let len = |m: RpcMessage| m.encode().len() as u64;
+            let calls = len(RpcMessage::call(1, 5, 1, 0, args.clone()))
+                + len(RpcMessage::call(2, 5, 1, 7, Bytes::new()));
+            let replies = len(RpcMessage::reply_success(1, args))
+                + len(RpcMessage::reply_fault(2, RpcFault::ProcedureUnavailable));
+            assert_eq!(metrics.requests.get(), 2, "concurrent={concurrent}");
+            assert_eq!(metrics.faults.get(), 1);
+            assert_eq!(metrics.bytes_in.get(), calls);
+            assert_eq!(metrics.bytes_out.get(), replies);
+            assert_eq!(metrics.connections.get(), 2);
+            assert_eq!(metrics.latency_us.count(), 1, "only the answered call");
+        }
     }
 
     #[test]

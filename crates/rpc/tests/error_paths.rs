@@ -128,6 +128,7 @@ fn oversized_payload_drops_the_connection() {
     let (server, _registry) = echo_server_with(ServerOptions {
         concurrent: true,
         max_record_bytes: Some(1 << 10),
+        ..ServerOptions::default()
     });
     let addr = ("127.0.0.1", server.tcp_port());
 
@@ -157,6 +158,7 @@ fn concurrent_server_interleaves_connections() {
     let (server, _registry) = echo_server_with(ServerOptions {
         concurrent: true,
         max_record_bytes: None,
+        ..ServerOptions::default()
     });
     let addr = ("127.0.0.1", server.tcp_port());
 
@@ -192,6 +194,7 @@ fn concurrent_server_survives_a_thundering_herd() {
     let (server, _registry) = echo_server_with(ServerOptions {
         concurrent: true,
         max_record_bytes: Some(1 << 20),
+        ..ServerOptions::default()
     });
     let port = server.tcp_port();
     let threads: Vec<_> = (0..16u32)

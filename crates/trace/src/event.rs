@@ -294,13 +294,13 @@ pub enum EventKind {
         /// Why it was skipped.
         detail: String,
     },
-    /// A periodic dump of the process's `lmb-metrics` registry (the serve
-    /// daemon emits one every few seconds and one at shutdown), flattened
-    /// to sorted `name -> value` rows so the audit JSONL carries uptime,
-    /// latency histograms and connection gauges without a schema per
-    /// instrument.
+    /// A periodic dump of one serve daemon's own `lmb-metrics`
+    /// instruments (it emits one every few seconds and one at shutdown),
+    /// flattened to sorted `name -> value` rows so the audit JSONL carries
+    /// uptime, latency histograms and connection gauges without a schema
+    /// per instrument.
     MetricsSnapshot {
-        /// Flattened registry rows: counters as-is, gauges clamped at
+        /// Flattened instrument rows: counters as-is, gauges clamped at
         /// zero, histograms as `name.count` / `name.sum` / `name.ge_<lo>`.
         counters: BTreeMap<String, u64>,
     },

@@ -6,7 +6,7 @@
 //! "a system's ability to transfer data between processor, cache, memory,
 //! network, and disk".
 //!
-//! This facade re-exports every crate in the workspace:
+//! This facade re-exports the workspace's crates:
 //!
 //! | Module | Paper role |
 //! |---|---|
@@ -21,7 +21,6 @@
 //! | [`net`] | link models for the remote Tables 4/14 |
 //! | [`results`] | results database, paper dataset, tables, plots |
 //! | [`trace`] | structured tracing: spans, events, JSONL artifacts |
-//! | [`metrics`] | operational telemetry: counters, gauges, histograms |
 //! | [`core`] | suite orchestration and report generation |
 //!
 //! # Examples
@@ -40,7 +39,6 @@ pub use lmb_disk as disk;
 pub use lmb_fs as fs;
 pub use lmb_ipc as ipc;
 pub use lmb_mem as mem;
-pub use lmb_metrics as metrics;
 pub use lmb_net as net;
 pub use lmb_proc as proc;
 pub use lmb_results as results;
@@ -68,7 +66,6 @@ mod tests {
         let _ = crate::net::standard_links();
         let _ = crate::results::dataset::systems();
         let _ = crate::trace::enabled();
-        let _ = crate::metrics::enabled();
         let _ = crate::core::SuiteConfig::quick();
         assert!(!crate::VERSION.is_empty());
     }

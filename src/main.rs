@@ -474,10 +474,6 @@ fn serve_daemon(args: &[String]) -> ExitCode {
             return ExitCode::from(3);
         }
     };
-    // Operational metrics on: RPC request/latency instruments and the
-    // store's batch/seal/compaction accounting feed the periodic
-    // `metrics_snapshot` events in the audit trace.
-    lmbench::metrics::enable();
     // The port line is the contract with scripts (and the E2E tests):
     // printed first, flushed immediately.
     println!("listening on 127.0.0.1:{}", service.tcp_port());

@@ -405,3 +405,84 @@ fn push_subcommand_round_trips_a_report_file() {
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn the_audit_log_ends_with_the_daemons_own_books() {
+    let dir = temp_path("audit");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let log = dir.join("audit.jsonl");
+    let daemon = Daemon::start(&dir.join("data"), &["--trace", log.to_str().unwrap()]);
+
+    // One client, one dial, every call on that connection.
+    let (pushes, diffs, histories, tables, stats) = (3u64, 2u64, 1u64, 1u64, 1u64);
+    let mut client = ReportClient::new(daemon.addr());
+    for run in 1..=pushes {
+        client
+            .push(entry("audit-fp", run * 100, 1.0))
+            .expect("push");
+    }
+    for _ in 0..diffs {
+        client.diff("audit-fp").expect("diff");
+    }
+    for _ in 0..histories {
+        client
+            .history("audit-fp", "lat_syscall", "")
+            .expect("history");
+    }
+    for _ in 0..tables {
+        client.table("audit-fp").expect("table");
+    }
+    for _ in 0..stats {
+        client.stats().expect("stats");
+    }
+    drop(client);
+    daemon.stop();
+
+    let text = std::fs::read_to_string(&log).expect("audit log written");
+    let events = lmbench::trace::parse_jsonl(&text).expect("audit log parses");
+    let last = events.last().expect("audit log is not empty");
+    let lmbench::trace::EventKind::MetricsSnapshot { counters } = &last.kind else {
+        panic!("the last line is {:?}, not a metrics_snapshot", last.kind);
+    };
+    let row = |name: &str| {
+        *counters
+            .get(name)
+            .unwrap_or_else(|| panic!("no {name} row"))
+    };
+    assert_eq!(row("rpc.connections"), 1, "the client dialled once");
+    assert_eq!(
+        row("rpc.requests"),
+        pushes + diffs + histories + tables + stats
+    );
+    assert_eq!(row("rpc.faults"), 0);
+    for (procedure, calls) in [
+        ("push", pushes),
+        ("diff", diffs),
+        ("history", histories),
+        ("table", tables),
+        ("stats", stats),
+    ] {
+        assert_eq!(
+            row(&format!("service.{procedure}.calls")),
+            calls,
+            "{procedure}"
+        );
+        assert_eq!(
+            row(&format!("service.{procedure}.errors")),
+            0,
+            "{procedure}"
+        );
+        assert_eq!(
+            row(&format!("service.{procedure}.latency_us.count")),
+            calls,
+            "{procedure}"
+        );
+    }
+    assert_eq!(
+        row("service.replay_ms.count"),
+        1,
+        "the store replays at open"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
