@@ -28,13 +28,13 @@ use lmb_results::{
 use lmb_sys::{RusageDelta, RusageSnapshot};
 use lmb_timing::{
     new_recorder, open_perf, take_events, ClockInfo, CounterValues, Counters, Harness,
-    HarnessBudget, MeasureEvent, PerfCounters, Quality, RealClock, SimClock, TimeSource,
+    HarnessBudget, Measurement, PerfCounters, Quality, RealClock, SimClock, TimeSource,
 };
 use lmb_trace::{emit, emit_in, ContextGuard, EventKind, Span, SpanId, Trace};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Once};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// The clock every engine-level decision reads: scheduling stamps, phase
@@ -109,6 +109,10 @@ struct PhaseBudget {
     /// the same run are `contended`: the zombie holds its substrate and
     /// competes for CPU even through the exclusive phase.
     leaked_threads: AtomicU32,
+    /// Set once this run's host denied hardware counters: later attempts
+    /// stop opening them and the run has already said so in its trace.
+    /// Shared with the bench threads, which open the counters.
+    counters_unavailable: Arc<AtomicBool>,
 }
 
 /// Folds a region's elapsed time (read from the engine's clock, so virtual
@@ -529,6 +533,10 @@ impl Engine {
                 snapshot: snapshot.clone(),
             };
             let runner = bench.runner_fn();
+            // Virtual attempts never open counters: their delta would be
+            // discarded, and the open would make the trace host-dependent.
+            let counters_unavailable =
+                (!self.clock.is_virtual()).then(|| Arc::clone(&budget.counters_unavailable));
             // The injected hang sleeps on the engine's clock: real time on
             // hardware, an 86,400 s virtual advance (and an instant return)
             // under simulation.
@@ -549,7 +557,7 @@ impl Engine {
                 // closes to a whole (never torn) delta, and the counts cover
                 // exactly what the attempt ran. Opened on the attempt's own
                 // thread because perf groups bind to the opener (`pid = 0`).
-                let mut counters = thread_counters();
+                let mut counters = counters_unavailable.as_deref().and_then(thread_counters);
                 let counting = counters.as_mut().is_some_and(|c| c.begin());
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     if inject_panic {
@@ -763,36 +771,26 @@ fn archive_rusage(delta: &RusageDelta, contended: bool) -> ResourceUsage {
     }
 }
 
-/// Process-global counter availability: 0 = unprobed, 1 = seen working,
-/// 2 = unavailable (reported; stop trying).
-static COUNTERS_STATE: AtomicU8 = AtomicU8::new(0);
-static COUNTERS_REPORT: Once = Once::new();
-
 /// Opens a calibrated hardware-counter bracket on the calling bench
-/// thread, or `None` where the host denies counters. The first failure
-/// emits a single `counters_unavailable` trace event for the whole
-/// process; after that every attempt runs exactly as an uncounted run
-/// would, with no per-attempt open retries.
-fn thread_counters() -> Option<Counters<PerfCounters>> {
-    if COUNTERS_STATE.load(Ordering::Relaxed) == 2 {
+/// thread, or `None` where the host denies counters. A run's first
+/// failure sets its `unavailable` flag and emits a single
+/// `counters_unavailable` trace event for the run; after that every
+/// attempt of the run runs exactly as an uncounted one would, with no
+/// per-attempt open retries.
+fn thread_counters(unavailable: &AtomicBool) -> Option<Counters<PerfCounters>> {
+    if unavailable.load(Ordering::Relaxed) {
         return None;
     }
-    match open_perf() {
-        Ok(counters) => {
-            COUNTERS_STATE.store(1, Ordering::Relaxed);
-            Some(counters)
-        }
-        Err(e) => {
-            COUNTERS_STATE.store(2, Ordering::Relaxed);
-            COUNTERS_REPORT.call_once(|| {
+    open_perf()
+        .map_err(|e| {
+            if !unavailable.swap(true, Ordering::Relaxed) {
                 emit(|| EventKind::CountersUnavailable {
                     reason: e.reason().to_string(),
                     paranoid: e.paranoid(),
                 });
-            });
-            None
-        }
-    }
+            }
+        })
+        .ok()
 }
 
 /// Archives a compensated hardware-counter delta into the report's shape,
@@ -866,51 +864,64 @@ fn emit_quality_metrics(provenance: Option<&Provenance>) {
     });
 }
 
-/// Summarizes recorded events: calibration and samples of the *worst*
-/// measurement (gravest quality grade, then highest CV, ties broken toward
+/// Summarizes recorded measurements: calibration and samples of the
+/// *worst* one (gravest quality grade, then highest CV, ties broken toward
 /// the last), plus the total measurement count — the dispersion a reader
 /// should worry about, not the prettiest.
 ///
 /// Quality ranks before CV because an overhead-clamped measurement is a
 /// set of identical zero floors: its CV is 0.0, and sorting by CV alone
 /// would bury the suite's most broken measurement under ordinary noise.
-pub(crate) fn provenance_from(events: &[MeasureEvent]) -> Option<Provenance> {
-    // Grade each event once: the key is built per event, not per
-    // comparison, and `max_by` still resolves ties toward the last.
-    let (_, quality, worst) = events
+pub(crate) fn provenance_from(measurements: &[Measurement]) -> Option<Provenance> {
+    // Grade each measurement once: the key is built per measurement, not
+    // per comparison, and `max_by` still resolves ties toward the last.
+    let (_, quality, worst) = measurements
         .iter()
         .enumerate()
-        .map(|(i, e)| {
-            let quality = e.quality();
-            ((quality.severity(), e.cv(), i), quality, e)
+        .map(|(i, m)| {
+            let quality = m.quality();
+            ((quality.severity(), m.samples().cv(), i), quality, m)
         })
         .max_by(|(a, ..), (b, ..)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))?;
     let samples = worst.samples();
     let sorted = samples.sorted();
+    let min = samples.min().unwrap_or(f64::INFINITY);
+    let max = samples.max().unwrap_or(f64::NEG_INFINITY);
+    let median = midpoint_median(sorted.values());
     Some(Provenance {
-        repetitions: worst.per_op_ns.len() as u32,
-        warmup_runs: worst.warmup_runs,
-        calibrated_iterations: worst.iterations,
-        clock_resolution_ns: worst.clock_resolution_ns,
-        sample_min_ns: worst.min_ns(),
-        sample_median_ns: worst.median_ns(),
-        sample_p90_ns: sorted.p90().unwrap_or(worst.max_ns()),
-        sample_p99_ns: sorted.p99().unwrap_or(worst.max_ns()),
-        sample_max_ns: worst.max_ns(),
+        repetitions: samples.len() as u32,
+        warmup_runs: worst.warmup_runs(),
+        calibrated_iterations: worst.ops_per_sample(),
+        clock_resolution_ns: worst.clock_resolution_ns(),
+        sample_min_ns: min,
+        sample_median_ns: median,
+        sample_p90_ns: sorted.p90().unwrap_or(max),
+        sample_p99_ns: sorted.p99().unwrap_or(max),
+        sample_max_ns: max,
         mad_ns: samples.mad().unwrap_or(0.0),
-        min_median_gap: worst.min_median_gap(),
-        cv: worst.cv(),
+        min_median_gap: if min > 0.0 { (median - min) / min } else { 0.0 },
+        cv: samples.cv(),
         iqr_outliers: sorted.outliers() as u32,
         quality: quality.label().to_string(),
-        measure_calls: events.len() as u32,
-        clamped_samples: worst.clamped_samples,
+        measure_calls: measurements.len() as u32,
+        clamped_samples: worst.clamped_samples(),
     })
+}
+
+/// The midpoint median archived reports hold; `Samples::median` can differ by an ulp.
+fn midpoint_median(sorted: &[f64]) -> f64 {
+    match sorted.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => sorted[n / 2],
+        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RetryPolicy;
+    use lmb_timing::{Samples, SummaryPolicy};
     use std::time::Instant;
 
     fn engine_for(names: &[&str], config: SuiteConfig) -> Engine {
@@ -961,12 +972,13 @@ mod tests {
 
     #[test]
     fn provenance_prefers_the_clamped_measurement_over_the_noisy_one() {
-        let event = |per_op_ns: &[f64], iterations: u64, clamped: u32| MeasureEvent {
-            iterations,
-            warmup_runs: 1,
-            clock_resolution_ns: 30.0,
-            per_op_ns: per_op_ns.to_vec(),
-            clamped_samples: clamped,
+        let event = |per_op_ns: &[f64], iterations: u64, clamped: u32| {
+            Measurement::from_per_op_samples(
+                Samples::from_values(per_op_ns.iter().copied()),
+                iterations,
+                SummaryPolicy::Minimum,
+            )
+            .with_clamped_samples(clamped)
         };
         // A fully clamped measurement has CV 0.0 — sorting by CV alone
         // would bury it under ordinary noise. Quality severity must win.
@@ -986,6 +998,125 @@ mod tests {
         let p = provenance_from(&[noisy, twin]).expect("provenance");
         assert_eq!(p.calibrated_iterations, 300, "ties resolve toward the last");
         assert!(provenance_from(&[]).is_none());
+    }
+
+    /// The provenance formulas of the per-measurement event record this
+    /// module once summarized, kept as a bit-for-bit reference.
+    struct Reference {
+        min: f64,
+        max: f64,
+        median: f64,
+        gap: f64,
+        cv: f64,
+        quality: Quality,
+    }
+
+    fn reference(per_op_ns: &[f64], clamped: u32) -> Reference {
+        let min = per_op_ns.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = per_op_ns.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut sorted = per_op_ns.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let median = match sorted.len() {
+            0 => f64::NAN,
+            n if n % 2 == 1 => sorted[n / 2],
+            n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+        };
+        let gap = if min > 0.0 { (median - min) / min } else { 0.0 };
+        let n = per_op_ns.len();
+        let mean = per_op_ns.iter().sum::<f64>() / n as f64;
+        let cv = if n < 2 || mean <= 0.0 {
+            0.0
+        } else {
+            let var = per_op_ns
+                .iter()
+                .map(|v| (v - mean) * (v - mean))
+                .sum::<f64>()
+                / (n - 1) as f64;
+            var.sqrt() / mean
+        };
+        let quality = if clamped > 0 {
+            Quality::Suspect
+        } else {
+            Quality::from_samples(&Samples::from_values(per_op_ns.iter().copied()))
+        };
+        Reference {
+            min,
+            max,
+            median,
+            gap,
+            cv,
+            quality,
+        }
+    }
+
+    #[test]
+    fn provenance_matches_the_reference_formulas_bit_for_bit() {
+        let mut rng = lmb_timing::SplitMix::new(23);
+        let mut interpolated_medians_differ = false;
+        let cases = (1..=64usize).flat_map(|len| [(len, false), (len, true)].repeat(4));
+        for (len, with_clamps) in cases {
+            // Magnitudes spread over six decades, so sums, differences
+            // and midpoints round.
+            let mut values: Vec<f64> = (0..len)
+                .map(|_| rng.uniform() * 10f64.powf(6.0 * rng.uniform()))
+                .collect();
+            let mut clamped = 0u32;
+            if with_clamps {
+                for v in values.iter_mut().filter(|_| rng.uniform() < 0.3) {
+                    *v = 0.0;
+                    clamped += 1;
+                }
+            }
+            let m = Measurement::from_per_op_samples(
+                Samples::from_values(values.iter().copied()),
+                len as u64,
+                SummaryPolicy::Minimum,
+            )
+            .with_clamped_samples(clamped);
+            let p = provenance_from(std::slice::from_ref(&m)).expect("provenance");
+            let want = reference(&values, clamped);
+            let samples = m.samples();
+            let bits = |got: f64, want: f64, field: &str| {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{field}, len {len}: {got} vs {want}"
+                );
+            };
+            bits(p.sample_min_ns, want.min, "min");
+            bits(p.sample_max_ns, want.max, "max");
+            bits(p.sample_median_ns, want.median, "median");
+            bits(p.min_median_gap, want.gap, "min_median_gap");
+            bits(p.cv, want.cv, "cv");
+            bits(p.sample_p90_ns, samples.p90().unwrap(), "p90");
+            bits(p.sample_p99_ns, samples.p99().unwrap(), "p99");
+            bits(p.mad_ns, samples.mad().unwrap(), "mad");
+            assert_eq!(p.iqr_outliers as usize, samples.outliers());
+            assert_eq!(p.quality, want.quality.label(), "len {len}");
+            assert_eq!(p.clamped_samples, clamped);
+            assert_eq!(p.repetitions as usize, len);
+            assert_eq!(p.calibrated_iterations, len as u64);
+            interpolated_medians_differ |=
+                samples.median().unwrap().to_bits() != want.median.to_bits();
+        }
+        // Why provenance keeps its own midpoint median.
+        assert!(interpolated_medians_differ, "Samples::median now agrees");
+
+        // The harness context travels on the measurement into provenance.
+        let sim = SimClock::new(23).with_read_overhead_ns(50.0);
+        let body = sim.scripted_body(lmb_timing::CostModel::Constant { ns: 200.0 });
+        let recorder = new_recorder();
+        let pinned = ClockInfo {
+            resolution_ns: 7.0,
+            overhead_ns: 50.0,
+        };
+        Harness::with_source_and_clock(lmb_timing::Options::quick(), sim, pinned)
+            .with_recorder(recorder.clone())
+            .measure_block(4, body);
+        let p = provenance_from(&take_events(&recorder)).expect("provenance");
+        assert_eq!(p.warmup_runs, lmb_timing::Options::quick().warmup_runs);
+        assert_eq!(p.clock_resolution_ns, 7.0);
+        assert_eq!(p.calibrated_iterations, 4);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use lmb_results::{
     ScalingCurve,
 };
 use lmb_timing::{
-    new_recorder, take_events, ArrivalProcess, ClockInfo, CostModel, Harness, MeasureEvent,
-    Options, Quality, Samples, SimClock, TimeSource,
+    ArrivalProcess, ClockInfo, CostModel, Harness, Measurement, Options, Quality, Samples,
+    SimClock, TimeSource,
 };
 use lmb_trace::{emit, ContextGuard, EventKind, Span};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -368,8 +368,7 @@ enum Body {
 /// What one generator measured.
 #[derive(Default)]
 struct GenRun {
-    /// Per-op latency samples, ns: per repetition (`Harness`) or per
-    /// arrival (`Paced`).
+    /// Per-arrival latency samples, ns (`Paced`).
     samples: Samples,
     /// Operations completed.
     ops: u64,
@@ -379,8 +378,8 @@ struct GenRun {
     max_lag_ns: f64,
     /// Span from release to the last completion, ns.
     elapsed_ns: f64,
-    /// The harness's provenance events.
-    events: Vec<MeasureEvent>,
+    /// The harness's measurement (`Harness`).
+    measurement: Option<Measurement>,
 }
 
 /// Drives one generator through `ops` operations under the given pacing
@@ -443,7 +442,7 @@ fn paced_run<T: TimeSource>(
         samples: Samples::from_values(latencies_ns),
         late,
         max_lag_ns,
-        events: Vec::new(),
+        measurement: None,
     }
 }
 
@@ -461,7 +460,7 @@ fn generator_harness(gen: &dyn LoadGen, options: Options) -> Harness<EngineClock
         ),
         None => (EngineClock::default(), ClockInfo::probe()),
     };
-    Harness::with_source_and_clock(options, clock, info).with_recorder(new_recorder())
+    Harness::with_source_and_clock(options, clock, info)
 }
 
 /// A trace-only clock reading: virtual ground truth, which charges no
@@ -643,8 +642,10 @@ impl LoadRunner {
 
     /// One P-point: P generators under their own harnesses, folded into
     /// aggregate throughput and latency percentiles over the pooled
-    /// cross-generator samples.
-    fn scale_point(&self, spec: &LoadSpec, p: u32, events: &mut Vec<MeasureEvent>) -> ScalePoint {
+    /// cross-generator samples. Each generator grades as its measurement
+    /// does; a point whose generators clamped any sample grades `Suspect`,
+    /// as the engine grades such a record.
+    fn scale_point(&self, spec: &LoadSpec, p: u32, events: &mut Vec<Measurement>) -> ScalePoint {
         let make = || (spec.make)(&self.config);
         let ops = (spec.ops_per_rep)(&self.config).max(1);
         let runs = match self.drive(&make, p, Body::Harness(ops), self.faults.hits(spec.name, p)) {
@@ -656,8 +657,10 @@ impl LoadRunner {
         let mut pooled: Vec<f64> = Vec::new();
         let mut total_ops = 0u64;
         let mut aggregate = 0.0f64;
+        let mut clamped = false;
         for (index, run) in runs.into_iter().enumerate() {
-            let rate = per_op_rate(run.samples.mean().unwrap_or(0.0), bytes_per_op);
+            let m = run.measurement.expect("harness bodies measure");
+            let rate = per_op_rate(m.samples().mean().unwrap_or(0.0), bytes_per_op);
             emit(|| EventKind::Generator {
                 p,
                 index: index as u32,
@@ -667,13 +670,14 @@ impl LoadRunner {
             generators.push(GeneratorSample {
                 index: index as u32,
                 throughput: rate,
-                cv: run.samples.cv(),
-                quality: Quality::from_samples(&run.samples).label().to_string(),
+                cv: m.samples().cv(),
+                quality: m.quality().label().to_string(),
             });
             aggregate += rate;
             total_ops += run.ops;
-            pooled.extend_from_slice(run.samples.values());
-            events.extend(run.events);
+            pooled.extend_from_slice(m.samples().values());
+            clamped |= m.clamped_samples() > 0;
+            events.push(m);
         }
 
         let pool = Samples::from_values(pooled);
@@ -691,7 +695,13 @@ impl LoadRunner {
             p50_us: p50 / 1e3,
             p99_us: p99 / 1e3,
             cv: pool.cv(),
-            quality: Quality::from_sorted(&sorted).label().to_string(),
+            quality: if clamped {
+                Quality::Suspect
+            } else {
+                Quality::from_sorted(&sorted)
+            }
+            .label()
+            .to_string(),
             efficiency: None,
             generators,
             error: None,
@@ -952,12 +962,10 @@ impl LoadRunner {
                         gen.op();
                     }
                 });
-                let samples = m.samples().clone();
                 GenRun {
-                    ops: ops * samples.len() as u64,
+                    ops: ops * m.samples().len() as u64,
                     elapsed_ns: span_ns(clock) - t0,
-                    events: take_events(&h.recorder().expect("generator harnesses record")),
-                    samples,
+                    measurement: Some(m),
                     ..GenRun::default()
                 }
             }

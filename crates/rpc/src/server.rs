@@ -122,7 +122,7 @@ impl Dispatch {
 #[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
     /// Serve each accepted TCP connection on its own thread instead of
-    /// one at a time. Connection threads are joined on shutdown.
+    /// one at a time. Live connection threads are joined on shutdown.
     pub concurrent: bool,
     /// Largest reassembled TCP record accepted from a peer; larger
     /// records close the connection without being buffered. `None`
@@ -284,7 +284,11 @@ fn tcp_accept_concurrent(
         let stop = Arc::clone(stop);
         let max = options.max_record_bytes.unwrap_or(usize::MAX);
         let metrics = options.metrics.clone();
-        conn_threads.lock().push(std::thread::spawn(move || {
+        let mut threads = conn_threads.lock();
+        // Dropping a finished thread's handle detaches it; a long-running
+        // server keeps handles only for live connections.
+        threads.retain(|t| !t.is_finished());
+        threads.push(std::thread::spawn(move || {
             serve_connection(conn, &dispatch, &stop, max, metrics.as_deref());
         }));
     }
@@ -502,6 +506,38 @@ mod tests {
             assert_eq!(metrics.connections.get(), 2);
             assert_eq!(metrics.latency_us.count(), 1, "only the answered call");
         }
+    }
+
+    #[test]
+    fn finished_connection_threads_are_not_retained() {
+        let metrics = Arc::new(RpcMetrics::default());
+        let server = RpcServer::start_with(
+            Registry::new(),
+            ServerOptions {
+                concurrent: true,
+                metrics: Some(Arc::clone(&metrics)),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        server.register(5, 1, 0, Box::new(Ok));
+        let args = Bytes::from_static(b"1234");
+        for _ in 0..64 {
+            let mut client =
+                crate::RpcClient::connect_tcp(("127.0.0.1", server.tcp_port()), 5, 1).unwrap();
+            assert_eq!(client.call(0, args.clone()).unwrap(), args);
+            drop(client);
+            // Wait until the server has seen the close, so each accept
+            // finds the previous connection's thread finishing.
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            while metrics.active.get() != 0 {
+                assert!(Instant::now() < deadline, "connection never closed");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        let retained = server.conn_threads.lock().len();
+        assert!(retained <= 4, "{retained} connection handles retained");
+        drop(server); // Joins the rest; must not hang.
     }
 
     #[test]

@@ -20,11 +20,10 @@
 
 use crate::calibrate::{calibrate_iterations_with, time_interval_ns_with};
 use crate::clock::{ClockInfo, RealClock, TimeSource};
-use crate::record::{MeasureEvent, Recorder};
 use crate::result::Measurement;
 use crate::stats::{Samples, SummaryPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Tunable harness parameters.
@@ -131,6 +130,26 @@ pub struct HarnessBudget {
     pub calibrate_ns: AtomicU64,
 }
 
+/// Provenance sink: clone one end into a [`Harness`], keep the other to
+/// read back every [`Measurement`] it took after the benchmark body
+/// returns (or is abandoned on timeout; the sink stays readable either
+/// way). The paper's §3.4 discusses clock resolution, warm-up and
+/// run-to-run variability, but the original tools never recorded them;
+/// each recorded measurement carries all three.
+pub type Recorder = Arc<Mutex<Vec<Measurement>>>;
+
+/// A fresh, empty recorder.
+#[must_use]
+pub fn new_recorder() -> Recorder {
+    Arc::new(Mutex::new(Vec::new()))
+}
+
+/// Drains every measurement recorded so far.
+#[must_use]
+pub fn take_events(recorder: &Recorder) -> Vec<Measurement> {
+    std::mem::take(&mut *recorder.lock().expect("recorder lock"))
+}
+
 /// A configured measurement harness, generic over its clock.
 ///
 /// The default type parameter keeps every existing call site spelled
@@ -192,7 +211,7 @@ impl<T: TimeSource> Harness<T> {
     }
 
     /// Attaches a provenance recorder: every subsequent measurement pushes
-    /// a [`MeasureEvent`] describing its calibration and samples.
+    /// a copy of the [`Measurement`] it returns.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -204,11 +223,6 @@ impl<T: TimeSource> Harness<T> {
     pub fn with_budget(mut self, budget: Arc<HarnessBudget>) -> Self {
         self.budget = Some(budget);
         self
-    }
-
-    /// The attached provenance recorder, if any.
-    pub fn recorder(&self) -> Option<Recorder> {
-        self.recorder.clone()
     }
 
     /// Runs one harness phase, billing its elapsed time to the `phase`
@@ -223,18 +237,6 @@ impl<T: TimeSource> Harness<T> {
         let elapsed = (self.source.now_ns() - started).max(0.0) as u64;
         phase(budget).fetch_add(elapsed, Ordering::Relaxed);
         result
-    }
-
-    fn record(&self, iterations: u64, samples: &Samples, clamped_samples: u32) {
-        if let Some(recorder) = &self.recorder {
-            recorder.lock().expect("recorder lock").push(MeasureEvent {
-                iterations,
-                warmup_runs: self.options.warmup_runs,
-                clock_resolution_ns: self.clock.resolution_ns,
-                per_op_ns: samples.values().to_vec(),
-                clamped_samples,
-            });
-        }
     }
 
     /// The probed clock characteristics.
@@ -259,20 +261,38 @@ impl<T: TimeSource> Harness<T> {
             .max(self.options.min_interval)
     }
 
-    /// Times one repetition of `iterations` runs of `body`, subtracts the
-    /// clock-read overhead bracketed into the interval, and divides.
+    /// Builds a measurement stamped with this harness's context.
+    fn measurement(&self, samples: Samples, ops: u64, clamped: u32) -> Measurement {
+        Measurement::from_per_op_samples(samples, ops, self.options.policy)
+            .with_clamped_samples(clamped)
+            .with_context(self.options.warmup_runs, self.clock.resolution_ns)
+    }
+
+    /// Times the configured repetitions of `loops` runs of `body`, each
+    /// interval less the clock-read overhead bracketed into it and divided
+    /// by `ops`, and records the result.
     ///
     /// An interval shorter than the read overhead clamps to 0.0 and counts
     /// as clamped — the per-op time is a floor, not a measurement, and the
     /// quality grade downstream turns `Suspect` (never a negative latency).
-    fn timed_rep(&self, iterations: u64, body: impl FnMut(), clamped: &mut u32) -> f64 {
-        let elapsed = time_interval_ns_with(&self.source, iterations, body);
-        let compensated = elapsed - self.clock.overhead_ns;
-        if compensated < 0.0 {
-            *clamped += 1;
-            return 0.0;
+    fn repeat(&self, loops: u64, ops: u64, mut body: impl FnMut()) -> Measurement {
+        let mut samples = Samples::new();
+        let mut clamped = 0u32;
+        for _ in 0..self.options.repetitions {
+            let elapsed = time_interval_ns_with(&self.source, loops, &mut body);
+            let compensated = elapsed - self.clock.overhead_ns;
+            if compensated < 0.0 {
+                clamped += 1;
+                samples.push(0.0);
+            } else {
+                samples.push(compensated / ops as f64);
+            }
         }
-        compensated / iterations as f64
+        let m = self.measurement(samples, ops, clamped);
+        if let Some(recorder) = &self.recorder {
+            recorder.lock().expect("recorder lock").push(m.clone());
+        }
+        m
     }
 
     /// Measures the per-call cost of `body`.
@@ -296,15 +316,7 @@ impl<T: TimeSource> Harness<T> {
             iterations: cal.iterations,
             clock_resolution_ns: self.clock.resolution_ns,
         });
-        let mut samples = Samples::new();
-        let mut clamped = 0u32;
-        for _ in 0..self.options.repetitions {
-            let per_op = self.timed_rep(cal.iterations, &mut body, &mut clamped);
-            samples.push(per_op);
-        }
-        self.record(cal.iterations, &samples, clamped);
-        Measurement::from_per_op_samples(samples, cal.iterations, self.options.policy)
-            .with_clamped_samples(clamped)
+        self.repeat(cal.iterations, cal.iterations, body)
     }
 
     /// Measures a body that internally performs `ops` operations per call
@@ -329,21 +341,7 @@ impl<T: TimeSource> Harness<T> {
             iterations: ops,
             clock_resolution_ns: self.clock.resolution_ns,
         });
-        let mut samples = Samples::new();
-        let mut clamped = 0u32;
-        for _ in 0..self.options.repetitions {
-            let elapsed = time_interval_ns_with(&self.source, 1, &mut body);
-            let compensated = elapsed - self.clock.overhead_ns;
-            if compensated < 0.0 {
-                clamped += 1;
-                samples.push(0.0);
-            } else {
-                samples.push(compensated / ops as f64);
-            }
-        }
-        self.record(ops, &samples, clamped);
-        Measurement::from_per_op_samples(samples, ops, self.options.policy)
-            .with_clamped_samples(clamped)
+        self.repeat(1, ops, body)
     }
 
     /// Measures the *difference* between `body` and `baseline`, both run at
@@ -357,12 +355,11 @@ impl<T: TimeSource> Harness<T> {
         let with = self.measure(&mut body);
         let without = self.measure(&mut baseline);
         let diff = (with.per_op_ns() - without.per_op_ns()).max(0.0);
-        Measurement::from_per_op_samples(
+        self.measurement(
             Samples::from_values([diff]),
             with.ops_per_sample(),
-            self.options.policy,
+            with.clamped_samples() + without.clamped_samples(),
         )
-        .with_clamped_samples(with.clamped_samples() + without.clamped_samples())
     }
 }
 
@@ -512,23 +509,25 @@ mod tests {
 
     #[test]
     fn recorder_captures_calibration_and_samples() {
-        let recorder = crate::record::new_recorder();
+        let recorder = new_recorder();
         let h = Harness::new(Options::quick()).with_recorder(recorder.clone());
-        h.measure(|| {
+        let measured = h.measure(|| {
             std::hint::black_box(1u64 + 1);
         });
         h.measure_block(512, || {
             std::hint::black_box((0..512u64).sum::<u64>());
         });
-        let events = crate::record::take_events(&recorder);
+        let events = take_events(&recorder);
         assert_eq!(events.len(), 2);
-        assert!(events[0].iterations > 0, "calibrated count missing");
-        assert_eq!(events[1].iterations, 512, "block ops recorded");
+        assert_eq!(events[0], measured, "the record is the returned value");
+        assert!(events[0].ops_per_sample() > 0, "calibrated count missing");
+        assert_eq!(events[1].ops_per_sample(), 512, "block ops recorded");
         for e in &events {
-            assert_eq!(e.per_op_ns.len() as u32, Options::quick().repetitions);
-            assert_eq!(e.warmup_runs, Options::quick().warmup_runs);
-            assert!(e.clock_resolution_ns > 0.0);
+            assert_eq!(e.samples().len() as u32, Options::quick().repetitions);
+            assert_eq!(e.warmup_runs(), Options::quick().warmup_runs);
+            assert!(e.clock_resolution_ns() > 0.0);
         }
+        assert!(take_events(&recorder).is_empty(), "take drains");
     }
 
     #[test]
@@ -560,7 +559,7 @@ mod tests {
     fn clamped_count_reaches_the_recorder() {
         let sim = SimClock::new(78).with_read_overhead_ns(50.0);
         let body = sim.scripted_body(CostModel::Constant { ns: 10.0 });
-        let recorder = crate::record::new_recorder();
+        let recorder = new_recorder();
         let h = Harness::with_source_and_clock(
             Options::quick().with_warmup_runs(0).with_repetitions(3),
             sim,
@@ -571,9 +570,9 @@ mod tests {
         )
         .with_recorder(recorder.clone());
         h.measure_block(1, body);
-        let events = crate::record::take_events(&recorder);
+        let events = take_events(&recorder);
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].clamped_samples, 3);
+        assert_eq!(events[0].clamped_samples(), 3);
         assert_eq!(events[0].quality(), Quality::Suspect);
     }
 

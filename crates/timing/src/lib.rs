@@ -36,7 +36,6 @@ pub mod counters;
 pub mod cycle;
 pub mod harness;
 pub mod quality;
-pub mod record;
 pub mod result;
 pub mod sim;
 pub mod sizing;
@@ -55,9 +54,8 @@ pub use counters::{
     open_perf, CounterSource, CounterValues, Counters, PerfCounters, PerfError, SimCounters,
 };
 pub use cycle::{estimate_clock, ClockEstimate};
-pub use harness::{Harness, HarnessBudget, Options};
+pub use harness::{new_recorder, take_events, Harness, HarnessBudget, Options, Recorder};
 pub use quality::Quality;
-pub use record::{new_recorder, take_events, MeasureEvent, Recorder};
 pub use result::{Bandwidth, Latency, Measurement, TimeUnit};
 pub use sim::{CostModel, SimClock, SplitMix};
 pub use sizing::{paged_out_fraction_with, probe_available_memory, MemorySizer};

@@ -56,21 +56,6 @@ impl Quality {
         Quality::grade(samples.cv(), sorted.outlier_fraction())
     }
 
-    /// Grades a repetition set of which `clamped` samples were floored at
-    /// 0.0 by clock-overhead compensation.
-    ///
-    /// Any clamped sample forces `Suspect`: the set contains values that
-    /// are floors rather than measurements, and a floor of identical zeros
-    /// would otherwise grade as a perfectly quiet `Good` set. This is the
-    /// grade [`crate::Measurement::quality`] reports.
-    #[must_use]
-    pub fn from_samples_with_clamped(samples: &Samples, clamped: u32) -> Quality {
-        if clamped > 0 {
-            return Quality::Suspect;
-        }
-        Quality::from_samples(samples)
-    }
-
     /// Grades a (CV, outlier-fraction) pair directly.
     #[must_use]
     pub fn grade(cv: f64, outlier_fraction: f64) -> Quality {
@@ -166,30 +151,6 @@ mod tests {
     fn too_few_samples_cannot_be_assessed() {
         assert_eq!(Quality::from_samples(&Samples::new()), Quality::Suspect);
         assert_eq!(Quality::from_samples(&sample(&[5.0])), Quality::Suspect);
-    }
-
-    #[test]
-    fn clamped_samples_force_suspect_even_when_quiet() {
-        // All-zero (all-clamped) sets are the pathological case: zero CV
-        // would grade Good, but nothing was actually measured.
-        let zeros = sample(&[0.0, 0.0, 0.0, 0.0, 0.0]);
-        assert_eq!(Quality::from_samples(&zeros), Quality::Good);
-        assert_eq!(
-            Quality::from_samples_with_clamped(&zeros, 5),
-            Quality::Suspect
-        );
-        // One clamped sample in an otherwise quiet set still taints it.
-        let mostly_fine = sample(&[0.0, 100.0, 101.0, 99.0, 100.5]);
-        assert_eq!(
-            Quality::from_samples_with_clamped(&mostly_fine, 1),
-            Quality::Suspect
-        );
-        // No clamps: same grade as the plain path.
-        let quiet = sample(&[100.0, 101.0, 99.5]);
-        assert_eq!(
-            Quality::from_samples_with_clamped(&quiet, 0),
-            Quality::from_samples(&quiet)
-        );
     }
 
     #[test]

@@ -53,6 +53,10 @@ pub struct Measurement {
     /// Repetitions whose interval fell below the clock-read overhead and
     /// were clamped to 0.0 instead of reporting a negative time.
     clamped_samples: u32,
+    /// Untimed warm-up runs before the first sample.
+    warmup_runs: u32,
+    /// Probed clock resolution at measurement time, ns.
+    clock_resolution_ns: f64,
 }
 
 impl Measurement {
@@ -67,7 +71,16 @@ impl Measurement {
             ops_per_sample,
             policy,
             clamped_samples: 0,
+            warmup_runs: 0,
+            clock_resolution_ns: 0.0,
         }
+    }
+
+    /// Stamps the harness context this measurement was taken under.
+    pub(crate) fn with_context(mut self, warmup_runs: u32, clock_resolution_ns: f64) -> Self {
+        self.warmup_runs = warmup_runs;
+        self.clock_resolution_ns = clock_resolution_ns;
+        self
     }
 
     /// Marks `clamped` repetitions as overhead-clamped (interval shorter
@@ -87,12 +100,28 @@ impl Measurement {
         self.clamped_samples
     }
 
-    /// Grades this measurement's repetition set (see [`Quality`]).
+    /// Untimed warm-up runs the harness made before the first sample (0
+    /// for a measurement not taken by a harness).
+    pub fn warmup_runs(&self) -> u32 {
+        self.warmup_runs
+    }
+
+    /// Clock resolution the harness probed (or was pinned to), ns; 0.0 for
+    /// a measurement not taken by a harness.
+    pub fn clock_resolution_ns(&self) -> f64 {
+        self.clock_resolution_ns
+    }
+
+    /// Grades this measurement's repetition set (see [`Quality`]): every
+    /// harness grade comes from here.
     ///
     /// Overhead-clamped samples force `Suspect` regardless of dispersion:
     /// a set of identical zeros looks perfectly quiet but measures nothing.
     pub fn quality(&self) -> Quality {
-        Quality::from_samples_with_clamped(&self.samples, self.clamped_samples)
+        if self.clamped_samples > 0 {
+            return Quality::Suspect;
+        }
+        Quality::from_samples(&self.samples)
     }
 
     /// Per-operation time in nanoseconds under the configured policy.
@@ -249,6 +278,21 @@ mod tests {
             m.clone().with_policy(SummaryPolicy::Median).per_op_ns(),
             120.0
         );
+    }
+
+    #[test]
+    fn clamped_samples_force_suspect_even_when_quiet() {
+        // All-zero (all-clamped) sets are the pathological case: zero CV
+        // would grade Good, but nothing was actually measured.
+        let zeros = meas(&[0.0; 5]);
+        assert_eq!(zeros.quality(), Quality::Good);
+        assert_eq!(zeros.with_clamped_samples(5).quality(), Quality::Suspect);
+        // One clamped sample in an otherwise quiet set still taints it.
+        let mostly_fine = meas(&[0.0, 100.0, 101.0, 99.0, 100.5]).with_clamped_samples(1);
+        assert_eq!(mostly_fine.quality(), Quality::Suspect);
+        // No clamps: the plain repetition-set grade.
+        let quiet = meas(&[100.0, 101.0, 99.5]);
+        assert_eq!(quiet.quality(), Quality::from_samples(quiet.samples()));
     }
 
     #[test]

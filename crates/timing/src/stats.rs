@@ -168,7 +168,7 @@ impl Samples {
     /// Returns 0.0 for fewer than two samples or a non-positive mean — the
     /// degenerate sets carry no dispersion information, and callers feed
     /// this straight into noise thresholds where "unknown" must not trip a
-    /// retry. Matches [`crate::record::MeasureEvent::cv`].
+    /// retry. Provenance and the retry-on-noise check read this one.
     pub fn cv(&self) -> f64 {
         let n = self.values.len();
         if n < 2 {

@@ -4,14 +4,15 @@
 //! succeeds (every record carries a counter delta and derived IPC/miss
 //! columns) and hosts where it is denied or unsupported (the suite runs
 //! exactly as before, flagging the loss with ONE `counters_unavailable`
-//! trace event). The suite-level tests here accept whichever world they
-//! wake up in but pin the invariants of that world; the kernel-validation
-//! tests self-skip when the PMU is absent.
+//! trace event per run). The suite-level tests here accept whichever world
+//! they wake up in but pin the invariants of that world; the
+//! kernel-validation tests self-skip when the PMU is absent.
 
+use lmbench::core::{Engine, Registry, SuiteConfig};
 use lmbench::mem::bw::{bcopy_unrolled, CopyBuffers};
 use lmbench::mem::lat::{ChasePattern, ChaseRing};
 use lmbench::timing::{estimate_clock, open_perf, use_result};
-use lmbench::trace::{parse_jsonl, EventKind};
+use lmbench::trace::{parse_jsonl, EventKind, MemorySink, Trace};
 use std::process::Command;
 
 /// A per-test artifact path under the system temp dir (pid-qualified so
@@ -75,7 +76,7 @@ fn suite_counters_flow_end_to_end_or_degrade_with_one_event() {
     assert!(!ran.is_empty(), "no benchmark completed");
 
     if deltas == 0 {
-        // Degraded world: exactly one loss report for the whole process,
+        // Degraded world: exactly one loss report for the whole run,
         // and the archived report is byte-for-byte free of counter keys —
         // a counter-denied host writes the same JSON it wrote before the
         // feature existed.
@@ -108,6 +109,52 @@ fn suite_counters_flow_end_to_end_or_degrade_with_one_event() {
             );
         }
     }
+}
+
+#[test]
+fn every_run_reports_its_own_counter_loss() {
+    // Availability belongs to the run, not the process: a second run in
+    // the same process reports a denied host again, into its own trace.
+    let denied = usize::from(open_perf().is_err());
+    for run in 0..2 {
+        let sink = MemorySink::shared();
+        let trace = Trace::new(vec![Box::new(sink.clone())]);
+        let ctx = trace.enter();
+        let registry = Registry::standard()
+            .filtered(&["sys_info", "lat_syscall"])
+            .expect("known benchmarks");
+        Engine::new(registry, SuiteConfig::quick().with_workers(1))
+            .expect("quick config is valid")
+            .execute();
+        drop(ctx);
+        let unavailable = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::CountersUnavailable { .. }))
+            .count();
+        assert_eq!(unavailable, denied, "run {run}");
+    }
+}
+
+#[test]
+fn virtual_runs_never_open_counters() {
+    // A virtual run discards counter deltas, so it must not open the
+    // counters either: its trace is the same on a PMU host and off one.
+    let trace = artifact("sim", "jsonl");
+    let (ok, _, stderr) = run_cli(&[
+        "suite",
+        "--sim-seed",
+        "5",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "suite exited nonzero:\n{stderr}");
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    assert!(
+        !text.contains("\"kind\":\"counters"),
+        "virtual trace carries a counter kind:\n{text}"
+    );
 }
 
 #[test]

@@ -248,6 +248,47 @@ fn virtual_scale_sweep_renders_to_its_golden() {
     );
 }
 
+#[test]
+fn a_clamped_generator_grades_suspect() {
+    // A 1 ns op read through a 5 ns clock spans about 6 ns per repetition,
+    // under the generator harness's pinned 15 ns read overhead: every
+    // sample clamps to a 0.0 floor. Identical zeros have no dispersion,
+    // yet they measured nothing, so the generator, its point and the
+    // record's provenance all grade suspect.
+    let spec = LoadSpec {
+        name: "sim_clamped",
+        produces: "a service too fast for its clock",
+        unit: "ops/s",
+        requires: &[],
+        bytes_per_op: |_| 0,
+        ops_per_rep: |_| 1,
+        make: |_| {
+            let clock = SimClock::new(3).with_read_overhead_ns(5.0);
+            Ok(Box::new(SimServerGen::new(
+                &clock,
+                CostModel::Constant { ns: 1.0 },
+            )))
+        },
+    };
+    let (curve, record) = runner(2).scale(&spec);
+    assert_eq!(curve.points.len(), 2);
+    for point in &curve.points {
+        assert!(point.is_ok(), "P={}: {:?}", point.p, point.error);
+        assert_eq!(point.quality, "suspect", "P={}", point.p);
+        assert_eq!(point.generators.len(), point.p as usize);
+        for generator in &point.generators {
+            assert_eq!(
+                generator.quality, "suspect",
+                "P={} generator {}",
+                point.p, generator.index
+            );
+        }
+    }
+    let provenance = record.provenance.expect("provenance");
+    assert_eq!(provenance.quality, "suspect");
+    assert!(provenance.clamped_samples > 0);
+}
+
 /// Runs the CLI with `TMPDIR` pointing nowhere (on the child only) and
 /// returns its exit code and the single record's status.
 fn cli_without_tmpdir(args: &[&str]) -> (Option<i32>, BenchStatus) {
