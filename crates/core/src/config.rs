@@ -105,11 +105,6 @@ pub struct SuiteConfig {
     pub retry: RetryPolicy,
     /// Worker threads for non-exclusive benchmarks (1 = fully serial).
     pub workers: usize,
-    /// Seed for a fully virtual run: `Some(seed)` swaps the real clock and
-    /// real benchmark bodies for a seeded [`lmb_timing::SimClock`] plus
-    /// scripted cost models, so an entire suite executes deterministically
-    /// in milliseconds. `None` (the default) runs against the hardware.
-    pub sim_seed: Option<u64>,
 }
 
 impl SuiteConfig {
@@ -131,7 +126,6 @@ impl SuiteConfig {
             bench_timeout: Duration::from_secs(900),
             retry: RetryPolicy::on_noise(),
             workers: 1,
-            sim_seed: None,
         }
     }
 
@@ -152,7 +146,6 @@ impl SuiteConfig {
             bench_timeout: Duration::from_secs(120),
             retry: RetryPolicy::never(),
             workers: 2,
-            sim_seed: None,
         }
     }
 
@@ -195,14 +188,6 @@ impl SuiteConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Requests a fully virtual run seeded with `seed` (see
-    /// [`SuiteConfig::sim_seed`]).
-    #[must_use]
-    pub fn with_sim_seed(mut self, seed: u64) -> Self {
-        self.sim_seed = Some(seed);
         self
     }
 

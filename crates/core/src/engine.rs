@@ -23,7 +23,7 @@ use crate::host::host_name;
 use crate::registry::{Benchmark, Registry};
 use lmb_results::{
     BenchRecord, BenchStatus, CounterDelta, HarnessMetrics, MetricValue, Provenance, ResourceUsage,
-    RunReport, SuiteRun, TablePatch,
+    RunReport, SimProvenance, SuiteRun, TablePatch,
 };
 use lmb_sys::{RusageDelta, RusageSnapshot};
 use lmb_timing::{
@@ -61,6 +61,18 @@ impl EngineClock {
             EngineClock::Real(_) => None,
             EngineClock::Sim(sim) => Some(sim),
         }
+    }
+
+    /// The report's record of the sim clock's configuration, when this
+    /// engine runs under virtual time.
+    #[must_use]
+    pub fn provenance(&self) -> Option<SimProvenance> {
+        self.sim().map(|sim| SimProvenance {
+            seed: sim.seed(),
+            resolution_ns: sim.resolution_ns(),
+            read_overhead_ns: sim.read_overhead_ns(),
+            read_jitter_ns: sim.read_jitter_ns(),
+        })
     }
 }
 
@@ -411,12 +423,7 @@ impl Engine {
                 .map(|slot| slot.expect("every benchmark produced a record").0)
                 .collect(),
             harness: Some(harness),
-            sim: self.clock.sim().map(|sim| lmb_results::SimProvenance {
-                seed: sim.seed(),
-                resolution_ns: sim.resolution_ns(),
-                read_overhead_ns: sim.read_overhead_ns(),
-                read_jitter_ns: sim.read_jitter_ns(),
-            }),
+            sim: self.clock.provenance(),
             ..Default::default()
         };
         emit(|| EventKind::SuiteEnd {

@@ -9,8 +9,8 @@ use bytes::Bytes;
 use lmb_metrics::{Counter, Histogram, Rows};
 use lmb_results::ReportStore;
 use lmb_rpc::{
-    Registry, RpcMetrics, RpcServer, ServerOptions, RESULTS_PROC_DIFF, RESULTS_PROC_HISTORY,
-    RESULTS_PROC_PUSH, RESULTS_PROC_STATS, RESULTS_PROC_TABLE, RESULTS_PROGRAM, RESULTS_VERSION,
+    Registry, RpcMetrics, RpcServer, RESULTS_PROC_DIFF, RESULTS_PROC_HISTORY, RESULTS_PROC_PUSH,
+    RESULTS_PROC_STATS, RESULTS_PROC_TABLE, RESULTS_PROGRAM, RESULTS_VERSION,
 };
 use lmb_sys::signal::{install_handler, Signal};
 use lmb_trace::{ContextGuard, EventKind, SpanId};
@@ -131,9 +131,6 @@ pub struct ServiceConfig {
     pub batch_size: usize,
     /// Sealed segments per shard before they merge into one.
     pub compact_threshold: usize,
-    /// Largest RPC record accepted from a peer; larger ones drop the
-    /// connection before buffering.
-    pub max_record_bytes: usize,
 }
 
 impl Default for ServiceConfig {
@@ -142,7 +139,6 @@ impl Default for ServiceConfig {
             data_dir: PathBuf::from(".lmbench/service"),
             batch_size: 8,
             compact_threshold: 4,
-            max_record_bytes: 4 << 20,
         }
     }
 }
@@ -160,8 +156,9 @@ pub struct ResultsService {
 
 impl ResultsService {
     /// Opens the store, binds an ephemeral TCP port, and registers the
-    /// four results procedures on a concurrent [`RpcServer`]. The calling
-    /// thread's trace, if any, is the daemon's audit log.
+    /// results procedures on an [`RpcServer`] that records into the
+    /// daemon's metrics. The calling thread's trace, if any, is the
+    /// daemon's audit log.
     pub fn start(config: ServiceConfig) -> io::Result<ResultsService> {
         let ctx = lmb_trace::current();
         let shared = Arc::new(Mutex::new(Shared {
@@ -173,14 +170,7 @@ impl ResultsService {
             diffs: HashMap::new(),
         }));
         let metrics = Arc::new(ServiceMetrics::default());
-        let server = RpcServer::start_with(
-            Registry::new(),
-            ServerOptions {
-                concurrent: true,
-                max_record_bytes: Some(config.max_record_bytes),
-                metrics: Some(metrics.rpc.clone()),
-            },
-        )?;
+        let server = RpcServer::start_with(Registry::new(), metrics.rpc.clone())?;
 
         let m = &metrics;
         let s = shared.clone();
@@ -392,7 +382,6 @@ mod tests {
             data_dir: std::env::temp_dir().join(format!("lmb-daemon-{}-{n}", std::process::id())),
             batch_size: 2,
             compact_threshold: 3,
-            max_record_bytes: 4 << 20,
         }
     }
 

@@ -12,8 +12,8 @@
 //!   string.
 //! - [`SegmentStore`] — fingerprint-sharded, append-only time series with
 //!   batched segment files and compaction.
-//! - [`ResultsService`] — the daemon: a concurrent [`lmb_rpc::RpcServer`]
-//!   with the store behind it.
+//! - [`ResultsService`] — the daemon: an [`lmb_rpc::RpcServer`] with the
+//!   store behind it.
 //! - [`ReportClient`] — the fleet side: push and query with bounded
 //!   retry/backoff.
 

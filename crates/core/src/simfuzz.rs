@@ -23,7 +23,7 @@ use crate::engine::{Engine, EngineClock, EngineOutcome};
 use crate::output::{BenchOutput, Unit};
 use crate::registry::{BenchRunner, Benchmark, Category, Registry};
 use crate::scale::{omission_gap, LoadGen, LoadMode, LoadRunner, SimServerGen};
-use lmb_results::{ReportDiff, RunReport, SimProvenance};
+use lmb_results::{ReportDiff, RunReport};
 use lmb_timing::{ClockInfo, CostModel, SimClock, SplitMix, TimeUnit};
 use std::sync::Arc;
 
@@ -259,14 +259,12 @@ fn scripted_benchmark(bench: &ScriptedBench, sim: &SimClock) -> Benchmark {
     )
 }
 
-/// The suite configuration scenarios run under: quick sizing, the
-/// noise-retry policy armed (so the retry path is inside the fuzzed
-/// surface), and the scenario's seed recorded for provenance.
+/// The suite configuration scenarios run under: quick sizing and the
+/// noise-retry policy armed, so the retry path is inside the fuzzed
+/// surface.
 #[must_use]
-pub fn scenario_config(scenario: &Scenario) -> SuiteConfig {
-    SuiteConfig::quick()
-        .with_retry(RetryPolicy::on_noise())
-        .with_sim_seed(scenario.seed)
+pub fn scenario_config() -> SuiteConfig {
+    SuiteConfig::quick().with_retry(RetryPolicy::on_noise())
 }
 
 /// Drives one scenario through the full engine under virtual time.
@@ -278,7 +276,7 @@ pub fn scenario_config(scenario: &Scenario) -> SuiteConfig {
 #[must_use]
 pub fn run_scenario(scenario: &Scenario) -> EngineOutcome {
     let sim = scenario.clock();
-    let engine = Engine::new(scenario.registry(&sim), scenario_config(scenario))
+    let engine = Engine::new(scenario.registry(&sim), scenario_config())
         .expect("quick preset validates")
         .with_clock(EngineClock::Sim(sim));
     engine.execute()
@@ -404,15 +402,11 @@ pub fn load_sim_rig(seed: u64) -> (SimClock, CostModel) {
 #[must_use]
 pub fn run_load_scenario(seed: u64) -> RunReport {
     let (sim, model) = load_sim_rig(seed);
-    let provenance = SimProvenance {
-        seed,
-        resolution_ns: sim.resolution_ns(),
-        read_overhead_ns: sim.read_overhead_ns(),
-        read_jitter_ns: sim.read_jitter_ns(),
-    };
-    let runner = LoadRunner::new(SuiteConfig::quick().with_sim_seed(seed))
+    let clock = EngineClock::Sim(sim.clone());
+    let provenance = clock.provenance();
+    let runner = LoadRunner::new(SuiteConfig::quick())
         .expect("quick preset validates")
-        .with_clock(EngineClock::Sim(sim.clone()))
+        .with_clock(clock)
         .with_ops(256);
     let make = move || -> Result<Box<dyn LoadGen>, String> {
         Ok(Box::new(SimServerGen::new(&sim, model)))
@@ -427,7 +421,7 @@ pub fn run_load_scenario(seed: u64) -> RunReport {
     RunReport {
         records: vec![record],
         rate_sweeps: sweeps,
-        sim: Some(provenance),
+        sim: provenance,
         ..RunReport::default()
     }
 }

@@ -2,15 +2,14 @@
 //!
 //! A server owns a set of [`Procedure`] handlers keyed by (program,
 //! version, procedure); each incoming call is decoded, dispatched, and
-//! answered with a success or fault reply. Two TCP service disciplines
-//! are available through [`ServerOptions`]:
-//!
-//! * **Serial** (the default): one connection at a time, matching the
-//!   paper's strictly request/response benchmark setup — no thread churn
-//!   in the measured path.
-//! * **Concurrent**: a thread per accepted connection, for the results
-//!   daemon's many-hosts ingest workload, with an optional per-record
-//!   byte cap so a buggy or hostile peer cannot balloon memory.
+//! answered with a success or fault reply. There is one TCP discipline:
+//! one thread accepts, and each accepted connection is served on its own
+//! thread until the peer closes it. The benchmarks (Tables 12–13) and the
+//! results daemon therefore measure and run the same code path. A
+//! connection thread re-checks the stop flag at every idle read timeout,
+//! so dropping a server is bounded even while a peer stays connected, and
+//! a record larger than [`MAX_RECORD_BYTES`] closes its connection before
+//! it is buffered.
 
 use crate::message::{Body, RpcFault, RpcMessage};
 use crate::record::{read_record_limited, write_record};
@@ -25,13 +24,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Largest reassembled TCP record a server accepts from a peer; a larger
+/// one closes the connection without being buffered, so a buggy or
+/// hostile peer cannot balloon memory.
+pub const MAX_RECORD_BYTES: usize = 4 << 20;
+
 /// A procedure implementation: XDR-encoded args in, XDR-encoded result out.
 ///
 /// Returning `Err` produces a `GARBAGE_ARGS` fault.
 pub type Procedure = Box<dyn Fn(Bytes) -> Result<Bytes, ()> + Send + Sync>;
 
 /// A server's own instruments, under `rpc.*` row names. Only a server
-/// started with [`ServerOptions::metrics`] set records into them; the
+/// started with [`RpcServer::start_with`] records into them; the
 /// benchmark servers (Tables 12–13) carry none, so their echo path
 /// touches no instrument at all.
 #[derive(Debug, Default)]
@@ -118,21 +122,6 @@ impl Dispatch {
     }
 }
 
-/// Service-discipline knobs for [`RpcServer::start_with`].
-#[derive(Debug, Clone, Default)]
-pub struct ServerOptions {
-    /// Serve each accepted TCP connection on its own thread instead of
-    /// one at a time. Live connection threads are joined on shutdown.
-    pub concurrent: bool,
-    /// Largest reassembled TCP record accepted from a peer; larger
-    /// records close the connection without being buffered. `None`
-    /// keeps the per-fragment cap only (the benchmark default).
-    pub max_record_bytes: Option<usize>,
-    /// Instruments to record into. `None` (the benchmark default)
-    /// records nothing.
-    pub metrics: Option<Arc<RpcMetrics>>,
-}
-
 /// An RPC server serving registered programs over loopback TCP and UDP.
 pub struct RpcServer {
     dispatch: Arc<RwLock<Dispatch>>,
@@ -146,14 +135,18 @@ pub struct RpcServer {
 
 impl RpcServer {
     /// Binds loopback TCP and UDP transports and starts their service
-    /// threads with the default (serial) discipline. Registered programs
-    /// are announced in `registry`.
+    /// threads, recording into no instruments. Registered programs are
+    /// announced in `registry`.
     pub fn start(registry: Registry) -> io::Result<Self> {
-        Self::start_with(registry, ServerOptions::default())
+        Self::serve(registry, None)
     }
 
-    /// [`RpcServer::start`] with explicit [`ServerOptions`].
-    pub fn start_with(registry: Registry, options: ServerOptions) -> io::Result<Self> {
+    /// [`RpcServer::start`] that records its traffic into `metrics`.
+    pub fn start_with(registry: Registry, metrics: Arc<RpcMetrics>) -> io::Result<Self> {
+        Self::serve(registry, Some(metrics))
+    }
+
+    fn serve(registry: Registry, metrics: Option<Arc<RpcMetrics>>) -> io::Result<Self> {
         let dispatch = Arc::new(RwLock::new(Dispatch::default()));
         let stop = Arc::new(AtomicBool::new(false));
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
@@ -164,18 +157,14 @@ impl RpcServer {
         let udp_port = udp.local_addr()?.port();
         udp.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
 
-        let udp_metrics = options.metrics.clone();
+        let udp_metrics = metrics.clone();
         let mut threads = Vec::new();
         {
             let dispatch = Arc::clone(&dispatch);
             let stop = Arc::clone(&stop);
             let conn_threads = Arc::clone(&conn_threads);
             threads.push(std::thread::spawn(move || {
-                if options.concurrent {
-                    tcp_accept_concurrent(&listener, &dispatch, &stop, &conn_threads, &options);
-                } else {
-                    tcp_loop(&listener, &dispatch, &stop, &options);
-                }
+                tcp_accept(&listener, &dispatch, &stop, &conn_threads, metrics);
             }));
         }
         {
@@ -227,50 +216,20 @@ impl Drop for RpcServer {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Concurrent-mode connection threads notice the stop flag at
-        // their next read timeout (bounded at 100 ms).
+        // Connection threads notice the stop flag at their next read
+        // timeout (bounded at 100 ms).
         for t in self.conn_threads.lock().drain(..) {
             let _ = t.join();
         }
     }
 }
 
-fn tcp_loop(
+fn tcp_accept(
     listener: &TcpListener,
     dispatch: &Arc<RwLock<Dispatch>>,
     stop: &Arc<AtomicBool>,
-    options: &ServerOptions,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        let (mut conn, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => continue,
-        };
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let _ = conn.set_nodelay(true);
-        let _active = ActiveGuard::open(options.metrics.as_deref());
-        // Serve this connection until it closes; benchmark clients hold one
-        // connection for the whole run.
-        let max = options.max_record_bytes.unwrap_or(usize::MAX);
-        while let Ok(record) = read_record_limited(&mut conn, max) {
-            let Some(encoded) = serve_record(dispatch, options.metrics.as_deref(), record) else {
-                break;
-            };
-            if write_record(&mut conn, &encoded).is_err() {
-                break;
-            }
-        }
-    }
-}
-
-fn tcp_accept_concurrent(
-    listener: &TcpListener,
-    dispatch: &Arc<RwLock<Dispatch>>,
-    stop: &Arc<AtomicBool>,
-    conn_threads: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    options: &ServerOptions,
+    conn_threads: &Mutex<Vec<std::thread::JoinHandle<()>>>,
+    metrics: Option<Arc<RpcMetrics>>,
 ) {
     while !stop.load(Ordering::Relaxed) {
         let (conn, _) = match listener.accept() {
@@ -282,36 +241,34 @@ fn tcp_accept_concurrent(
         }
         let dispatch = Arc::clone(dispatch);
         let stop = Arc::clone(stop);
-        let max = options.max_record_bytes.unwrap_or(usize::MAX);
-        let metrics = options.metrics.clone();
+        let metrics = metrics.clone();
         let mut threads = conn_threads.lock();
         // Dropping a finished thread's handle detaches it; a long-running
         // server keeps handles only for live connections.
         threads.retain(|t| !t.is_finished());
         threads.push(std::thread::spawn(move || {
-            serve_connection(conn, &dispatch, &stop, max, metrics.as_deref());
+            serve_connection(conn, &dispatch, &stop, metrics.as_deref());
         }));
     }
 }
 
-/// Serves one concurrent-mode connection until the peer closes it, an
-/// unrecoverable framing error occurs, or the server stops. The read
-/// timeout is only ever hit while *idle between records* with a
-/// well-formed peer (a record, once its header arrives, follows
-/// immediately on loopback), so timing out and re-checking the stop flag
-/// cannot tear a record in practice.
+/// Serves one connection until the peer closes it, an unrecoverable
+/// framing error occurs, or the server stops. The read timeout is only
+/// ever hit while *idle between records* with a well-formed peer (a
+/// record, once its header arrives, follows immediately on loopback), so
+/// timing out and re-checking the stop flag cannot tear a record in
+/// practice.
 fn serve_connection(
     mut conn: TcpStream,
     dispatch: &Arc<RwLock<Dispatch>>,
     stop: &Arc<AtomicBool>,
-    max_record_bytes: usize,
     metrics: Option<&RpcMetrics>,
 ) {
     let _ = conn.set_nodelay(true);
     let _ = conn.set_read_timeout(Some(std::time::Duration::from_millis(100)));
     let _active = ActiveGuard::open(metrics);
     while !stop.load(Ordering::Relaxed) {
-        let record = match read_record_limited(&mut conn, max_record_bytes) {
+        let record = match read_record_limited(&mut conn, MAX_RECORD_BYTES) {
             Ok(record) => record,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -467,59 +424,41 @@ mod tests {
 
     #[test]
     fn a_server_with_metrics_counts_its_own_traffic() {
-        for concurrent in [false, true] {
-            let metrics = Arc::new(RpcMetrics::default());
-            let server = RpcServer::start_with(
-                Registry::new(),
-                ServerOptions {
-                    concurrent,
-                    metrics: Some(Arc::clone(&metrics)),
-                    ..ServerOptions::default()
-                },
-            )
-            .unwrap();
-            server.register(5, 1, 0, Box::new(Ok));
-            let addr = ("127.0.0.1", server.tcp_port());
+        let metrics = Arc::new(RpcMetrics::default());
+        let server = RpcServer::start_with(Registry::new(), Arc::clone(&metrics)).unwrap();
+        server.register(5, 1, 0, Box::new(Ok));
+        let addr = ("127.0.0.1", server.tcp_port());
 
-            let args = Bytes::from_static(b"1234");
-            let mut client = crate::RpcClient::connect_tcp(addr, 5, 1).unwrap();
-            assert_eq!(client.call(0, args.clone()).unwrap(), args);
-            assert!(client.call(7, Bytes::new()).is_err(), "unknown procedure");
-            drop(client);
-            // A peer that connects and leaves without a call.
-            drop(TcpStream::connect(addr).unwrap());
+        let args = Bytes::from_static(b"1234");
+        let mut client = crate::RpcClient::connect_tcp(addr, 5, 1).unwrap();
+        assert_eq!(client.call(0, args.clone()).unwrap(), args);
+        assert!(client.call(7, Bytes::new()).is_err(), "unknown procedure");
+        drop(client);
+        // A peer that connects and leaves without a call.
+        drop(TcpStream::connect(addr).unwrap());
 
-            let deadline = Instant::now() + std::time::Duration::from_secs(10);
-            while metrics.connections.get() < 2 || metrics.active.get() != 0 {
-                assert!(Instant::now() < deadline, "connections never closed");
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            let len = |m: RpcMessage| m.encode().len() as u64;
-            let calls = len(RpcMessage::call(1, 5, 1, 0, args.clone()))
-                + len(RpcMessage::call(2, 5, 1, 7, Bytes::new()));
-            let replies = len(RpcMessage::reply_success(1, args))
-                + len(RpcMessage::reply_fault(2, RpcFault::ProcedureUnavailable));
-            assert_eq!(metrics.requests.get(), 2, "concurrent={concurrent}");
-            assert_eq!(metrics.faults.get(), 1);
-            assert_eq!(metrics.bytes_in.get(), calls);
-            assert_eq!(metrics.bytes_out.get(), replies);
-            assert_eq!(metrics.connections.get(), 2);
-            assert_eq!(metrics.latency_us.count(), 1, "only the answered call");
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while metrics.connections.get() < 2 || metrics.active.get() != 0 {
+            assert!(Instant::now() < deadline, "connections never closed");
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
+        let len = |m: RpcMessage| m.encode().len() as u64;
+        let calls = len(RpcMessage::call(1, 5, 1, 0, args.clone()))
+            + len(RpcMessage::call(2, 5, 1, 7, Bytes::new()));
+        let replies = len(RpcMessage::reply_success(1, args))
+            + len(RpcMessage::reply_fault(2, RpcFault::ProcedureUnavailable));
+        assert_eq!(metrics.requests.get(), 2);
+        assert_eq!(metrics.faults.get(), 1);
+        assert_eq!(metrics.bytes_in.get(), calls);
+        assert_eq!(metrics.bytes_out.get(), replies);
+        assert_eq!(metrics.connections.get(), 2);
+        assert_eq!(metrics.latency_us.count(), 1, "only the answered call");
     }
 
     #[test]
     fn finished_connection_threads_are_not_retained() {
         let metrics = Arc::new(RpcMetrics::default());
-        let server = RpcServer::start_with(
-            Registry::new(),
-            ServerOptions {
-                concurrent: true,
-                metrics: Some(Arc::clone(&metrics)),
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
+        let server = RpcServer::start_with(Registry::new(), Arc::clone(&metrics)).unwrap();
         server.register(5, 1, 0, Box::new(Ok));
         let args = Bytes::from_static(b"1234");
         for _ in 0..64 {

@@ -9,20 +9,16 @@
 use bytes::Bytes;
 use lmb_rpc::{
     read_record, write_record, Body, CallError, Protocol, Registry, ReplyBody, RpcClient, RpcFault,
-    RpcMessage, RpcServer, ServerOptions, XdrEncoder, ECHO_PROC, ECHO_PROGRAM, ECHO_VERSION,
+    RpcMessage, RpcServer, XdrEncoder, ECHO_PROC, ECHO_PROGRAM, ECHO_VERSION, MAX_RECORD_BYTES,
 };
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 
-fn echo_server_with(options: ServerOptions) -> (RpcServer, Registry) {
+fn echo_server() -> (RpcServer, Registry) {
     let registry = Registry::new();
-    let server = RpcServer::start_with(registry.clone(), options).unwrap();
+    let server = RpcServer::start(registry.clone()).unwrap();
     server.register(ECHO_PROGRAM, ECHO_VERSION, ECHO_PROC, Box::new(Ok));
     (server, registry)
-}
-
-fn echo_server() -> (RpcServer, Registry) {
-    echo_server_with(ServerOptions::default())
 }
 
 #[test]
@@ -74,7 +70,6 @@ fn unknown_targets_fault_specifically() {
     let (server, _registry) = echo_server();
     let addr = ("127.0.0.1", server.tcp_port());
 
-    // Serial server: each client must close before the next connects.
     {
         let mut client = RpcClient::connect_tcp(addr, 0xdead_beef, 1).unwrap();
         match client.call(0, Bytes::new()) {
@@ -125,21 +120,18 @@ fn wrong_rpc_version_is_denied_not_served() {
 
 #[test]
 fn oversized_payload_drops_the_connection() {
-    let (server, _registry) = echo_server_with(ServerOptions {
-        concurrent: true,
-        max_record_bytes: Some(1 << 10),
-        ..ServerOptions::default()
-    });
+    let (server, _registry) = echo_server();
     let addr = ("127.0.0.1", server.tcp_port());
 
-    // Small payloads pass under the cap.
+    // A payload that fits under the cap with its envelope is echoed.
     let mut client = RpcClient::connect_tcp(addr, ECHO_PROGRAM, ECHO_VERSION).unwrap();
-    let reply = client.call(ECHO_PROC, Bytes::from_static(b"tiny")).unwrap();
-    assert_eq!(reply.as_ref(), b"tiny");
+    let fits = Bytes::from(vec![7u8; MAX_RECORD_BYTES - 1024]);
+    assert_eq!(client.call(ECHO_PROC, fits.clone()).unwrap(), fits);
 
-    // A 64 KiB record blows the 1 KiB cap: the server refuses to buffer
-    // it and hangs up, which the client sees as a transport error.
-    let big = Bytes::from(vec![0u8; 64 << 10]);
+    // A payload of exactly the cap makes a record just over it once the
+    // envelope is added: the server refuses to buffer it and hangs up,
+    // which the client sees as a transport error.
+    let big = Bytes::from(vec![0u8; MAX_RECORD_BYTES]);
     match client.call(ECHO_PROC, big) {
         Err(CallError::Io(_)) => {}
         other => panic!("expected Io error for oversized record, got {other:?}"),
@@ -152,14 +144,10 @@ fn oversized_payload_drops_the_connection() {
 }
 
 #[test]
-fn concurrent_server_interleaves_connections() {
-    // With the serial discipline a second connection waits for the first
-    // to close; the daemon's discipline must not.
-    let (server, _registry) = echo_server_with(ServerOptions {
-        concurrent: true,
-        max_record_bytes: None,
-        ..ServerOptions::default()
-    });
+fn server_interleaves_connections() {
+    // Each connection has its own thread, so a second connection does
+    // not wait for the first to close.
+    let (server, _registry) = echo_server();
     let addr = ("127.0.0.1", server.tcp_port());
 
     let mut first = RpcClient::connect_tcp(addr, ECHO_PROGRAM, ECHO_VERSION).unwrap();
@@ -190,12 +178,8 @@ fn concurrent_server_interleaves_connections() {
 }
 
 #[test]
-fn concurrent_server_survives_a_thundering_herd() {
-    let (server, _registry) = echo_server_with(ServerOptions {
-        concurrent: true,
-        max_record_bytes: Some(1 << 20),
-        ..ServerOptions::default()
-    });
+fn server_survives_a_thundering_herd() {
+    let (server, _registry) = echo_server();
     let port = server.tcp_port();
     let threads: Vec<_> = (0..16u32)
         .map(|t| {

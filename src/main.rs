@@ -51,7 +51,7 @@ use lmbench::core::{
 };
 use lmbench::results::{
     fingerprint, load_entry, render_side_by_side, Baseline, BaselineStore, ReportDiff, ResultsDb,
-    RunReport, SimProvenance,
+    RunReport,
 };
 use lmbench::timing::{ArrivalProcess, Harness};
 use lmbench::trace::{
@@ -309,10 +309,7 @@ fn load_command(args: &[String]) -> ExitCode {
         },
         None => None,
     };
-    let mut config = config_from_args(args);
-    if let Some(seed) = sim_seed {
-        config = config.with_sim_seed(seed);
-    }
+    let config = config_from_args(args);
     let mut runner = match LoadRunner::new(config) {
         Ok(r) => r,
         Err(err) => return fail(&err),
@@ -325,15 +322,9 @@ fn load_command(args: &[String]) -> ExitCode {
     let mut sim_provenance = None;
     if let Some(seed) = sim_seed {
         let (sim, model) = load_sim_rig(seed);
-        sim_provenance = Some(SimProvenance {
-            seed,
-            resolution_ns: sim.resolution_ns(),
-            read_overhead_ns: sim.read_overhead_ns(),
-            read_jitter_ns: sim.read_jitter_ns(),
-        });
-        runner = runner
-            .with_clock(EngineClock::Sim(sim.clone()))
-            .with_ops(256);
+        let clock = EngineClock::Sim(sim.clone());
+        sim_provenance = clock.provenance();
+        runner = runner.with_clock(clock).with_ops(256);
         targets.push((
             "sim_server",
             "virtual service latency under offered load",
@@ -875,7 +866,7 @@ fn main() -> ExitCode {
                     let sim = scenario.clock();
                     (
                         scenario.registry(&sim),
-                        scenario_config(&scenario),
+                        scenario_config(),
                         EngineClock::Sim(sim),
                     )
                 }

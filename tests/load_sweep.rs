@@ -21,7 +21,7 @@ use lmbench::trace::{EventKind, MemorySink, Trace};
 fn sim_runner(seed: u64, service_ns: f64) -> (LoadRunner, SimClock, CostModel) {
     let sim = SimClock::new(seed);
     let model = CostModel::Constant { ns: service_ns };
-    let runner = LoadRunner::new(SuiteConfig::quick().with_sim_seed(seed))
+    let runner = LoadRunner::new(SuiteConfig::quick())
         .expect("quick config is valid")
         .with_clock(EngineClock::Sim(sim.clone()))
         .with_ops(256);

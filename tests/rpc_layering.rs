@@ -60,3 +60,41 @@ fn rpc_payloads_round_trip_through_both_transports() {
 fn bytes_of(len: usize) -> bytes::Bytes {
     bytes::Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
 }
+
+/// Runs `f` on its own thread and waits up to 2 s for it to finish.
+fn within_two_seconds<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(2)).ok()
+}
+
+fn connect_and_ping(registry: &Registry) -> client::RpcClient {
+    let mut cli =
+        client::RpcClient::connect(registry, ECHO_PROGRAM, ECHO_VERSION, Protocol::Tcp).unwrap();
+    let ping = bytes_of(4);
+    assert_eq!(cli.call(ECHO_PROC, ping.clone()).unwrap(), ping);
+    cli
+}
+
+#[test]
+fn a_second_tcp_client_is_served_while_the_first_stays_idle() {
+    let (_server, registry) = echo_registry();
+    let _idle = connect_and_ping(&registry);
+    let second = within_two_seconds(move || drop(connect_and_ping(&registry)));
+    assert!(
+        second.is_some(),
+        "second client got no reply while the first stayed connected"
+    );
+}
+
+#[test]
+fn dropping_the_server_is_bounded_while_a_client_stays_connected() {
+    let (server, registry) = echo_registry();
+    let _idle = connect_and_ping(&registry);
+    assert!(
+        within_two_seconds(move || drop(server)).is_some(),
+        "dropping the server waited on a connected client"
+    );
+}

@@ -39,7 +39,7 @@ fn pinned_hang_drill_times_out_instantly_under_virtual_time() {
     let hung = scenario.benches[0].name;
     let run = |sab: &str| {
         let sim = scenario.clock();
-        Engine::new(scenario.registry(&sim), scenario_config(&scenario))
+        Engine::new(scenario.registry(&sim), scenario_config())
             .expect("quick preset validates")
             .with_clock(EngineClock::Sim(sim))
             .with_faults(FaultPlan {
