@@ -103,14 +103,10 @@ pub struct SuiteConfig {
     pub bench_timeout: Duration,
     /// When to re-run a noisy benchmark.
     pub retry: RetryPolicy,
-    /// Worker threads for non-exclusive benchmarks (1 = fully serial).
-    pub workers: usize,
 }
 
 impl SuiteConfig {
-    /// Paper-scale parameters — minutes of wall time. Fully serial
-    /// (`workers: 1`): concurrent benchmarks perturb each other's numbers,
-    /// and at paper scale fidelity beats wall clock.
+    /// Paper-scale parameters — minutes of wall time.
     pub fn paper() -> Self {
         Self {
             options: Options::paper(),
@@ -125,12 +121,10 @@ impl SuiteConfig {
             disk_ops: 8192,
             bench_timeout: Duration::from_secs(900),
             retry: RetryPolicy::on_noise(),
-            workers: 1,
         }
     }
 
-    /// Small parameters for smoke tests and CI — a few seconds. Runs
-    /// non-exclusive benchmarks two at a time.
+    /// Small parameters for smoke tests and CI — a few seconds.
     pub fn quick() -> Self {
         Self {
             options: Options::quick().with_repetitions(2),
@@ -145,7 +139,6 @@ impl SuiteConfig {
             disk_ops: 1024,
             bench_timeout: Duration::from_secs(120),
             retry: RetryPolicy::never(),
-            workers: 2,
         }
     }
 
@@ -184,13 +177,6 @@ impl SuiteConfig {
         self
     }
 
-    /// Replaces the worker-pool width for non-exclusive benchmarks.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Validates internal consistency; `Err` names the violated rule.
     pub fn validate(&self) -> Result<(), SuiteError> {
         fn rule(ok: bool, what: &'static str) -> Result<(), SuiteError> {
@@ -211,7 +197,6 @@ impl SuiteConfig {
         rule(self.disk_ops > 0, "no disk ops")?;
         rule(!self.bench_timeout.is_zero(), "zero benchmark timeout")?;
         rule(self.retry.max_attempts > 0, "zero retry attempts")?;
-        rule(self.workers > 0, "zero workers")?;
         Ok(())
     }
 }
@@ -269,12 +254,10 @@ mod tests {
         let c = SuiteConfig::quick()
             .with_timeout(Duration::from_secs(7))
             .with_repetitions(5)
-            .with_retry(RetryPolicy::on_noise())
-            .with_workers(3);
+            .with_retry(RetryPolicy::on_noise());
         assert_eq!(c.bench_timeout, Duration::from_secs(7));
         assert_eq!(c.options.repetitions, 5);
         assert_eq!(c.retry.max_attempts, 2);
-        assert_eq!(c.workers, 3);
         c.validate().unwrap();
     }
 

@@ -10,12 +10,12 @@
 //! under virtual time it runs inline on the engine's thread and is judged
 //! against the virtual deadline, since scripted bodies always return.
 //!
-//! Scheduling follows the registry metadata: entries marked `exclusive`
-//! (memory sweeps, context switching — anything the paper's methodology
-//! wants alone on the machine, §3.4) run serially; everything else runs on
-//! a small worker pool. `derived` entries run in a second phase against a
-//! snapshot of the measured results, replacing the hard-coded composition
-//! the old `run_suite` performed inline.
+//! Every benchmark is measured alone, one at a time, as the paper's
+//! methodology requires (§3.4). The registry metadata orders the run:
+//! ordinary entries first, then those marked `exclusive` (memory sweeps,
+//! context switching), each in registry order; `derived` entries run last
+//! against a snapshot of the measured results, replacing the hard-coded
+//! composition the old `run_suite` performed inline.
 
 use crate::config::SuiteConfig;
 use crate::error::SuiteError;
@@ -31,10 +31,10 @@ use lmb_timing::{
     HarnessBudget, Measurement, PerfCounters, Quality, RealClock, SimClock, TimeSource,
 };
 use lmb_trace::{emit, emit_in, ContextGuard, EventKind, Span, SpanId, Trace};
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// The clock every engine-level decision reads: scheduling stamps, phase
@@ -104,23 +104,22 @@ impl TimeSource for EngineClock {
 
 /// Per-execute phase accounting, in nanoseconds. Owned by one `execute`
 /// call (never global), so concurrent engines — parallel tests, nested
-/// harnesses — cannot pollute each other's budgets. Pool workers add
-/// concurrently, which is why the fields are atomics; the sums are
-/// therefore CPU-ish time and may exceed the suite's wall clock.
+/// harnesses — cannot pollute each other's budgets. Benchmarks run one at
+/// a time, so the phase sums fit inside the suite's wall clock.
 #[derive(Default)]
 struct PhaseBudget {
     /// Warm-up and calibration time, billed by every attempt's harness.
     /// Shared through an `Arc` because on the real clock the harness
     /// runs on its `bench-<name>` thread, which may outlive the run.
     harness: Arc<HarnessBudget>,
-    probe_ns: AtomicU64,
-    attempt_ns: AtomicU64,
-    retry_ns: AtomicU64,
+    probe_ns: Cell<u64>,
+    attempt_ns: Cell<u64>,
+    retry_ns: Cell<u64>,
     /// Benchmark threads abandoned past their watchdog deadline that are
     /// still (possibly) running. A nonzero count means later records in
     /// the same run are `contended`: the zombie holds its substrate and
-    /// competes for CPU even through the exclusive phase.
-    leaked_threads: AtomicU32,
+    /// competes for CPU with every benchmark that follows.
+    leaked_threads: Cell<u32>,
     /// Set once this run's host denied hardware counters: later attempts
     /// stop opening them and the run has already said so in its trace.
     /// Shared with the bench threads, which open the counters.
@@ -131,13 +130,13 @@ struct PhaseBudget {
 /// under simulation) into a [`PhaseBudget`] field on drop, so every
 /// `break`/`continue` path through the attempt loop is accounted.
 struct PhaseTimer<'a> {
-    sink: &'a AtomicU64,
+    sink: &'a Cell<u64>,
     clock: &'a EngineClock,
     started: f64,
 }
 
 impl<'a> PhaseTimer<'a> {
-    fn start(clock: &'a EngineClock, sink: &'a AtomicU64) -> Self {
+    fn start(clock: &'a EngineClock, sink: &'a Cell<u64>) -> Self {
         PhaseTimer {
             sink,
             clock,
@@ -148,10 +147,8 @@ impl<'a> PhaseTimer<'a> {
 
 impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
-        self.sink.fetch_add(
-            (self.clock.now_ns() - self.started).max(0.0) as u64,
-            Ordering::Relaxed,
-        );
+        let elapsed = (self.clock.now_ns() - self.started).max(0.0) as u64;
+        self.sink.set(self.sink.get() + elapsed);
     }
 }
 
@@ -239,7 +236,8 @@ pub struct RunCtx {
 }
 
 /// Injected failures, for tests and fault drills. Each field names the
-/// benchmark to sabotage.
+/// benchmark to sabotage; the engine reads the first three, the load
+/// runner ([`crate::LoadRunner`]) the last.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Panic inside this benchmark's runner.
@@ -248,19 +246,32 @@ pub struct FaultPlan {
     pub hang_in: Option<String>,
     /// Make this benchmark's substrate probe report a missing facility.
     pub deny_substrate_in: Option<String>,
+    /// Panic the last generator of this `(bench, p)` scaling point.
+    pub scale_panic_at: Option<(String, u32)>,
 }
 
 impl FaultPlan {
     /// Reads the `LMBENCH_FAULT_PANIC`, `LMBENCH_FAULT_HANG` and
     /// `LMBENCH_FAULT_NOSUBSTRATE` environment variables (each naming a
-    /// benchmark), so fault drills can target a released binary.
+    /// benchmark) and `LMBENCH_FAULT_SCALE_PANIC="bench@p"`, so fault
+    /// drills can target a released binary.
     #[must_use]
     pub fn from_env() -> Self {
         FaultPlan {
             panic_in: std::env::var("LMBENCH_FAULT_PANIC").ok(),
             hang_in: std::env::var("LMBENCH_FAULT_HANG").ok(),
             deny_substrate_in: std::env::var("LMBENCH_FAULT_NOSUBSTRATE").ok(),
+            scale_panic_at: std::env::var("LMBENCH_FAULT_SCALE_PANIC")
+                .ok()
+                .and_then(|v| parse_scale_point(&v)),
         }
+    }
+
+    /// Whether the plan panics the `(bench, p)` scaling point.
+    pub(crate) fn scale_panic_hits(&self, bench: &str, p: u32) -> bool {
+        self.scale_panic_at
+            .as_ref()
+            .is_some_and(|(b, fp)| b == bench && *fp == p)
     }
 
     fn names(&self, bench: &str) -> (bool, bool, bool) {
@@ -271,6 +282,12 @@ impl FaultPlan {
             hit(&self.deny_substrate_in),
         )
     }
+}
+
+/// Parses a `bench@p` scaling point.
+pub(crate) fn parse_scale_point(v: &str) -> Option<(String, u32)> {
+    let (bench, p) = v.split_once('@')?;
+    Some((bench.to_string(), p.parse().ok()?))
 }
 
 /// What [`Engine::execute`] produces.
@@ -324,17 +341,16 @@ impl Engine {
 
     /// Runs every registered benchmark and returns the partial result set
     /// plus the run report. Never panics on a benchmark's behalf.
+    ///
+    /// Benchmarks run one at a time on the calling thread, in three
+    /// phases: ordinary entries, then `exclusive` ones, each in registry
+    /// order, then `derived` ones against the measured snapshot. The trace
+    /// vocabulary is pinned by a golden, so the first phase is named
+    /// `pool`, every `schedule` event names worker 0 and `suite_start` one
+    /// worker.
     pub fn execute(&self) -> EngineOutcome {
         let host = host_name();
         let benches = self.registry.all();
-        // Virtual runs are single-worker by decree: a shared SimClock has
-        // no scheduler, so concurrent workers would interleave virtual
-        // advances nondeterministically and break same-seed byte identity.
-        let workers = if self.clock.is_virtual() {
-            1
-        } else {
-            self.config.workers.max(1)
-        };
         // The self-budget brackets: wall clock here, and the run's trace
         // counts at the end. Phase times, the harness's warm-up and
         // calibration included, accumulate in this run's own budget.
@@ -344,54 +360,36 @@ impl Engine {
         let suite_id = suite_span.id();
         emit(|| EventKind::SuiteStart {
             benchmarks: benches.len() as u32,
-            workers: workers as u32,
+            workers: 1,
         });
-        let slots: Mutex<Vec<Option<BenchResult>>> =
-            Mutex::new((0..benches.len()).map(|_| None).collect());
+        let mut slots: Vec<Option<BenchResult>> = (0..benches.len()).map(|_| None).collect();
 
-        // Phase 1a: independent benchmarks on the worker pool.
+        // Phase 1a: measured entries not marked exclusive.
         let empty = SuiteRun::default();
-        let pool_queue: Mutex<VecDeque<usize>> = Mutex::new(
-            (0..benches.len())
-                .filter(|&i| !benches[i].derived && !benches[i].exclusive)
-                .collect(),
-        );
         emit(|| EventKind::PhaseStart {
             phase: "pool".into(),
         });
-        let work = |worker: usize| loop {
-            let idx = pool_queue.lock().expect("queue lock").pop_front();
-            let Some(idx) = idx else { break };
-            emit_in(suite_id, || EventKind::Schedule {
-                bench: benches[idx].name.to_string(),
-                worker: worker as u32,
-            });
-            let result = self.run_one(&benches[idx], &host, &empty, suite_id, workers > 1, &budget);
-            slots.lock().expect("slots lock")[idx] = Some(result);
-        };
-        // The calling thread is worker 0; only workers 1..W-1 get scoped
-        // threads, so a one-worker pool (every virtual run) spawns none.
-        let work = &work;
-        std::thread::scope(|scope| {
-            for worker in 1..workers {
-                scope.spawn(move || work(worker));
+        for (idx, bench) in benches.iter().enumerate() {
+            if !bench.derived && !bench.exclusive {
+                emit_in(suite_id, || EventKind::Schedule {
+                    bench: bench.name.to_string(),
+                    worker: 0,
+                });
+                slots[idx] = Some(self.run_one(bench, &host, &empty, suite_id, &budget));
             }
-            work(0);
-        });
+        }
 
-        // Phase 1b: interference-sensitive benchmarks, strictly serial.
+        // Phase 1b: interference-sensitive benchmarks.
         emit(|| EventKind::PhaseStart {
             phase: "exclusive".into(),
         });
         for (idx, bench) in benches.iter().enumerate() {
             if bench.exclusive && !bench.derived {
-                let result = self.run_one(bench, &host, &empty, suite_id, false, &budget);
-                slots.lock().expect("slots lock")[idx] = Some(result);
+                slots[idx] = Some(self.run_one(bench, &host, &empty, suite_id, &budget));
             }
         }
 
         // Apply measured patches in registry (= table) order.
-        let mut slots = slots.into_inner().expect("slots lock");
         let mut run = SuiteRun::default();
         for (_, patches) in slots.iter_mut().flatten() {
             for patch in std::mem::take(patches) {
@@ -407,8 +405,7 @@ impl Engine {
         for (idx, bench) in benches.iter().enumerate() {
             if bench.derived {
                 let snapshot = run.clone();
-                let (record, patches) =
-                    self.run_one(bench, &host, &snapshot, suite_id, false, &budget);
+                let (record, patches) = self.run_one(bench, &host, &snapshot, suite_id, &budget);
                 for patch in patches {
                     patch.apply(&mut run);
                 }
@@ -444,7 +441,6 @@ impl Engine {
         host: &str,
         snapshot: &SuiteRun,
         suite_span: &SpanId,
-        contended: bool,
         budget: &PhaseBudget,
     ) -> BenchResult {
         let started = self.clock.now_ns();
@@ -510,9 +506,8 @@ impl Engine {
             emit(|| EventKind::Attempt {
                 attempt: record.attempts,
             });
-            // Exact under serial execution (exclusive/derived phases, or a
-            // one-worker pool); with concurrent workers a delta may include
-            // a neighbour's calls — the counters are process-global.
+            // Process-global counters; exact because benchmarks run one at
+            // a time (a thread leaked by an earlier timeout aside).
             let sys_before = lmb_sys::syscall_snapshot();
             let recorder = new_recorder();
             let bench_span = span.id().clone();
@@ -555,9 +550,8 @@ impl Engine {
                 // events land under the right benchmark.
                 let _trace_ctx = ContextGuard::enter(&bench_span);
                 // Thread-scope rusage brackets the runner so the delta is
-                // exactly this attempt's cost, even with pool neighbours
-                // running; taken outside `catch_unwind` so a panicking
-                // attempt still reports what it consumed.
+                // exactly this attempt's cost; taken outside `catch_unwind`
+                // so a panicking attempt still reports what it consumed.
                 let usage_before = RusageSnapshot::thread();
                 // The hardware-counter bracket nests just inside the rusage
                 // one and around `catch_unwind`: a panicking attempt still
@@ -591,9 +585,7 @@ impl Engine {
             // hardware it runs on a detached `bench-<name>` thread and
             // `recv_timeout` enforces the budget in real time; expiry
             // abandons a still-running thread (a tracked leak, below). It
-            // cannot be cancelled, and only its result channel is dropped;
-            // the fork-based `lmb_sys::run_isolated` is the heavier
-            // alternative when abandonment is not acceptable.
+            // cannot be cancelled, and only its result channel is dropped.
             let received = if self.clock.is_virtual() {
                 let t0 = self.clock.now_ns();
                 let result = attempt();
@@ -616,7 +608,8 @@ impl Engine {
                         // keeps its substrate and its CPU until the body
                         // returns, so every later record in this run is
                         // measured on a contended machine.
-                        let leaked = budget.leaked_threads.fetch_add(1, Ordering::Relaxed) + 1;
+                        let leaked = budget.leaked_threads.get() + 1;
+                        budget.leaked_threads.set(leaked);
                         emit(|| EventKind::ThreadLeak {
                             bench: bench.name.to_string(),
                             leaked,
@@ -632,8 +625,8 @@ impl Engine {
             // noise that would break same-seed byte identity, so the
             // record omits them (the tolerant schema already allows it).
             if !self.clock.is_virtual() {
-                let leaked = budget.leaked_threads.load(Ordering::Relaxed) > 0;
-                record.rusage = Some(archive_rusage(&usage, contended || leaked));
+                let leaked = budget.leaked_threads.get() > 0;
+                record.rusage = Some(archive_rusage(&usage, leaked));
                 record.counters = counter_delta.map(archive_counters);
             }
             record.provenance = provenance_from(&take_events(&recorder));
@@ -712,15 +705,15 @@ fn harness_budget(
     budget: &PhaseBudget,
     suite_span: &SpanId,
 ) -> HarnessMetrics {
-    let ns_to_ms = |ns: &AtomicU64| ns.load(Ordering::Relaxed) as f64 / 1e6;
+    let ns_to_ms = |ns: u64| ns as f64 / 1e6;
     let sink = suite_span.trace().map(Trace::stats).unwrap_or_default();
     HarnessMetrics {
         suite_ms: (clock.now_ns() - suite_started).max(0.0) / 1e6,
-        probe_ms: ns_to_ms(&budget.probe_ns),
-        warmup_ms: ns_to_ms(&budget.harness.warmup_ns),
-        calibrate_ms: ns_to_ms(&budget.harness.calibrate_ns),
-        attempt_ms: ns_to_ms(&budget.attempt_ns),
-        retry_ms: ns_to_ms(&budget.retry_ns),
+        probe_ms: ns_to_ms(budget.probe_ns.get()),
+        warmup_ms: ns_to_ms(budget.harness.warmup_ns.load(Ordering::Relaxed)),
+        calibrate_ms: ns_to_ms(budget.harness.calibrate_ns.load(Ordering::Relaxed)),
+        attempt_ms: ns_to_ms(budget.attempt_ns.get()),
+        retry_ms: ns_to_ms(budget.retry_ns.get()),
         trace_events: sink.events,
         trace_bytes: sink.bytes,
         trace_writes: sink.writes,
@@ -752,9 +745,10 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Archives a kernel-accounted attempt cost into the report's shape,
 /// narrating it into the trace on the way. The snapshots are taken on the
 /// bench thread with thread scope, so the CPU-time and fault counts are
-/// this attempt's own; `contended` records that pool neighbours ran
-/// concurrently, which still perturbs maxrss (process-wide) and preemption
-/// counts, so contended deltas must not be compared as isolated-run costs.
+/// this attempt's own; `contended` records that a thread leaked by an
+/// earlier timeout may still be running, which perturbs maxrss
+/// (process-wide) and preemption counts, so contended deltas must not be
+/// compared as isolated-run costs.
 fn archive_rusage(delta: &RusageDelta, contended: bool) -> ResourceUsage {
     emit(|| EventKind::Rusage {
         utime_us: delta.utime_us,
@@ -935,10 +929,6 @@ mod tests {
         Engine::new(Registry::standard().filtered(names).unwrap(), config).unwrap()
     }
 
-    fn fast_config() -> SuiteConfig {
-        SuiteConfig::quick().with_workers(1)
-    }
-
     #[test]
     fn invalid_config_is_rejected_at_construction() {
         let mut config = SuiteConfig::quick();
@@ -951,7 +941,7 @@ mod tests {
 
     #[test]
     fn clean_run_applies_patches_and_records_provenance() {
-        let outcome = engine_for(&["sys_info", "lat_syscall"], fast_config()).execute();
+        let outcome = engine_for(&["sys_info", "lat_syscall"], SuiteConfig::quick()).execute();
         assert!(outcome.run.system.is_some(), "sys_info patch applied");
         assert!(outcome.run.syscall.is_some(), "lat_syscall patch applied");
         let rec = outcome.report.find("lat_syscall").unwrap();
@@ -1129,7 +1119,7 @@ mod tests {
     #[test]
     fn injected_panic_becomes_failed_not_a_crash() {
         let engine =
-            engine_for(&["sys_info", "lat_syscall"], fast_config()).with_faults(FaultPlan {
+            engine_for(&["sys_info", "lat_syscall"], SuiteConfig::quick()).with_faults(FaultPlan {
                 panic_in: Some("lat_syscall".into()),
                 ..FaultPlan::default()
             });
@@ -1147,7 +1137,7 @@ mod tests {
 
     #[test]
     fn injected_hang_becomes_timed_out_within_budget() {
-        let config = fast_config().with_timeout(Duration::from_millis(150));
+        let config = SuiteConfig::quick().with_timeout(Duration::from_millis(150));
         let engine = engine_for(&["lat_syscall"], config).with_faults(FaultPlan {
             hang_in: Some("lat_syscall".into()),
             ..FaultPlan::default()
@@ -1167,7 +1157,7 @@ mod tests {
 
     #[test]
     fn denied_substrate_becomes_skipped() {
-        let engine = engine_for(&["lat_syscall"], fast_config()).with_faults(FaultPlan {
+        let engine = engine_for(&["lat_syscall"], SuiteConfig::quick()).with_faults(FaultPlan {
             deny_substrate_in: Some("lat_syscall".into()),
             ..FaultPlan::default()
         });
@@ -1183,7 +1173,7 @@ mod tests {
     fn noisy_benchmark_is_retried_up_to_the_policy_limit() {
         // cv is always > -1, so every attempt looks noisy: the engine must
         // stop at max_attempts, keeping the final attempt's result.
-        let config = fast_config().with_retry(RetryPolicy {
+        let config = SuiteConfig::quick().with_retry(RetryPolicy {
             max_attempts: 3,
             cv_threshold: -1.0,
         });
@@ -1196,7 +1186,8 @@ mod tests {
 
     #[test]
     fn derived_entry_composes_from_measured_snapshot() {
-        let outcome = engine_for(&["bw_pipe_tcp", "remote_bw_model"], fast_config()).execute();
+        let outcome =
+            engine_for(&["bw_pipe_tcp", "remote_bw_model"], SuiteConfig::quick()).execute();
         assert!(outcome.run.ipc_bw.is_some());
         let rec = outcome.report.find("remote_bw_model").unwrap();
         assert!(rec.status.is_ok(), "status {:?}", rec.status);
@@ -1206,8 +1197,8 @@ mod tests {
     #[test]
     fn derived_entry_skips_when_its_input_failed() {
         // Sabotage the measured input; the model must degrade to Skipped.
-        let engine =
-            engine_for(&["bw_pipe_tcp", "remote_bw_model"], fast_config()).with_faults(FaultPlan {
+        let engine = engine_for(&["bw_pipe_tcp", "remote_bw_model"], SuiteConfig::quick())
+            .with_faults(FaultPlan {
                 panic_in: Some("bw_pipe_tcp".into()),
                 ..FaultPlan::default()
             });
@@ -1221,7 +1212,7 @@ mod tests {
 
     #[test]
     fn execute_attaches_a_harness_budget() {
-        let outcome = engine_for(&["lat_syscall"], fast_config()).execute();
+        let outcome = engine_for(&["lat_syscall"], SuiteConfig::quick()).execute();
         let h = outcome.report.harness.expect("self-budget attached");
         assert!(h.suite_ms > 0.0, "{h:?}");
         assert!(h.probe_ms > 0.0, "substrate probes ran: {h:?}");
@@ -1230,14 +1221,14 @@ mod tests {
         assert!(h.calibrate_ms > 0.0, "the harness calibrated: {h:?}");
         // A single clean attempt bills nothing to the retry phase.
         assert_eq!(h.retry_ms, 0.0, "{h:?}");
-        // Phases nest inside the suite; on this one-worker config each
-        // must fit inside the total wall time.
+        // Phases nest inside the suite; benchmarks run one at a time, so
+        // each must fit inside the total wall time.
         assert!(h.attempt_ms <= h.suite_ms, "{h:?}");
     }
 
     #[test]
     fn retries_bill_the_retry_phase() {
-        let config = fast_config().with_retry(RetryPolicy {
+        let config = SuiteConfig::quick().with_retry(RetryPolicy {
             max_attempts: 3,
             cv_threshold: -1.0,
         });
@@ -1248,7 +1239,7 @@ mod tests {
 
     #[test]
     fn traced_run_budgets_its_trace_emission() {
-        let engine = engine_for(&["lat_syscall"], fast_config());
+        let engine = engine_for(&["lat_syscall"], SuiteConfig::quick());
         let (outcome, events) = traced_execute(&engine);
         let h = outcome.report.harness.expect("self-budget attached");
         // The budget reads the run's own trace, sealed before the run's
@@ -1260,7 +1251,7 @@ mod tests {
     #[test]
     fn report_covers_every_registry_entry_in_order() {
         let names = ["sys_info", "lat_syscall", "lat_disk"];
-        let outcome = engine_for(&names, fast_config()).execute();
+        let outcome = engine_for(&names, SuiteConfig::quick()).execute();
         let reported: Vec<&str> = outcome
             .report
             .records
@@ -1292,7 +1283,7 @@ mod tests {
 
     #[test]
     fn traced_run_narrates_lifecycle_and_links_spans() {
-        let engine = engine_for(&["sys_info", "lat_syscall"], fast_config());
+        let engine = engine_for(&["sys_info", "lat_syscall"], SuiteConfig::quick());
         let (outcome, events) = traced_execute(&engine);
         assert!(
             events.iter().any(|e| matches!(
@@ -1351,7 +1342,7 @@ mod tests {
 
     #[test]
     fn retry_on_noise_emits_retry_events_with_the_cv() {
-        let config = fast_config().with_retry(RetryPolicy {
+        let config = SuiteConfig::quick().with_retry(RetryPolicy {
             max_attempts: 3,
             cv_threshold: -1.0,
         });
@@ -1386,12 +1377,13 @@ mod tests {
 
     #[test]
     fn faulted_runs_emit_their_terminal_events() {
-        let config = fast_config().with_timeout(Duration::from_millis(150));
+        let config = SuiteConfig::quick().with_timeout(Duration::from_millis(150));
         let engine =
             engine_for(&["lat_syscall", "lat_sig", "lat_fs"], config).with_faults(FaultPlan {
                 panic_in: Some("lat_syscall".into()),
                 hang_in: Some("lat_sig".into()),
                 deny_substrate_in: Some("lat_fs".into()),
+                ..FaultPlan::default()
             });
         let (outcome, events) = traced_execute(&engine);
         assert!(
@@ -1411,8 +1403,39 @@ mod tests {
     }
 
     #[test]
+    fn quick_preset_measures_every_benchmark_alone() {
+        // None of these is exclusive: the quick preset must still measure
+        // each alone, so no record may be flagged contended.
+        let engine = engine_for(
+            &["sys_info", "lat_syscall", "lat_sig"],
+            SuiteConfig::quick(),
+        );
+        let (outcome, events) = traced_execute(&engine);
+        assert_eq!(outcome.report.count("ok"), 3, "{:?}", outcome.report);
+        for rec in &outcome.report.records {
+            let usage = rec.rusage.as_ref().expect("real attempts archive rusage");
+            assert!(!usage.contended, "{} measured beside a neighbour", rec.name);
+        }
+        let (mut starts, mut schedules) = (0, 0);
+        for e in &events {
+            match &e.kind {
+                EventKind::SuiteStart { workers, .. } => {
+                    starts += 1;
+                    assert_eq!(*workers, 1);
+                }
+                EventKind::Schedule { bench, worker } => {
+                    schedules += 1;
+                    assert_eq!(*worker, 0, "{bench} scheduled on worker {worker}");
+                }
+                _ => {}
+            }
+        }
+        assert_eq!((starts, schedules), (1, 3));
+    }
+
+    #[test]
     fn untraced_run_records_no_span_ids() {
-        let outcome = engine_for(&["sys_info"], fast_config()).execute();
+        let outcome = engine_for(&["sys_info"], SuiteConfig::quick()).execute();
         assert_eq!(outcome.report.find("sys_info").unwrap().span, None);
     }
 
@@ -1421,7 +1444,7 @@ mod tests {
     fn attempt_threads(clock: EngineClock) -> Vec<(&'static str, std::thread::ThreadId, String)> {
         use crate::output::BenchOutput;
         use crate::registry::{BenchRunner, Category};
-        use std::sync::Arc;
+        use std::sync::Mutex;
         let seen = Arc::new(Mutex::new(Vec::new()));
         let bench = |name: &'static str, exclusive: bool| {
             let seen = Arc::clone(&seen);
@@ -1434,7 +1457,7 @@ mod tests {
             Benchmark::scripted(name, "thread probe", Category::Latency, exclusive, runner)
         };
         let registry = Registry::custom(vec![bench("pooled", false), bench("alone", true)]);
-        let outcome = Engine::new(registry, fast_config())
+        let outcome = Engine::new(registry, SuiteConfig::quick())
             .unwrap()
             .with_clock(clock)
             .execute();

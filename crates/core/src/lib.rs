@@ -40,7 +40,7 @@ pub use output::{BenchOutput, Metric, Unit};
 pub use registry::{BenchRunner, Benchmark, Category, Registry};
 pub use scale::{
     find_scale_spec, omission_gap, scale_registry, LoadGen, LoadMode, LoadRunner, LoadSpec,
-    ScaleFaultPlan, SimServerGen, LADDER_FRACTIONS,
+    SimServerGen, LADDER_FRACTIONS,
 };
 pub use service::{ReportClient, ResultsService, ServiceConfig};
 pub use simfuzz::{

@@ -2,7 +2,7 @@
 //!
 //! Lets callers (CLI, examples, harnesses) run one benchmark by name —
 //! the lmbench idiom of individual `bw_*`/`lat_*` binaries — and gives
-//! the execution engine everything it needs to schedule them: substrate
+//! the execution engine everything it needs to order them: substrate
 //! requirements, interference sensitivity (`exclusive`), the [`SuiteRun`]
 //! fields each entry fills, and whether the entry derives its rows from
 //! other entries' measurements instead of measuring itself.
@@ -54,8 +54,10 @@ pub struct Benchmark {
     pub produces: &'static str,
     /// Paper section.
     pub category: Category,
-    /// Interference-sensitive: the engine never runs it concurrently with
-    /// anything else (memory sweeps, context switching).
+    /// Interference-sensitive (memory sweeps, context switching). The
+    /// engine measures every entry alone; this flag orders the run
+    /// (exclusive entries go after the others) and is archived on the
+    /// entry's record.
     pub exclusive: bool,
     /// OS facilities probed before launch; missing ones skip the benchmark
     /// instead of crashing it.

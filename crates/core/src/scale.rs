@@ -19,7 +19,9 @@
 //! point; the sweep continues and records the failure.
 
 use crate::config::SuiteConfig;
-use crate::engine::{panic_message, probe_substrates, provenance_from, EngineClock, Substrate};
+use crate::engine::{
+    panic_message, probe_substrates, provenance_from, EngineClock, FaultPlan, Substrate,
+};
 use crate::error::SuiteError;
 use lmb_results::{
     BenchRecord, BenchStatus, GeneratorSample, MetricValue, RatePoint, RateSweep, ScalePoint,
@@ -248,42 +250,6 @@ pub fn scale_registry() -> Vec<LoadSpec> {
 #[must_use]
 pub fn find_scale_spec(name: &str) -> Option<LoadSpec> {
     scale_registry().into_iter().find(|s| s.name == name)
-}
-
-/// Injected scaling failures, for tests and fault drills.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScaleFaultPlan {
-    /// Panic the last generator of this `(bench, p)` point.
-    pub panic_at: Option<(String, u32)>,
-}
-
-impl ScaleFaultPlan {
-    /// Reads `LMBENCH_FAULT_SCALE_PANIC="bench@p"` so drills can target a
-    /// released binary.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let panic_at = std::env::var("LMBENCH_FAULT_SCALE_PANIC")
-            .ok()
-            .and_then(|v| {
-                let (bench, p) = v.split_once('@')?;
-                Some((bench.to_string(), p.parse().ok()?))
-            });
-        ScaleFaultPlan { panic_at }
-    }
-
-    /// Targets one point directly.
-    #[must_use]
-    pub fn panic_at(bench: &str, p: u32) -> Self {
-        ScaleFaultPlan {
-            panic_at: Some((bench.to_string(), p)),
-        }
-    }
-
-    fn hits(&self, bench: &str, p: u32) -> bool {
-        self.panic_at
-            .as_ref()
-            .is_some_and(|(b, fp)| b == bench && *fp == p)
-    }
 }
 
 /// Pacing discipline of a rate point.
@@ -518,7 +484,7 @@ pub struct LoadRunner {
     ops: u64,
     /// Largest generator count the P ladder visits.
     max_p: u32,
-    faults: ScaleFaultPlan,
+    faults: FaultPlan,
 }
 
 impl LoadRunner {
@@ -534,7 +500,7 @@ impl LoadRunner {
             process: ArrivalProcess::uniform(1.0),
             ops,
             max_p: 4,
-            faults: ScaleFaultPlan::default(),
+            faults: FaultPlan::default(),
         })
     }
 
@@ -568,9 +534,10 @@ impl LoadRunner {
         self
     }
 
-    /// Installs a fault plan (tests, drills).
+    /// Installs a fault plan (tests, drills); the runner reads its
+    /// `scale_panic_at` point.
     #[must_use]
-    pub fn with_faults(mut self, faults: ScaleFaultPlan) -> Self {
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
@@ -648,7 +615,8 @@ impl LoadRunner {
     fn scale_point(&self, spec: &LoadSpec, p: u32, events: &mut Vec<Measurement>) -> ScalePoint {
         let make = || (spec.make)(&self.config);
         let ops = (spec.ops_per_rep)(&self.config).max(1);
-        let runs = match self.drive(&make, p, Body::Harness(ops), self.faults.hits(spec.name, p)) {
+        let fault = self.faults.scale_panic_hits(spec.name, p);
+        let runs = match self.drive(&make, p, Body::Harness(ops), fault) {
             Ok(runs) => runs,
             Err(reason) => return failed_point(p, reason),
         };
@@ -1106,15 +1074,18 @@ mod tests {
 
     #[test]
     fn fault_plan_parses_bench_at_p() {
-        assert_eq!(
-            ScaleFaultPlan::panic_at("bw_mem", 2),
-            ScaleFaultPlan {
-                panic_at: Some(("bw_mem".into(), 2)),
-            }
-        );
-        assert!(ScaleFaultPlan::panic_at("bw_mem", 2).hits("bw_mem", 2));
-        assert!(!ScaleFaultPlan::panic_at("bw_mem", 2).hits("bw_mem", 4));
-        assert!(!ScaleFaultPlan::panic_at("bw_mem", 2).hits("lat_pipe", 2));
+        use crate::engine::parse_scale_point;
+        let plan = FaultPlan {
+            scale_panic_at: parse_scale_point("bw_mem@2"),
+            ..FaultPlan::default()
+        };
+        assert_eq!(plan.scale_panic_at, Some(("bw_mem".into(), 2)));
+        assert!(plan.scale_panic_hits("bw_mem", 2));
+        assert!(!plan.scale_panic_hits("bw_mem", 4));
+        assert!(!plan.scale_panic_hits("lat_pipe", 2));
+        assert!(!FaultPlan::default().scale_panic_hits("bw_mem", 2));
+        assert_eq!(parse_scale_point("bw_mem"), None);
+        assert_eq!(parse_scale_point("bw_mem@two"), None);
     }
 
     #[test]

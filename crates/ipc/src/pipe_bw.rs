@@ -20,14 +20,10 @@ use lmb_timing::{Bandwidth, Samples, SummaryPolicy};
 /// including a writer that dies early, which surfaces as a prompt
 /// "writer hung up early" panic (EOF on the pipe), never a hang.
 pub fn run_once(total: usize, chunk: usize) -> Bandwidth {
-    // Fault plan read before fork: the child must not touch the
-    // environment (getenv may allocate or take locks) after fork.
-    let child_fail = std::env::var_os("LMBENCH_FAULT_PIPE_CHILD").is_some();
-    run_once_inner(total, chunk, child_fail)
+    run_once_inner(total, chunk, false)
 }
 
-/// [`run_once`] with the writer-death fault injectable directly, for
-/// tests that should not depend on process-global environment state.
+/// [`run_once`] with the writer-death fault injectable, for tests.
 fn run_once_inner(total: usize, chunk: usize, child_fail: bool) -> Bandwidth {
     assert!(chunk > 0, "chunk must be nonzero");
     assert!(total >= chunk, "total below one chunk");

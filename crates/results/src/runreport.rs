@@ -163,12 +163,13 @@ pub struct ResourceUsage {
     /// Involuntary context switches — scheduler preemptions during the
     /// measurement, the disturbance §3.4 could only infer.
     pub invol_ctx_switches: u64,
-    /// True when other worker threads were running benchmarks while this
-    /// attempt executed: the counts are this thread's own
-    /// (`RUSAGE_THREAD`), but preemptions and faults reflect a contended
-    /// machine, so consumers (the differ included) must not treat the
-    /// delta as an isolated-run measurement. Absent in reports that
-    /// predate the flag, which read as false.
+    /// True when a benchmark thread leaked by an earlier timeout in the
+    /// same run may still have been running while this attempt executed:
+    /// the counts are this thread's own (`RUSAGE_THREAD`), but
+    /// preemptions and faults reflect a contended machine, so consumers
+    /// (the differ included) must not treat the delta as an isolated-run
+    /// measurement. Absent in reports that predate the flag, which read
+    /// as false.
     #[serde(default)]
     pub contended: bool,
 }
@@ -252,9 +253,10 @@ impl CounterDelta {
 /// run (lower is better) so a measurement-infrastructure regression is as
 /// visible as a kernel one.
 ///
-/// Phases overlap (probe/warmup/calibrate/attempt all nest inside the
-/// suite, and pool workers run concurrently), so the per-phase columns sum
-/// to *CPU-ish* time that may exceed `suite_ms` on multi-worker runs.
+/// Phases nest (probe/warmup/calibrate/attempt all run inside the suite,
+/// and warm-up and calibration inside attempts), so the per-phase columns
+/// are not additive; benchmarks run one at a time, so each fits inside
+/// `suite_ms`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct HarnessMetrics {
     /// Whole-suite wall time, `Engine::execute` entry to exit, ms.

@@ -8,10 +8,10 @@
 //! their zero-overhead contract.
 //!
 //! The counters are process-global and monotonic: take a [`snapshot`]
-//! before a region and [`SyscallSnapshot::delta`] after it. Deltas are
-//! exact when the region ran alone (exclusive benchmarks, serial phases);
-//! under the engine's worker pool a delta may include a concurrent
-//! benchmark's calls, which the trace documents rather than hides.
+//! before a region and [`SyscallSnapshot::delta`] after it. The engine
+//! measures one benchmark at a time, so a delta around an attempt counts
+//! that attempt's calls (plus any from a thread a timed-out attempt
+//! leaked, which its records flag as `contended`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

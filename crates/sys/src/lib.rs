@@ -14,7 +14,6 @@
 pub mod count;
 pub mod error;
 pub mod fd;
-pub mod isolate;
 pub mod mem;
 pub mod perf;
 pub mod pipe;
@@ -26,7 +25,6 @@ pub mod sock;
 pub use count::{snapshot as syscall_snapshot, SyscallClass, SyscallSnapshot};
 pub use error::{Errno, Result};
 pub use fd::Fd;
-pub use isolate::{run_isolated, ChildOutcome};
 pub use mem::FileMapping;
 pub use perf::{
     perf_event_paranoid, probe_counter, CounterKind, CounterValues, PerfError, PerfGroup,

@@ -53,7 +53,7 @@ impl RusageSnapshot {
     }
 
     /// Usage of the calling thread (Linux `RUSAGE_THREAD`): exact even
-    /// when other benchmarks run concurrently on the worker pool.
+    /// when other threads of the process are running.
     #[must_use]
     pub fn thread() -> RusageSnapshot {
         RusageSnapshot::capture(libc::RUSAGE_THREAD)

@@ -99,9 +99,14 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static HITS: AtomicU64 = AtomicU64::new(0);
+    static USR2_HITS: AtomicU64 = AtomicU64::new(0);
 
     extern "C" fn count_hit(_sig: i32) {
         HITS.fetch_add(1, Ordering::Relaxed);
+    }
+
+    extern "C" fn count_usr2(_sig: i32) {
+        USR2_HITS.fetch_add(1, Ordering::Relaxed);
     }
 
     #[test]
@@ -118,10 +123,17 @@ mod tests {
 
     #[test]
     fn kill_self_equals_raise() {
-        install_handler(Signal::Usr2, count_hit).unwrap();
-        let before = HITS.load(Ordering::Relaxed);
+        install_handler(Signal::Usr2, count_usr2).unwrap();
         kill(crate::process::getpid(), Signal::Usr2).unwrap();
-        assert!(HITS.load(Ordering::Relaxed) > before);
+        // kill() signals the process, not this thread: while other test
+        // threads leave SIGUSR2 unblocked, the kernel may run the handler
+        // on one of them after kill returns. Wait for that delivery before
+        // restoring the default action, which would kill the process.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while USR2_HITS.load(Ordering::Relaxed) == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(USR2_HITS.load(Ordering::Relaxed), 1);
         reset_default(Signal::Usr2).unwrap();
     }
 

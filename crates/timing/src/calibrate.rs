@@ -157,29 +157,6 @@ pub fn time_interval_ns_with<T: TimeSource>(
     source.now_ns() - start
 }
 
-/// Times `iterations` runs of `body` and returns nanoseconds per iteration.
-///
-/// This is the measurement half of the `BENCH` macro: calibration picks the
-/// loop count, this divides the interval by it. No clock-overhead
-/// compensation is applied; use [`crate::Harness`] for compensated
-/// measurements.
-pub fn time_per_iteration(iterations: u64, body: impl FnMut()) -> f64 {
-    time_interval_ns_with(&RealClock, iterations, body) / iterations as f64
-}
-
-/// Times a single run of `body` that internally performs `ops` operations
-/// and returns nanoseconds per operation.
-///
-/// Used by benchmarks whose body is itself a loop over a buffer (bandwidth
-/// kernels), where the harness must not add an outer loop.
-pub fn time_block(ops: u64, body: impl FnOnce()) -> f64 {
-    assert!(ops > 0, "cannot time zero operations");
-    let clock = RealClock;
-    let start = clock.now_ns();
-    body();
-    (clock.now_ns() - start) / ops as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,10 +171,9 @@ mod tests {
         });
         // Re-run at the calibrated count; it should take at least ~half the
         // target (allowing for warm-up effects in the calibration pass).
-        let per_op = time_per_iteration(cal.iterations, || {
+        let total = time_interval_ns_with(&RealClock, cal.iterations, || {
             std::hint::black_box((0..32u64).fold(0, |a, b| a ^ b));
         });
-        let total = per_op * cal.iterations as f64;
         assert!(
             total >= target.as_nanos() as f64 * 0.25,
             "calibrated interval {total}ns far below target"
@@ -227,27 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn time_per_iteration_divides_by_count() {
-        let per_op = time_per_iteration(10, || {
-            std::thread::sleep(Duration::from_millis(1));
-        });
-        assert!(per_op >= 0.8e6, "per-op {per_op}ns, expected ~1ms");
-        assert!(per_op <= 20e6);
-    }
-
-    #[test]
-    fn time_block_divides_by_ops() {
-        let per_op = time_block(1000, || {
-            std::thread::sleep(Duration::from_millis(2));
-        });
-        assert!(per_op >= 1_000.0, "per-op {per_op}ns");
-        assert!(per_op <= 1_000_000.0);
-    }
-
-    #[test]
     #[should_panic(expected = "zero iterations")]
     fn zero_iterations_rejected() {
-        time_per_iteration(0, || {});
+        time_interval_ns_with(&RealClock, 0, || {});
     }
 
     #[test]

@@ -261,13 +261,6 @@ impl<T: TimeSource> Harness<T> {
             .max(self.options.min_interval)
     }
 
-    /// Builds a measurement stamped with this harness's context.
-    fn measurement(&self, samples: Samples, ops: u64, clamped: u32) -> Measurement {
-        Measurement::from_per_op_samples(samples, ops, self.options.policy)
-            .with_clamped_samples(clamped)
-            .with_context(self.options.warmup_runs, self.clock.resolution_ns)
-    }
-
     /// Times the configured repetitions of `loops` runs of `body`, each
     /// interval less the clock-read overhead bracketed into it and divided
     /// by `ops`, and records the result.
@@ -288,7 +281,9 @@ impl<T: TimeSource> Harness<T> {
                 samples.push(compensated / ops as f64);
             }
         }
-        let m = self.measurement(samples, ops, clamped);
+        let m = Measurement::from_per_op_samples(samples, ops, self.options.policy)
+            .with_clamped_samples(clamped)
+            .with_context(self.options.warmup_runs, self.clock.resolution_ns);
         if let Some(recorder) = &self.recorder {
             recorder.lock().expect("recorder lock").push(m.clone());
         }
@@ -342,24 +337,6 @@ impl<T: TimeSource> Harness<T> {
             clock_resolution_ns: self.clock.resolution_ns,
         });
         self.repeat(1, ops, body)
-    }
-
-    /// Measures the *difference* between `body` and `baseline`, both run at
-    /// the same calibrated iteration count.
-    ///
-    /// This implements the paper's overhead-subtraction idiom: the context
-    /// switch benchmark "first measures the cost of passing the token
-    /// through a ring of pipes in a single process" and reports only the
-    /// remainder (§6.6). Negative differences clamp to zero.
-    pub fn measure_minus(&self, mut body: impl FnMut(), mut baseline: impl FnMut()) -> Measurement {
-        let with = self.measure(&mut body);
-        let without = self.measure(&mut baseline);
-        let diff = (with.per_op_ns() - without.per_op_ns()).max(0.0);
-        self.measurement(
-            Samples::from_values([diff]),
-            with.ops_per_sample(),
-            with.clamped_samples() + without.clamped_samples(),
-        )
     }
 }
 
@@ -417,42 +394,6 @@ mod tests {
         });
         // Per-add cost must be well under a microsecond.
         assert!(m.per_op_ns() < 1_000.0, "per-op {}ns", m.per_op_ns());
-    }
-
-    #[test]
-    fn measure_minus_clamps_to_zero() {
-        let h = Harness::new(Options::quick());
-        // Baseline strictly more expensive than body.
-        let m = h.measure_minus(
-            || {
-                std::hint::black_box(1u32);
-            },
-            || {
-                let mut acc = 0u64;
-                for i in 0..4096u64 {
-                    acc = acc.wrapping_add(i * i);
-                }
-                std::hint::black_box(acc);
-            },
-        );
-        assert_eq!(m.per_op_ns(), 0.0);
-    }
-
-    #[test]
-    fn measure_minus_detects_extra_work() {
-        let h = Harness::new(Options::quick());
-        let heavy = || {
-            let mut acc = 0u64;
-            for i in 0..65_536u64 {
-                acc = acc.wrapping_mul(3).wrapping_add(i);
-            }
-            std::hint::black_box(acc);
-        };
-        let light = || {
-            std::hint::black_box(0u64);
-        };
-        let m = h.measure_minus(heavy, light);
-        assert!(m.per_op_ns() > 0.0);
     }
 
     #[test]

@@ -26,7 +26,8 @@ pub enum EventKind {
     SuiteStart {
         /// Registry entries about to execute.
         benchmarks: u32,
-        /// Worker-pool width for non-exclusive entries.
+        /// Benchmarks measured at once; always 1, since the engine
+        /// measures each benchmark alone.
         workers: u32,
     },
     /// The engine moved to a new scheduling phase (`pool`, `exclusive`,
@@ -35,12 +36,13 @@ pub enum EventKind {
         /// Phase name.
         phase: String,
     },
-    /// A benchmark was handed to a worker (worker 0 is the engine's own
-    /// thread, used for exclusive and derived entries).
+    /// A non-exclusive benchmark was scheduled in the `pool` phase. The
+    /// engine schedules every benchmark on the thread that called it,
+    /// worker 0.
     Schedule {
         /// Benchmark name.
         bench: String,
-        /// Worker index that picked it up.
+        /// Worker index that picked it up (always 0).
         worker: u32,
     },
     /// A span opened; the event's `span` field is the new span's id.
@@ -150,10 +152,10 @@ pub enum EventKind {
         vol_ctx_switches: u64,
         /// Involuntary context switches (scheduler preemptions).
         invol_ctx_switches: u64,
-        /// True when other worker threads ran concurrently with this
-        /// attempt, so the delta is not an isolated-run cost. Absent in
-        /// traces that predate the flag, whose engine never flagged
-        /// contention.
+        /// True when a thread leaked by an earlier timeout in the run may
+        /// have run concurrently with this attempt, so the delta is not an
+        /// isolated-run cost. Absent in traces that predate the flag,
+        /// whose engine never flagged contention.
         #[serde(default)]
         contended: bool,
     },

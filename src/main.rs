@@ -46,8 +46,8 @@ use lmbench::core::service::install_shutdown_handler;
 use lmbench::core::{
     detect_host, find_scale_spec, load_sim_rig, report, scale_registry, scenario_config, Engine,
     EngineClock, EngineOutcome, FaultPlan, LoadGen, LoadMode, LoadRunner, LoadSpec, Registry,
-    ReportClient, ResultsService, ScaleFaultPlan, Scenario, ServiceConfig, SimServerGen, Substrate,
-    SuiteConfig, SuiteError, Verbosity,
+    ReportClient, ResultsService, Scenario, ServiceConfig, SimServerGen, Substrate, SuiteConfig,
+    SuiteError, Verbosity,
 };
 use lmbench::results::{
     fingerprint, load_entry, render_side_by_side, Baseline, BaselineStore, ReportDiff, ResultsDb,
@@ -814,6 +814,9 @@ fn main() -> ExitCode {
     let Some(command) = args.first().map(String::as_str) else {
         return usage();
     };
+    // One fault plan for every command that runs benchmarks (`suite`,
+    // `report`, `scale`), read from the environment once.
+    let faults = FaultPlan::from_env();
     match command {
         "list" => {
             let registry = Registry::standard();
@@ -886,7 +889,7 @@ fn main() -> ExitCode {
             let Some(observer) = Observer::start(&args) else {
                 return ExitCode::from(3);
             };
-            let outcome = engine.with_faults(FaultPlan::from_env()).execute();
+            let outcome = engine.with_faults(faults).execute();
             // Per-benchmark outcomes to stderr; a failed benchmark costs
             // its own rows, not the run (exit stays 0 so harnesses can
             // collect the partial results).
@@ -933,7 +936,7 @@ fn main() -> ExitCode {
                 Err(err) => return fail(&err),
             }
             .with_max_p(max_p)
-            .with_faults(ScaleFaultPlan::from_env());
+            .with_faults(faults);
             let Some(observer) = Observer::start(&args) else {
                 return ExitCode::from(3);
             };
@@ -980,7 +983,7 @@ fn main() -> ExitCode {
             if observer.verbosity == Verbosity::Normal && !observer.progress {
                 eprintln!("running full suite...");
             }
-            let outcome = engine.with_faults(FaultPlan::from_env()).execute();
+            let outcome = engine.with_faults(faults).execute();
             observer.finish(&outcome.report);
             println!("{}", report::full_report(Some(&outcome.run)));
             println!("{}", report::provenance_section(&outcome.report));

@@ -123,7 +123,7 @@ fn every_run_reports_its_own_counter_loss() {
         let registry = Registry::standard()
             .filtered(&["sys_info", "lat_syscall"])
             .expect("known benchmarks");
-        Engine::new(registry, SuiteConfig::quick().with_workers(1))
+        Engine::new(registry, SuiteConfig::quick())
             .expect("quick config is valid")
             .execute();
         drop(ctx);

@@ -8,9 +8,7 @@
 //! round-tripping through [`RunReport`]; trace visibility; and the
 //! noise-aware differ gating on latency-under-load regressions.
 
-use lmbench::core::{
-    find_scale_spec, LoadRunner, LoadSpec, ScaleFaultPlan, SimServerGen, SuiteConfig,
-};
+use lmbench::core::{find_scale_spec, FaultPlan, LoadRunner, LoadSpec, SimServerGen, SuiteConfig};
 use lmbench::results::{
     BenchRecord, BenchStatus, MetricValue, Provenance, ReportDiff, RunReport, ScalingCurve,
 };
@@ -107,7 +105,10 @@ fn aggregate_memory_throughput_does_not_collapse_under_load() {
 fn panicking_generator_fails_only_its_point() {
     let spec = find_scale_spec("bw_mem").unwrap();
     let (curve, record) = runner(4)
-        .with_faults(ScaleFaultPlan::panic_at("bw_mem", 2))
+        .with_faults(FaultPlan {
+            scale_panic_at: Some(("bw_mem".into(), 2)),
+            ..FaultPlan::default()
+        })
         .scale(&spec);
     let failed: Vec<u32> = curve
         .points
