@@ -106,7 +106,7 @@ impl Shared {
         if let Some(hit) = self.diffs.get(fingerprint).filter(|c| c.runs == runs) {
             return Ok((hit.wire.clone(), hit.regressions));
         }
-        let reply = proto::diff_reply(&history);
+        let reply = proto::diff_reply(history);
         let wire = proto::to_wire(&reply);
         if runs > 0 {
             self.diffs.insert(
@@ -210,7 +210,7 @@ impl ResultsService {
                 let reply = {
                     let shared = s.lock();
                     let history = shared.store.history(&req.fingerprint).map_err(|_| ())?;
-                    proto::history_reply(&history, &req.bench, &req.metric)
+                    proto::history_reply(history, &req.bench, &req.metric)
                 };
                 note_query("history", &req.fingerprint, reply.points.len() as u64);
                 Ok(proto::to_wire(&reply))

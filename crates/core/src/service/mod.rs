@@ -11,7 +11,8 @@
 //!   stats) and their request/reply bodies, JSON carried in one XDR
 //!   string.
 //! - [`SegmentStore`] — fingerprint-sharded, append-only time series with
-//!   batched segment files and compaction.
+//!   batched segment files and compaction; the one results store, behind
+//!   both the daemon and `suite --baseline`.
 //! - [`ResultsService`] — the daemon: an [`lmb_rpc::RpcServer`] with the
 //!   store behind it.
 //! - [`ReportClient`] — the fleet side: push and query with bounded

@@ -1,20 +1,25 @@
-//! Batched, compacting segment store behind the results daemon.
+//! The results store: the daemon's segments, and `suite --baseline`'s.
 //!
 //! Entries shard by host fingerprint. Each shard is an append-only time
-//! series: pushes accumulate in a small in-memory batch, and once the
-//! batch fills it is sealed into a segment file
-//! (`{fingerprint}.{n:06}.seg.jsonl`, one compact JSON entry per line).
-//! When a shard accumulates more sealed segments than the compaction
-//! threshold, they merge into one — so a shard's on-disk footprint stays
-//! at a bounded file count no matter how many runs it absorbs, and a
-//! restart replays the directory back into exactly the series it held.
+//! series: appends accumulate in a small in-memory batch, and once the
+//! batch fills (or [`SegmentStore::flush_all`] asks) it is sealed into a
+//! segment file (`{fingerprint}.{n:06}.seg.jsonl`, one compact JSON entry
+//! per line). When a shard accumulates more sealed segments than the
+//! compaction threshold, they merge into one named for the numbers it
+//! replaces (`{fingerprint}.{lo:06}-{hi:06}.seg.jsonl`), so a shard's
+//! on-disk footprint stays at a bounded file count no matter how many
+//! runs it absorbs, and a restart replays the directory back into exactly
+//! the series it held.
+//!
+//! Older versions kept `suite --baseline` entries as one pretty-printed
+//! [`Baseline`] per `{fingerprint}-{unix_seconds}[-n].json` file. Opening
+//! a directory imports such files into segments once and removes them.
 
 use super::proto::StoreStats;
 use lmb_metrics::{Histogram, Rows};
 use lmb_results::{Baseline, ReportStore};
 use lmb_trace::EventKind;
-use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -22,6 +27,15 @@ use std::time::Instant;
 
 /// Suffix shared by every segment file.
 const SEGMENT_SUFFIX: &str = ".seg.jsonl";
+
+/// A sealed segment file and the segment numbers it holds: one number for
+/// a sealed batch, the range of its inputs for a compaction's merge.
+#[derive(Debug)]
+struct Segment {
+    lo: u64,
+    hi: u64,
+    path: PathBuf,
+}
 
 /// One host's series: every entry (flushed or not), the not-yet-sealed
 /// tail, and the sealed segment files holding the rest.
@@ -32,15 +46,15 @@ struct Shard {
     entries: Vec<Baseline>,
     /// Entries not yet sealed into a segment, in arrival order.
     pending: Vec<Baseline>,
-    /// Sealed segment files, oldest first.
-    sealed: Vec<PathBuf>,
-    /// Next segment number; strictly increasing so filename order is
+    /// Sealed segment files, in ascending, disjoint number ranges.
+    sealed: Vec<Segment>,
+    /// Next segment number; strictly increasing so number order is
     /// arrival order even across compactions.
     next_segment: u64,
 }
 
-/// The daemon's store. Not internally synchronized — the daemon wraps it
-/// in a mutex; the type itself stays single-threaded and testable.
+/// The one results store. Not internally synchronized — the daemon wraps
+/// it in a mutex; the type itself stays single-threaded and testable.
 #[derive(Debug)]
 pub struct SegmentStore {
     dir: PathBuf,
@@ -51,7 +65,7 @@ pub struct SegmentStore {
     sealed_batches: u64,
     /// Shard compactions performed since open.
     compactions: u64,
-    /// Entries replayed from disk at open.
+    /// Entries replayed or imported from disk at open.
     replayed_runs: u64,
     /// Runs per sealed batch. This and the two timings below are the
     /// store's wall-clock telemetry for the daemon's `metrics_snapshot`;
@@ -63,9 +77,10 @@ pub struct SegmentStore {
 
 impl SegmentStore {
     /// Opens (or creates) a store rooted at `dir`, replaying any segment
-    /// files already there. Files or lines that fail to parse are skipped
-    /// with a [`EventKind::StoreWarning`] and a stderr note — a corrupt
-    /// segment must read as missing runs, never as a wedged daemon.
+    /// files already there, then importing any `*.json` envelopes of the
+    /// older layout. Files or lines that fail to parse are skipped with a
+    /// [`EventKind::StoreWarning`] and a stderr note, and left in place —
+    /// a corrupt file must read as missing runs, never as a wedged store.
     pub fn open(
         dir: impl Into<PathBuf>,
         batch_size: usize,
@@ -87,6 +102,7 @@ impl SegmentStore {
         };
         let started = Instant::now();
         store.replay()?;
+        store.import_envelopes()?;
         store.replayed_runs = store.len() as u64;
         store.replay_ms.record(started.elapsed().as_millis() as u64);
         Ok(store)
@@ -143,7 +159,7 @@ impl SegmentStore {
     }
 
     /// Seals every shard's pending batch to disk. Called on shutdown and
-    /// whenever the daemon wants durability ahead of the batch filling.
+    /// whenever the caller wants durability ahead of the batch filling.
     pub fn flush_all(&mut self) -> io::Result<()> {
         let fingerprints: Vec<String> = self.shards.keys().cloned().collect();
         for fp in fingerprints {
@@ -156,36 +172,40 @@ impl SegmentStore {
 
     /// Rebuilds the in-memory index from the segment files on disk.
     fn replay(&mut self) -> io::Result<()> {
-        // Segment files sort by (fingerprint, number) lexically because the
-        // number is zero-padded; walking them in name order replays each
-        // shard's arrival order.
-        let mut names: Vec<PathBuf> = Vec::new();
+        let mut segments: Vec<(String, Segment)> = Vec::new();
         for dirent in fs::read_dir(&self.dir)? {
             let path = dirent?.path();
-            if path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(SEGMENT_SUFFIX))
-            {
-                names.push(path);
-            }
-        }
-        names.sort();
-        for path in names {
-            let Some((fingerprint, number)) = parse_segment_name(&path) else {
-                warn_skipped(&path, "segment filename does not parse");
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            let text = match fs::read_to_string(&path) {
+            if !name.ends_with(SEGMENT_SUFFIX) {
+                continue;
+            }
+            match parse_segment_name(name) {
+                Some((fingerprint, lo, hi)) => {
+                    segments.push((fingerprint, Segment { lo, hi, path }))
+                }
+                None => warn_skipped(&path, "segment filename does not parse"),
+            }
+        }
+        // Each shard in arrival order, and a merge ahead of the inputs it
+        // covers: by first number, the widest range first.
+        segments.sort_by(|(fa, a), (fb, b)| (fa, a.lo, b.hi).cmp(&(fb, b.lo, a.hi)));
+        for (fingerprint, segment) in segments {
+            let shard = self.shards.entry(fingerprint).or_default();
+            if shard.sealed.last().is_some_and(|s| segment.hi <= s.hi) {
+                // A compaction wrote its merge but stopped before deleting
+                // this input; the merge already holds its entries.
+                fs::remove_file(&segment.path)?;
+                continue;
+            }
+            let text = match fs::read_to_string(&segment.path) {
                 Ok(text) => text,
                 Err(err) => {
-                    warn_skipped(&path, &err.to_string());
+                    warn_skipped(&segment.path, &err.to_string());
                     continue;
                 }
             };
-            let shard = self.shards.entry(fingerprint).or_default();
-            shard.next_segment = shard.next_segment.max(number + 1);
-            shard.sealed.push(path.clone());
             for (lineno, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
@@ -193,16 +213,62 @@ impl SegmentStore {
                 match Baseline::from_json(line) {
                     Ok(entry) => shard.entries.push(entry),
                     Err(err) => {
-                        warn_skipped(&path, &format!("line {}: {err}", lineno + 1));
+                        warn_skipped(&segment.path, &format!("line {}: {err}", lineno + 1));
                     }
                 }
             }
+            shard.next_segment = shard.next_segment.max(segment.hi + 1);
+            shard.sealed.push(segment);
         }
         for shard in self.shards.values_mut() {
             sort_series(&mut shard.entries);
         }
         self.shards
             .retain(|_, s| !s.entries.is_empty() || !s.sealed.is_empty());
+        Ok(())
+    }
+
+    /// Moves the older one-file-per-entry layout into segments: appends
+    /// every readable `*.json` envelope in save order, seals, and only
+    /// then removes the files. An envelope whose entry its shard already
+    /// holds was sealed by an import that stopped before the removal, so
+    /// it is removed without a second append.
+    fn import_envelopes(&mut self) -> io::Result<()> {
+        let mut found = Vec::new();
+        for dirent in fs::read_dir(&self.dir)? {
+            let path = dirent?.path();
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            let parsed = fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| Baseline::from_json(&text).map_err(|e| e.to_string()));
+            match parsed {
+                Ok(entry) => found.push((save_suffix(&path, &entry), path, entry)),
+                Err(detail) => warn_skipped(&path, &detail),
+            }
+        }
+        found.sort_by(|(sa, pa, a), (sb, pb, b)| {
+            (&a.fingerprint, a.unix_seconds, sa, pa).cmp(&(&b.fingerprint, b.unix_seconds, sb, pb))
+        });
+        let mut touched = BTreeSet::new();
+        let mut imported = Vec::with_capacity(found.len());
+        for (_, path, entry) in found {
+            if !self.history(&entry.fingerprint)?.contains(&entry) {
+                touched.insert(entry.fingerprint.clone());
+                self.append(entry)?;
+            }
+            imported.push(path);
+        }
+        for fingerprint in touched {
+            self.flush_shard(&fingerprint)?;
+        }
+        if !imported.is_empty() {
+            fs::File::open(&self.dir)?.sync_all()?;
+        }
+        for path in imported {
+            fs::remove_file(path)?;
+        }
         Ok(())
     }
 
@@ -216,10 +282,15 @@ impl SegmentStore {
         };
         if !shard.pending.is_empty() {
             let started = Instant::now();
-            let path = segment_path(&dir, fingerprint, shard.next_segment);
+            let number = shard.next_segment;
+            let path = segment_path(&dir, fingerprint, number, number);
             write_segment(&path, &shard.pending)?;
             shard.next_segment += 1;
-            shard.sealed.push(path);
+            shard.sealed.push(Segment {
+                lo: number,
+                hi: number,
+                path,
+            });
             self.batch_runs.record(shard.pending.len() as u64);
             self.seal_latency_us
                 .record(started.elapsed().as_micros() as u64);
@@ -254,20 +325,11 @@ impl ReportStore for SegmentStore {
         Ok(seq)
     }
 
-    fn history(&self, fingerprint: &str) -> io::Result<Cow<'_, [Baseline]>> {
-        Ok(Cow::Borrowed(
-            self.shards
-                .get(fingerprint)
-                .map_or(&[], |s| s.entries.as_slice()),
-        ))
-    }
-
-    fn iter(&self) -> io::Result<Vec<Baseline>> {
+    fn history(&self, fingerprint: &str) -> io::Result<&[Baseline]> {
         Ok(self
             .shards
-            .values()
-            .flat_map(|s| s.entries.iter().cloned())
-            .collect())
+            .get(fingerprint)
+            .map_or(&[], |s| s.entries.as_slice()))
     }
 }
 
@@ -277,19 +339,36 @@ fn sort_series(entries: &mut [Baseline]) {
     entries.sort_by_key(|e| e.unix_seconds);
 }
 
-fn segment_path(dir: &Path, fingerprint: &str, number: u64) -> PathBuf {
-    dir.join(format!("{fingerprint}.{number:06}{SEGMENT_SUFFIX}"))
+/// A sealed batch is `{fingerprint}.{n:06}`, a merge of segments `lo`
+/// through `hi` is `{fingerprint}.{lo:06}-{hi:06}`.
+fn segment_path(dir: &Path, fingerprint: &str, lo: u64, hi: u64) -> PathBuf {
+    if lo == hi {
+        dir.join(format!("{fingerprint}.{lo:06}{SEGMENT_SUFFIX}"))
+    } else {
+        dir.join(format!("{fingerprint}.{lo:06}-{hi:06}{SEGMENT_SUFFIX}"))
+    }
 }
 
-/// Recovers `(fingerprint, number)` from a segment filename. Parsed from
+/// Recovers `(fingerprint, lo, hi)` from a segment filename. Parsed from
 /// the right so fingerprints containing dots stay intact.
-fn parse_segment_name(path: &Path) -> Option<(String, u64)> {
-    let name = path.file_name()?.to_str()?.strip_suffix(SEGMENT_SUFFIX)?;
-    let (fingerprint, number) = name.rsplit_once('.')?;
-    if fingerprint.is_empty() {
-        return None;
-    }
-    Some((fingerprint.to_string(), number.parse().ok()?))
+fn parse_segment_name(name: &str) -> Option<(String, u64, u64)> {
+    let (fingerprint, numbers) = name.strip_suffix(SEGMENT_SUFFIX)?.rsplit_once('.')?;
+    let (lo, hi) = numbers.split_once('-').unwrap_or((numbers, numbers));
+    let (lo, hi) = (lo.parse().ok()?, hi.parse().ok()?);
+    (!fingerprint.is_empty() && lo <= hi).then(|| (fingerprint.to_string(), lo, hi))
+}
+
+/// The older layout's same-second save counter: `{fp}-{secs}.json` is
+/// the first save, `{fp}-{secs}-{n}.json` the `n`-th after it. Any other
+/// name counts as a first save.
+fn save_suffix(path: &Path, entry: &Baseline) -> u64 {
+    let stem = format!("{}-{}", entry.fingerprint, entry.unix_seconds);
+    path.file_stem()
+        .and_then(|s| s.to_str())
+        .and_then(|s| s.strip_prefix(&stem))
+        .and_then(|rest| rest.strip_prefix('-'))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0)
 }
 
 /// Writes one segment: compact JSON, one entry per line, durably renamed
@@ -309,19 +388,19 @@ fn write_segment(path: &Path, entries: &[Baseline]) -> io::Result<()> {
 /// Merges a shard's sealed segments into one, bounding its file count.
 fn compact_shard(dir: &Path, fingerprint: &str, shard: &mut Shard) -> io::Result<()> {
     let before = shard.sealed.len();
-    // The merged segment takes the next number, so it still sorts after
-    // nothing and before future segments; the shard's series (already
-    // time-ordered) is its content.
-    let path = segment_path(dir, fingerprint, shard.next_segment);
+    let lo = shard.sealed.first().map_or(0, |s| s.lo);
+    let hi = shard.sealed.last().map_or(0, |s| s.hi);
+    // The shard's series (already time-ordered) is the merge's content,
+    // and its name covers every input.
+    let path = segment_path(dir, fingerprint, lo, hi);
     write_segment(&path, &shard.entries)?;
-    shard.next_segment += 1;
-    for old in shard.sealed.drain(..) {
-        // Best-effort: a leftover old segment is re-read (and re-merged)
-        // on restart, which duplicates nothing because it is deleted
-        // before the store reports success... so treat failure as real.
-        fs::remove_file(&old)?;
+    let inputs = std::mem::replace(&mut shard.sealed, vec![Segment { lo, hi, path }]);
+    // Once the rename is durable, an input that a crash or a failed
+    // delete leaves behind is one that replay drops, not one it re-reads.
+    fs::File::open(dir)?.sync_all()?;
+    for input in inputs {
+        fs::remove_file(input.path)?;
     }
-    shard.sealed.push(path);
     let fp = fingerprint.to_string();
     let runs = shard.entries.len() as u64;
     lmb_trace::emit(|| EventKind::Compaction {
@@ -370,23 +449,32 @@ mod tests {
         b
     }
 
+    fn times(store: &SegmentStore, fingerprint: &str) -> Vec<u64> {
+        store
+            .history(fingerprint)
+            .unwrap()
+            .iter()
+            .map(|e| e.unix_seconds)
+            .collect()
+    }
+
     #[test]
     fn batches_then_seals_segments() {
         let dir = scratch_dir("seal");
-        let mut store = SegmentStore::open(&dir, 2, 100).unwrap();
+        let mut store = SegmentStore::open(dir.join("missing"), 2, 100).unwrap();
+        assert!(store.is_empty(), "a missing directory reads as empty");
+        assert_eq!(store.latest("fp-a").unwrap(), None);
         store.append(entry("fp-a", 10)).unwrap();
         assert_eq!(store.segment_count("fp-a"), 0, "batch not full yet");
         store.append(entry("fp-a", 20)).unwrap();
         assert_eq!(store.segment_count("fp-a"), 1, "batch of 2 sealed");
         store.append(entry("fp-a", 30)).unwrap();
-        assert_eq!(store.len(), 3, "pending entries are still queryable");
+        store.append(entry("fp-b", 40)).unwrap();
+        assert_eq!(store.len(), 4, "pending entries are still queryable");
         assert_eq!(store.latest("fp-a").unwrap().unwrap().unix_seconds, 30);
-        let history = store.history("fp-a").unwrap();
-        assert!(matches!(history, Cow::Borrowed(_)), "shard copied");
-        assert_eq!(history.len(), 3, "sealed and pending entries alike");
-        let absent = store.history("fp-missing").unwrap();
-        assert!(matches!(absent, Cow::Borrowed(_)), "absent shard allocated");
-        assert!(absent.is_empty());
+        assert_eq!(store.latest("fp-missing").unwrap(), None);
+        assert_eq!(store.history("fp-a").unwrap().len(), 3);
+        assert!(store.history("fp-missing").unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -395,22 +483,18 @@ mod tests {
         let dir = scratch_dir("replay");
         {
             let mut store = SegmentStore::open(&dir, 2, 100).unwrap();
-            for s in [10, 20, 30, 40, 50] {
+            // Out of capture order: the series sorts by time.
+            for s in [20, 10, 30, 50, 40] {
                 store.append(entry("fp-a", s)).unwrap();
             }
             store.append(entry("fp-b", 99)).unwrap();
+            assert_eq!(times(&store, "fp-a"), vec![10, 20, 30, 40, 50]);
             store.flush_all().unwrap();
         }
         let store = SegmentStore::open(&dir, 2, 100).unwrap();
         assert_eq!(store.len(), 6);
         assert_eq!(store.fingerprints(), vec!["fp-a", "fp-b"]);
-        let times: Vec<u64> = store
-            .history("fp-a")
-            .unwrap()
-            .iter()
-            .map(|e| e.unix_seconds)
-            .collect();
-        assert_eq!(times, vec![10, 20, 30, 40, 50]);
+        assert_eq!(times(&store, "fp-a"), vec![10, 20, 30, 40, 50]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -443,6 +527,63 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_between_merge_and_deletes_does_not_duplicate_the_shard() {
+        let dir = scratch_dir("crash");
+        let mut store = SegmentStore::open(&dir, 1, 3).unwrap();
+        for s in 0..3 {
+            store.append(entry("fp-a", s)).unwrap();
+        }
+        let inputs: Vec<(PathBuf, Vec<u8>)> = (0..3)
+            .map(|n| {
+                let path = segment_path(&dir, "fp-a", n, n);
+                let bytes = fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        store.append(entry("fp-a", 3)).unwrap();
+        assert_eq!(store.stats().compactions, 1);
+        drop(store);
+        // The merge is on disk; put back the inputs a crash would have left.
+        for (path, bytes) in &inputs {
+            fs::write(path, bytes).unwrap();
+        }
+
+        let mut store = SegmentStore::open(&dir, 1, 3).unwrap();
+        assert_eq!(times(&store, "fp-a"), vec![0, 1, 2, 3], "no entry twice");
+        assert_eq!(store.segment_count("fp-a"), 1);
+        assert!(
+            inputs.iter().all(|(path, _)| !path.exists()),
+            "inputs dropped"
+        );
+        // The shard carries on from the merge's numbers.
+        store.append(entry("fp-a", 4)).unwrap();
+        assert!(segment_path(&dir, "fp-a", 4, 4).exists());
+        drop(store);
+        assert_eq!(SegmentStore::open(&dir, 1, 3).unwrap().len(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn single_number_segments_of_the_older_compaction_still_replay() {
+        // Compaction used to give its merge the next single number.
+        let dir = scratch_dir("numbered");
+        fs::create_dir_all(&dir).unwrap();
+        let lines = |seconds: &[u64]| -> String {
+            seconds
+                .iter()
+                .map(|&s| entry("fp-a", s).to_json_compact() + "\n")
+                .collect()
+        };
+        fs::write(segment_path(&dir, "fp-a", 4, 4), lines(&[0, 1, 2, 3])).unwrap();
+        fs::write(segment_path(&dir, "fp-a", 5, 5), lines(&[4])).unwrap();
+        let mut store = SegmentStore::open(&dir, 1, 3).unwrap();
+        assert_eq!(times(&store, "fp-a"), vec![0, 1, 2, 3, 4]);
+        store.append(entry("fp-a", 5)).unwrap();
+        assert!(segment_path(&dir, "fp-a", 6, 6).exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corrupt_segment_lines_warn_and_skip() {
         let dir = scratch_dir("corrupt");
         {
@@ -451,7 +592,7 @@ mod tests {
             store.append(entry("fp-a", 20)).unwrap();
         }
         // Corrupt the first segment and drop junk that isn't a segment.
-        let seg = segment_path(&dir, "fp-a", 0);
+        let seg = segment_path(&dir, "fp-a", 0, 0);
         fs::write(&seg, "{ this is not json\n").unwrap();
         fs::write(dir.join("notes.txt"), "ignored").unwrap();
 

@@ -2,14 +2,10 @@
 //!
 //! A baseline is a full [`RunReport`] — values *and* their recorded noise
 //! bands — keyed by a host fingerprint, so `suite --baseline check` can
-//! refuse to compare a laptop against a build server. Files live under
-//! `.lmbench/baselines/` as plain JSON: inspectable with any tool,
-//! diffable in review, uploadable as CI artifacts.
-//!
-//! The directory store itself lives in [`crate::store`] ([`BaselineStore`]
-//! is its [`DirStore`](crate::store::DirStore) under the name the CLI
-//! grew up with); this module keeps the envelope type and the host
-//! [`fingerprint`].
+//! refuse to compare a laptop against a build server. This module keeps
+//! the envelope type and the host [`fingerprint`]; the CLI stores
+//! baselines in the same segment store as the results daemon, under
+//! `.lmbench/baselines/` by default (see [`crate::store`]).
 
 use crate::runreport::RunReport;
 use crate::schema::SuiteRun;
@@ -18,8 +14,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{SystemTime, UNIX_EPOCH};
-
-pub use crate::store::DirStore as BaselineStore;
 
 /// A stored reference run: the unit every [`ReportStore`](crate::store::ReportStore)
 /// appends, and the envelope the results daemon ships over the wire.
@@ -140,15 +134,6 @@ mod tests {
         }
     }
 
-    fn temp_store(tag: &str) -> BaselineStore {
-        let dir = std::env::temp_dir().join(format!(
-            "lmbench-baseline-test-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        BaselineStore::new(dir)
-    }
-
     #[test]
     fn fingerprint_is_stable_and_input_sensitive() {
         let a = fingerprint(&["myhost", "x86_64", "Linux 6.1"]);
@@ -160,65 +145,6 @@ mod tests {
             a.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'),
             "filename-unsafe fingerprint {a}"
         );
-    }
-
-    #[test]
-    fn save_then_latest_roundtrips() {
-        let store = temp_store("roundtrip");
-        let fp = fingerprint(&["hostA"]);
-        let baseline = Baseline::now(&fp, "hostA", report("lat_syscall"));
-        let path = store.save(&baseline).expect("save");
-        assert!(path.exists());
-        let loaded = store.latest(&fp).expect("read").expect("found");
-        assert_eq!(loaded, baseline);
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn latest_picks_the_newest_and_filters_by_fingerprint() {
-        let store = temp_store("latest");
-        let fp = fingerprint(&["hostA"]);
-        let mut old = Baseline::now(&fp, "hostA", report("old"));
-        old.unix_seconds = 100;
-        let mut new = Baseline::now(&fp, "hostA", report("new"));
-        new.unix_seconds = 200;
-        let other = Baseline::now(&fingerprint(&["hostB"]), "hostB", report("other"));
-        store.save(&old).unwrap();
-        store.save(&new).unwrap();
-        store.save(&other).unwrap();
-        let got = store.latest(&fp).unwrap().unwrap();
-        assert_eq!(got.report.records[0].name, "new");
-        assert_eq!(store.latest(&fingerprint(&["hostC"])).unwrap(), None);
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn same_second_saves_do_not_clobber() {
-        let store = temp_store("clobber");
-        let fp = fingerprint(&["hostA"]);
-        let mut a = Baseline::now(&fp, "hostA", report("first"));
-        a.unix_seconds = 42;
-        let mut b = Baseline::now(&fp, "hostA", report("second"));
-        b.unix_seconds = 42;
-        let pa = store.save(&a).unwrap();
-        let pb = store.save(&b).unwrap();
-        assert_ne!(pa, pb);
-        // Tie on seconds: the lexicographically-last filename wins, which
-        // is the later save ("...-42-1.json" > "...-42.json"? No — judged
-        // by name only among equal timestamps, so assert both survive).
-        assert!(pa.exists() && pb.exists());
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn missing_store_and_corrupt_files_read_as_no_baseline() {
-        let store = temp_store("corrupt");
-        let fp = fingerprint(&["hostA"]);
-        assert_eq!(store.latest(&fp).unwrap(), None, "missing dir");
-        std::fs::create_dir_all(store.dir()).unwrap();
-        std::fs::write(store.dir().join(format!("{fp}-7.json")), "{not json").unwrap();
-        assert_eq!(store.latest(&fp).unwrap(), None, "corrupt file");
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -3,15 +3,11 @@
 //! The paper's database grew by donation: "Many of the results included in
 //! the database were donated by users." [`ResultsDb`] is the same idea —
 //! a set of [`SuiteRun`]s keyed by system name, storable as a JSON file,
-//! mergeable with other sets.
-//!
-//! Persistence-wise this is now a *view*: the append-only time series in
-//! [`crate::store`] is the system of record, and [`ResultsDb::from_store`]
-//! projects it down to the newest table payload per host — the shape the
-//! paper's table renderers want.
+//! mergeable with other sets. It is the shape the paper's table
+//! renderers want; the ordered history of runs lives in the results store
+//! (see [`crate::store`]).
 
 use crate::schema::SuiteRun;
-use crate::store::ReportStore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
@@ -81,25 +77,6 @@ impl ResultsDb {
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// Projects a [`ReportStore`] down to the newest table payload per
-    /// entry: the last run in each fingerprint's series wins (exactly the
-    /// old last-write-wins behavior, but derived from ordered history
-    /// instead of replacing it). Entries without a `run` payload are
-    /// skipped — they carry only measurement provenance, not table rows.
-    pub fn from_store<S: ReportStore + ?Sized>(store: &S) -> io::Result<ResultsDb> {
-        let mut db = ResultsDb::new();
-        for entry in store.iter()? {
-            let Some(run) = entry.run else { continue };
-            let name = run
-                .system
-                .as_ref()
-                .map(|s| s.name.clone())
-                .unwrap_or_else(|| entry.host.clone());
-            db.insert(name, run);
-        }
-        Ok(db)
     }
 }
 

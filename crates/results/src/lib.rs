@@ -40,7 +40,7 @@ pub mod store;
 pub mod summary;
 pub mod table;
 
-pub use baseline::{fingerprint, Baseline, BaselineStore};
+pub use baseline::{fingerprint, Baseline};
 pub use compare::{compare_rows, Better, Comparison};
 pub use db::ResultsDb;
 pub use diff::{DiffClass, DiffRow, ReportDiff, SignificanceRule};
@@ -53,6 +53,6 @@ pub use runreport::{
 };
 pub use scaling::{GeneratorSample, ScalePoint, ScalingCurve};
 pub use schema::*;
-pub use store::{load_entry, DirStore, MemoryStore, ReportStore, SCHEMA_VERSION};
+pub use store::{load_entry, ReportStore, SCHEMA_VERSION};
 pub use summary::{db_summary, host_summary};
 pub use table::{Align, SortOrder, Table};

@@ -42,7 +42,7 @@
 //! from `diff`/`--baseline check`, 2 usage, 3 invalid configuration or
 //! unreadable input, 4 unknown benchmark.
 
-use lmbench::core::service::install_shutdown_handler;
+use lmbench::core::service::{install_shutdown_handler, SegmentStore};
 use lmbench::core::{
     detect_host, find_scale_spec, load_sim_rig, report, scale_registry, scenario_config, Engine,
     EngineClock, EngineOutcome, FaultPlan, LoadGen, LoadMode, LoadRunner, LoadSpec, Registry,
@@ -50,7 +50,7 @@ use lmbench::core::{
     SuiteError, Verbosity,
 };
 use lmbench::results::{
-    fingerprint, load_entry, render_side_by_side, Baseline, BaselineStore, ReportDiff, ResultsDb,
+    fingerprint, load_entry, render_side_by_side, Baseline, ReportDiff, ReportStore, ResultsDb,
     RunReport,
 };
 use lmbench::timing::{ArrivalProcess, Harness};
@@ -58,7 +58,7 @@ use lmbench::trace::{
     check_seq_order, check_span_refs, check_spans, span_summaries, ContextGuard, Detail, JsonlSink,
     Progress, Sink, Trace,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -140,6 +140,26 @@ fn registry_from_args(args: &[String]) -> Result<Registry, SuiteError> {
         });
     }
     registry.filtered(&names)
+}
+
+/// The value of a flag that takes a positive integer, or `default` when
+/// the flag is absent; a value that is not one is a usage error (exit 2)
+/// naming the flag.
+fn positive_flag<T: std::str::FromStr + Default + PartialOrd>(
+    args: &[String],
+    flag: &str,
+    default: T,
+) -> Result<T, ExitCode> {
+    let Some(value) = flag_value(args, flag) else {
+        return Ok(default);
+    };
+    match value.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(n),
+        _ => {
+            eprintln!("lmbench: {flag} needs a positive integer, got {value}");
+            Err(ExitCode::from(2))
+        }
+    }
 }
 
 /// The value following a `--flag`, when present.
@@ -439,11 +459,11 @@ fn serve_daemon(args: &[String]) -> ExitCode {
     if let Some(dir) = flag_value(args, "--dir") {
         config.data_dir = dir.into();
     }
-    if let Some(n) = flag_value(args, "--batch").and_then(|v| v.parse().ok()) {
-        config.batch_size = n;
-    }
-    if let Some(n) = flag_value(args, "--compact").and_then(|v| v.parse().ok()) {
-        config.compact_threshold = n;
+    let batch = positive_flag(args, "--batch", config.batch_size);
+    let compact = positive_flag(args, "--compact", config.compact_threshold);
+    match (batch, compact) {
+        (Ok(b), Ok(c)) => (config.batch_size, config.compact_threshold) = (b, c),
+        (Err(code), _) | (_, Err(code)) => return code,
     }
     // The daemon's audit log: every ingest, query, compaction and store
     // warning as trace JSONL.
@@ -647,11 +667,11 @@ fn query_daemon(args: &[String]) -> ExitCode {
     }
 }
 
-/// The baseline store, honouring the `LMBENCH_BASELINE_DIR` override.
-fn baseline_store() -> BaselineStore {
+/// Where baselines live, honouring the `LMBENCH_BASELINE_DIR` override.
+fn baseline_dir() -> PathBuf {
     match std::env::var("LMBENCH_BASELINE_DIR") {
-        Ok(dir) if !dir.is_empty() => BaselineStore::new(dir),
-        _ => BaselineStore::new(BaselineStore::default_dir()),
+        Ok(dir) if !dir.is_empty() => dir.into(),
+        _ => PathBuf::from(".lmbench").join("baselines"),
     }
 }
 
@@ -709,7 +729,7 @@ fn env_doctor() -> ExitCode {
     }
 
     println!("=== Results ===");
-    println!("  baseline dir  {}", baseline_store().dir().display());
+    println!("  baseline dir  {}", baseline_dir().display());
     println!("  schema        v{}", lmbench::results::SCHEMA_VERSION);
     ExitCode::SUCCESS
 }
@@ -717,48 +737,56 @@ fn env_doctor() -> ExitCode {
 /// Applies `--baseline save|check` after a suite run; returns the exit
 /// code (only `check` with significant regressions is nonzero).
 fn baseline_action(mode: &str, outcome: &EngineOutcome) -> ExitCode {
-    let store = baseline_store();
-    let (fp, host) = host_fingerprint();
-    match mode {
-        "save" => {
-            let baseline = Baseline::now(&fp, &host, outcome.report.clone());
-            match store.save(&baseline) {
-                Ok(path) => {
-                    eprintln!("lmbench: baseline saved to {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("lmbench: cannot save baseline: {e}");
-                    ExitCode::from(3)
-                }
-            }
+    if !matches!(mode, "save" | "check") {
+        eprintln!("lmbench suite: --baseline takes save|check, got `{mode}`");
+        return ExitCode::from(2);
+    }
+    // The results daemon's store, with its batching and compaction.
+    let defaults = ServiceConfig::default();
+    let dir = baseline_dir();
+    let mut store = match SegmentStore::open(&dir, defaults.batch_size, defaults.compact_threshold)
+    {
+        Ok(store) => store,
+        Err(e) => {
+            eprintln!("lmbench: cannot open baseline store {}: {e}", dir.display());
+            return ExitCode::from(3);
         }
-        "check" => match store.latest(&fp) {
-            Ok(Some(baseline)) => {
-                let diff = ReportDiff::between(&baseline.report, &outcome.report);
-                eprint!("{}", diff.render());
-                if diff.has_regressions() {
-                    eprintln!("lmbench: significant regressions vs baseline");
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Ok(None) => {
-                eprintln!(
-                    "lmbench: no baseline for this host in {} (run `suite --baseline save` first)",
-                    store.dir().display()
-                );
+    };
+    let (fp, host) = host_fingerprint();
+    if mode == "save" {
+        let baseline = Baseline::now(&fp, &host, outcome.report.clone());
+        return match store.append(baseline).and_then(|_| store.flush_all()) {
+            Ok(()) => {
+                eprintln!("lmbench: baseline saved to {}", dir.display());
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                eprintln!("lmbench: cannot read baseline store: {e}");
+                eprintln!("lmbench: cannot save baseline: {e}");
                 ExitCode::from(3)
             }
-        },
-        other => {
-            eprintln!("lmbench suite: --baseline takes save|check, got `{other}`");
-            ExitCode::from(2)
+        };
+    }
+    match store.latest(&fp) {
+        Ok(Some(baseline)) => {
+            let diff = ReportDiff::between(&baseline.report, &outcome.report);
+            eprint!("{}", diff.render());
+            if diff.has_regressions() {
+                eprintln!("lmbench: significant regressions vs baseline");
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
+            }
+        }
+        Ok(None) => {
+            eprintln!(
+                "lmbench: no baseline for this host in {} (run `suite --baseline save` first)",
+                dir.display()
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("lmbench: cannot read baseline store: {e}");
+            ExitCode::from(3)
         }
     }
 }
@@ -916,15 +944,9 @@ fn main() -> ExitCode {
                 eprintln!("lmbench scale: missing benchmark name (try `lmbench scale all`)");
                 return usage();
             };
-            let max_p = match flag_value(&args, "--max-p") {
-                Some(value) => match value.parse::<u32>() {
-                    Ok(p) if p > 0 => p,
-                    _ => {
-                        eprintln!("lmbench: --max-p needs a positive integer, got {value}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => 4,
+            let max_p = match positive_flag(&args, "--max-p", 4u32) {
+                Ok(p) => p,
+                Err(code) => return code,
             };
             let specs = match load_specs(target) {
                 Ok(specs) => specs,

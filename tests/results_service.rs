@@ -486,3 +486,35 @@ fn the_audit_log_ends_with_the_daemons_own_books() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_rejects_a_zero_batch_and_a_non_numeric_compaction_threshold() {
+    for (flag, value) in [("--batch", "0"), ("--compact", "x")] {
+        let dir = temp_path(&format!("bad-flag{flag}"));
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lmbench"))
+            .args(["serve", "--dir", dir.to_str().unwrap(), flag, value])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lmbench serve");
+        // A daemon that accepted the value would listen until killed.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            match child.try_wait().expect("wait on serve") {
+                Some(status) => break Some(status),
+                None if Instant::now() > deadline => break None,
+                None => std::thread::sleep(Duration::from_millis(20)),
+            }
+        };
+        let Some(status) = status else {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("serve {flag} {value} started instead of exiting");
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(2), "serve {flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
