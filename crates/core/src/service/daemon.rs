@@ -179,9 +179,8 @@ impl ResultsService {
             let req: PushRequest = proto::from_wire(args)?;
             let fingerprint = req.entry.fingerprint.clone();
             let shard_seq = s.lock().store.append(req.entry).map_err(|_| ())?;
-            let fp = fingerprint.clone();
             lmb_trace::emit(|| EventKind::Ingest {
-                fingerprint: fp.clone(),
+                fingerprint: fingerprint.clone(),
                 shard_seq,
                 bytes,
             });
@@ -339,12 +338,11 @@ fn register(
     );
 }
 
+/// Emits a `query` event; an untraced daemon allocates nothing for it.
 fn note_query(procedure: &str, fingerprint: &str, rows: u64) {
-    let p = procedure.to_string();
-    let fp = fingerprint.to_string();
     lmb_trace::emit(|| EventKind::Query {
-        procedure: p.clone(),
-        fingerprint: fp.clone(),
+        procedure: procedure.to_string(),
+        fingerprint: fingerprint.to_string(),
         rows,
     });
 }
@@ -758,6 +756,87 @@ mod tests {
         let second = audited_run(config, 0);
         assert_eq!(second["service.replay_ms.count"], 1, "{second:?}");
         assert_eq!(second["service.push.calls"], 0, "{second:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sorted file names in `dir`.
+    fn names(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|d| d.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_fingerprint_that_is_no_file_name_is_refused() {
+        let mut config = scratch_config();
+        let root = config.data_dir.clone();
+        config.data_dir = root.join("data");
+        let service = ResultsService::start(config).unwrap();
+        let mut client = RpcClient::connect_tcp(
+            ("127.0.0.1", service.tcp_port()),
+            RESULTS_PROGRAM,
+            RESULTS_VERSION,
+        )
+        .unwrap();
+        let refused = ["../escaped", "", ".hidden", "a/b"];
+        for fingerprint in refused {
+            let wire = proto::to_wire(&PushRequest {
+                entry: entry(fingerprint, 10),
+            });
+            match client.call(RESULTS_PROC_PUSH, wire) {
+                Err(CallError::Fault(RpcFault::GarbageArguments)) => {}
+                other => panic!("{fingerprint:?}: expected a refusal, got {other:?}"),
+            }
+        }
+        // The daemon keeps answering, and books each refusal as an error.
+        push(&mut client, entry("fp-ok_1.a", 10));
+        let reply = client
+            .call(RESULTS_PROC_STATS, proto::to_wire(&StatsRequest::default()))
+            .unwrap();
+        let stats: super::super::proto::StatsReply = proto::from_wire(reply).unwrap();
+        let row = stats.procedures.iter().find(|p| p.procedure == "push");
+        let row = row.expect("push row");
+        assert_eq!(
+            (row.calls, row.errors),
+            (refused.len() as u64 + 1, refused.len() as u64)
+        );
+        assert_eq!((stats.store.hosts, stats.store.runs), (1, 1));
+
+        // Shutdown seals every pending batch: only the accepted one lands.
+        drop(client);
+        service.shutdown().unwrap();
+        assert_eq!(names(&root), ["data"]);
+        assert_eq!(names(&root.join("data")), ["fp-ok_1.a.000000.seg.jsonl"]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_push_nested_too_deep_is_garbage_and_the_daemon_answers_on() {
+        let config = scratch_config();
+        let dir = config.data_dir.clone();
+        let service = ResultsService::start(config).unwrap();
+        let mut client = RpcClient::connect_tcp(
+            ("127.0.0.1", service.tcp_port()),
+            RESULTS_PROGRAM,
+            RESULTS_VERSION,
+        )
+        .unwrap();
+        let deep = "[".repeat(100_000);
+        // Nested where the entry belongs, and under a key no type reads.
+        for body in [deep.clone(), format!(r#"{{"entry":{{"junk":{deep}"#)] {
+            let mut e = lmb_rpc::XdrEncoder::new();
+            e.put_string(&body);
+            match client.call(RESULTS_PROC_PUSH, e.finish()) {
+                Err(CallError::Fault(RpcFault::GarbageArguments)) => {}
+                other => panic!("expected GARBAGE_ARGS, got {other:?}"),
+            }
+            push(&mut client, entry("fp-deep", 10));
+        }
+        drop(client);
+        service.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -237,10 +237,12 @@ impl From<WireError> for () {
 }
 
 /// Decodes a request or reply body produced by [`to_wire`].
+/// The JSON is parsed where it lies in the body, after one UTF-8 check.
 pub fn from_wire<T: Deserialize>(bytes: Bytes) -> Result<T, WireError> {
     let mut d = XdrDecoder::new(bytes);
-    let json = d.get_string().map_err(|_| WireError)?;
-    serde_json::from_str(&json).map_err(|_| WireError)
+    let body = d.get_opaque().map_err(|_| WireError)?;
+    let json = std::str::from_utf8(&body).map_err(|_| WireError)?;
+    serde_json::from_str(json).map_err(|_| WireError)
 }
 
 /// Builds the diff half of [`DiffReply`] from a shard's two newest runs.

@@ -242,7 +242,11 @@ impl SegmentStore {
             }
             let parsed = fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
-                .and_then(|text| Baseline::from_json(&text).map_err(|e| e.to_string()));
+                .and_then(|text| Baseline::from_json(&text).map_err(|e| e.to_string()))
+                .and_then(|entry| match check_fingerprint(&entry.fingerprint) {
+                    Ok(()) => Ok(entry),
+                    Err(refused) => Err(refused.to_string()),
+                });
             match parsed {
                 Ok(entry) => found.push((save_suffix(&path, &entry), path, entry)),
                 Err(detail) => warn_skipped(&path, &detail),
@@ -311,7 +315,11 @@ impl SegmentStore {
 }
 
 impl ReportStore for SegmentStore {
+    /// Rejects an entry whose fingerprint could not name a segment file
+    /// inside the store's directory (see [`check_fingerprint`]) with
+    /// [`io::ErrorKind::InvalidInput`], storing nothing.
     fn append(&mut self, entry: Baseline) -> io::Result<u64> {
+        check_fingerprint(&entry.fingerprint)?;
         let fingerprint = entry.fingerprint.clone();
         let batch_size = self.batch_size;
         let shard = self.shards.entry(fingerprint.clone()).or_default();
@@ -337,6 +345,24 @@ impl ReportStore for SegmentStore {
 /// same-second entries keep arrival order.
 fn sort_series(entries: &mut [Baseline]) {
     entries.sort_by_key(|e| e.unix_seconds);
+}
+
+/// Checks that `fingerprint` names files inside the store's directory and
+/// nowhere else: non-empty, not starting with `.`, and made of ASCII
+/// alphanumerics, `-`, `_` and `.` only. Fingerprints come from pushes,
+/// so this is what keeps `../x` from sealing a segment outside the
+/// directory and an empty one from sealing a file replay cannot name.
+fn check_fingerprint(fingerprint: &str) -> io::Result<()> {
+    let filename_safe = fingerprint
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'));
+    if !fingerprint.is_empty() && !fingerprint.starts_with('.') && filename_safe {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("fingerprint {fingerprint:?} cannot name a segment file"),
+    ))
 }
 
 /// A sealed batch is `{fingerprint}.{n:06}`, a merge of segments `lo`
@@ -614,6 +640,42 @@ mod tests {
         assert_eq!(warnings.len(), 1, "exactly the corrupt file warned");
         assert!(warnings[0].contains("fp-a.000000"), "{warnings:?}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fingerprints_that_are_no_file_name_are_refused() {
+        let root = scratch_dir("refuse");
+        let dir = root.join("data");
+        let mut store = SegmentStore::open(&dir, 1, 100).unwrap();
+        for fingerprint in ["../escaped", "", ".hidden", "a/b", "a\\b", "caf\u{e9}"] {
+            let err = store.append(entry(fingerprint, 10)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{fingerprint:?}");
+        }
+        assert!(store.is_empty());
+        store
+            .append(entry("fleet-host-00ab54cd12ef3401", 10))
+            .unwrap();
+        store.append(entry("a_b.c-9", 10)).unwrap();
+        assert_eq!(store.len(), 2);
+        let files = |dir: &Path| fs::read_dir(dir).unwrap().count();
+        assert_eq!((files(&root), files(&dir)), (1, 2));
+
+        // An older-layout envelope naming such a fingerprint warns and
+        // stays put rather than being imported.
+        fs::write(dir.join("bad.json"), entry("../escaped", 20).to_json()).unwrap();
+        let sink = MemorySink::shared();
+        let trace = Trace::new(vec![Box::new(sink.clone())]);
+        let ctx = trace.enter();
+        let store = SegmentStore::open(&dir, 1, 100).unwrap();
+        drop(ctx);
+        assert_eq!(store.len(), 2);
+        let warned = sink.events().iter().any(|e| {
+            matches!(&e.kind, EventKind::StoreWarning { path, .. } if path.ends_with("bad.json"))
+        });
+        assert!(warned, "{:?}", sink.events());
+        assert!(dir.join("bad.json").exists());
+        assert_eq!((files(&root), files(&dir)), (1, 3));
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -151,9 +151,11 @@ mod tests {
     fn v1_envelope_without_schema_version_reads_as_v1() {
         // Files written before the field existed must keep loading.
         let fp = fingerprint(&["hostA"]);
-        let mut value = Baseline::now(&fp, "hostA", report("lat_syscall")).to_value();
+        let json = Baseline::now(&fp, "hostA", report("lat_syscall")).to_json();
+        let mut value: Value = serde_json::from_str(&json).unwrap();
         value.set("schema_version", Value::Null);
-        let loaded = Baseline::from_value(&value).expect("tolerant");
+        let loaded =
+            Baseline::from_json(&serde_json::to_string(&value).unwrap()).expect("tolerant");
         assert_eq!(loaded.schema_version, 1);
         assert_eq!(loaded.run, None);
         // Re-serializing preserves the version it was loaded with.

@@ -712,11 +712,11 @@ mod tests {
     fn classes_serialize_as_their_table_labels() {
         use DiffClass::*;
         for class in [Improved, Regressed, Unchanged, Unknown] {
-            let value = class.to_value();
-            assert_eq!(value, serde::Value::Str(class.label().to_owned()));
-            assert_eq!(DiffClass::from_value(&value), Ok(class));
+            let json = serde_json::to_string(&class).unwrap();
+            assert_eq!(json, format!("\"{}\"", class.label()));
+            assert_eq!(serde_json::from_str::<DiffClass>(&json), Ok(class));
         }
-        assert!(DiffClass::from_value(&serde::Value::Str("worse".into())).is_err());
+        assert!(serde_json::from_str::<DiffClass>("\"worse\"").is_err());
     }
 
     fn budget(suite_ms: f64) -> crate::runreport::HarnessMetrics {

@@ -266,9 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_roundtrips_through_value() {
+    fn sweep_roundtrips_through_json() {
         let s = sweep();
-        let back = RateSweep::from_value(&s.to_value()).expect("roundtrip");
+        let back = serde_json::from_str::<RateSweep>(&serde_json::to_string(&s).unwrap())
+            .expect("roundtrip");
         assert_eq!(back, s);
     }
 

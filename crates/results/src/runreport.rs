@@ -7,7 +7,7 @@
 //! did the harness actually do to produce them?" (paper §3.4 discusses the
 //! methodology; here we archive it per row).
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Cursor, DeError, Deserialize, Serialize, Writer};
 use std::fmt;
 
 /// What happened to one benchmark.
@@ -59,36 +59,54 @@ impl BenchStatus {
 // Hand-written: the tuple variants `Failed`/`Skipped` carry their reason
 // under a `reason` key, which no derive attribute expresses.
 impl Serialize for BenchStatus {
-    fn to_value(&self) -> Value {
-        let mut obj = Value::object();
-        obj.set("status", Value::Str(self.label().to_owned()));
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("status");
+        w.str(self.label());
         match self {
             BenchStatus::Ok => {}
             BenchStatus::Failed(reason) | BenchStatus::Skipped(reason) => {
-                obj.set("reason", Value::Str(reason.clone()));
+                w.key("reason");
+                w.str(reason);
             }
             BenchStatus::TimedOut { limit_ms } => {
-                obj.set("limit_ms", Value::Int(i128::from(*limit_ms)));
+                w.key("limit_ms");
+                w.int(*limit_ms);
             }
         }
-        obj
+        w.end_object();
     }
 }
 
 impl Deserialize for BenchStatus {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let obj = value.expect_object("BenchStatus")?;
-        let tag = String::from_value(obj.field("status")).map_err(|e| e.in_field("status"))?;
-        match tag.as_str() {
+    fn deserialize(c: &mut Cursor<'_>) -> Result<Self, DeError> {
+        let tag = c.tag("status", "BenchStatus")?;
+        // Only the payload key this status carries is read; the first of
+        // a repeated key wins, and every other key is passed over.
+        let (mut reason, mut limit_ms) = (None, None);
+        while let Some(key) = c.next_key()? {
+            match (&*tag, &*key) {
+                ("failed" | "skipped", "reason") if reason.is_none() => {
+                    reason = Some(String::deserialize(c).map_err(|e| e.in_field("reason"))?);
+                }
+                ("timeout", "limit_ms") if limit_ms.is_none() => {
+                    limit_ms = Some(u64::deserialize(c).map_err(|e| e.in_field("limit_ms"))?);
+                }
+                _ => c.skip_value()?,
+            }
+        }
+        let reason = || {
+            reason
+                .map_or_else(String::missing, Ok)
+                .map_err(|e| e.in_field("reason"))
+        };
+        match &*tag {
             "ok" => Ok(BenchStatus::Ok),
-            "failed" => Ok(BenchStatus::Failed(
-                String::from_value(obj.field("reason")).map_err(|e| e.in_field("reason"))?,
-            )),
-            "skipped" => Ok(BenchStatus::Skipped(
-                String::from_value(obj.field("reason")).map_err(|e| e.in_field("reason"))?,
-            )),
+            "failed" => Ok(BenchStatus::Failed(reason()?)),
+            "skipped" => Ok(BenchStatus::Skipped(reason()?)),
             "timeout" => Ok(BenchStatus::TimedOut {
-                limit_ms: u64::from_value(obj.field("limit_ms"))
+                limit_ms: limit_ms
+                    .map_or_else(u64::missing, Ok)
                     .map_err(|e| e.in_field("limit_ms"))?,
             }),
             other => Err(DeError::new(format!("unknown BenchStatus tag `{other}`"))),
@@ -469,6 +487,7 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn record(name: &str, status: BenchStatus) -> BenchRecord {
         BenchRecord {
@@ -500,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn every_status_roundtrips_through_value() {
+    fn every_status_roundtrips_through_json() {
         let statuses = [
             BenchStatus::Ok,
             BenchStatus::Failed("boom".into()),
@@ -508,7 +527,8 @@ mod tests {
             BenchStatus::Skipped("no loopback".into()),
         ];
         for s in &statuses {
-            let back = BenchStatus::from_value(&s.to_value()).expect("roundtrip");
+            let back = serde_json::from_str::<BenchStatus>(&serde_json::to_string(&s).unwrap())
+                .expect("roundtrip");
             assert_eq!(&back, s);
         }
     }
@@ -570,7 +590,8 @@ mod tests {
             records: vec![rec.clone(), record("bw_mem", BenchStatus::Ok)],
             ..Default::default()
         };
-        let back = RunReport::from_value(&report.to_value()).expect("roundtrip");
+        let back = serde_json::from_str::<RunReport>(&serde_json::to_string(&report).unwrap())
+            .expect("roundtrip");
         assert_eq!(back.records[0].span, Some(41));
         assert_eq!(back.records[1].span, None);
         assert_eq!(back, report);
@@ -601,7 +622,8 @@ mod tests {
             records: vec![rec.clone()],
             ..Default::default()
         };
-        let back = RunReport::from_value(&report.to_value()).expect("roundtrip");
+        let back = serde_json::from_str::<RunReport>(&serde_json::to_string(&report).unwrap())
+            .expect("roundtrip");
         assert_eq!(back.records[0], rec);
     }
 
@@ -627,10 +649,14 @@ mod tests {
             measure_calls: 1,
             clamped_samples: 7,
         };
-        let mut value = p.to_value();
+        let mut value: Value = serde_json::from_str(&serde_json::to_string(&p).unwrap()).unwrap();
         value.set("clamped_samples", Value::Null);
         p.clamped_samples = 0;
-        assert_eq!(Provenance::from_value(&value).expect("tolerant"), p);
+        let json = serde_json::to_string(&value).unwrap();
+        assert_eq!(
+            serde_json::from_str::<Provenance>(&json).expect("tolerant"),
+            p
+        );
     }
 
     #[test]
@@ -646,10 +672,15 @@ mod tests {
             invol_ctx_switches: 1,
             contended: true,
         };
-        let mut value = usage.to_value();
+        let mut value: Value =
+            serde_json::from_str(&serde_json::to_string(&usage).unwrap()).unwrap();
         value.set("contended", Value::Null);
         usage.contended = false;
-        assert_eq!(ResourceUsage::from_value(&value).expect("tolerant"), usage);
+        let json = serde_json::to_string(&value).unwrap();
+        assert_eq!(
+            serde_json::from_str::<ResourceUsage>(&json).expect("tolerant"),
+            usage
+        );
     }
 
     #[test]
@@ -686,13 +717,12 @@ mod tests {
     fn record_without_counters_field_reads_as_none() {
         // Reports archived before counters existed must keep loading.
         let rec = record("lat_syscall", BenchStatus::Ok);
-        let value = rec.to_value();
-        let rendered = serde_json::to_string(&value).unwrap();
+        let rendered = serde_json::to_string(&rec).unwrap();
         assert!(
             !rendered.contains("counters"),
             "absent counters must be omitted, not null: {rendered}"
         );
-        let back = BenchRecord::from_value(&value).expect("tolerant");
+        let back: BenchRecord = serde_json::from_str(&rendered).expect("tolerant");
         assert_eq!(back.counters, None);
         assert_eq!(back, rec);
     }

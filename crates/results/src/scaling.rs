@@ -209,8 +209,8 @@ mod tests {
             "zero baseline must yield unknown efficiency, got {:?}",
             c.points.iter().map(|p| p.efficiency).collect::<Vec<_>>()
         );
-        let json = c.to_value();
-        let back = ScalingCurve::from_value(&json).expect("roundtrip");
+        let back = serde_json::from_str::<ScalingCurve>(&serde_json::to_string(&c).unwrap())
+            .expect("roundtrip");
         assert_eq!(back, c, "unknown efficiency survives serialization");
     }
 
@@ -224,9 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn curve_roundtrips_through_value() {
+    fn curve_roundtrips_through_json() {
         let c = curve();
-        let back = ScalingCurve::from_value(&c.to_value()).expect("roundtrip");
+        let back = serde_json::from_str::<ScalingCurve>(&serde_json::to_string(&c).unwrap())
+            .expect("roundtrip");
         assert_eq!(back, c);
     }
 

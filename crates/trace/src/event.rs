@@ -6,7 +6,7 @@
 //! a trace without a parser, and a parser can rebuild every event
 //! losslessly (the round-trip is tested over every kind).
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Cursor, DeError, Deserialize, Serialize, Writer};
 use std::collections::BTreeMap;
 
 /// What one trace line reports.
@@ -508,31 +508,58 @@ pub struct TraceEvent {
 }
 
 // Hand-written envelope: the sequencing fields come first, then the
-// derived `kind` object's pairs (tag, payload) are flattened after them,
-// so every line reads `seq, t_us, span, kind, ...` and greps like
-// `"kind":"counters",` stay reliable. Reading back parses `kind` from the
-// same flat object.
+// derived `kind` object's keys (tag, payload) are merged after them, so
+// every line reads `seq, t_us, span, kind, ...` and greps like
+// `"kind":"counters",` stay reliable. Reading back takes the sequencing
+// fields off the front, then parses `kind` from the same flat object.
 impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("seq".to_owned(), Value::Int(i128::from(self.seq))),
-            ("t_us".to_owned(), Value::Float(self.t_us)),
-            ("span".to_owned(), self.span.to_value()),
-        ];
-        if let Value::Object(kind) = self.kind.to_value() {
-            pairs.extend(kind);
-        }
-        Value::Object(pairs)
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("seq");
+        w.int(self.seq);
+        w.key("t_us");
+        w.float(self.t_us);
+        w.key("span");
+        self.span.serialize(w);
+        w.merge_object(&self.kind);
+        w.end_object();
     }
 }
 
 impl Deserialize for TraceEvent {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
+    fn deserialize(c: &mut Cursor<'_>) -> Result<Self, DeError> {
+        let start = c.clone();
+        c.begin_object("TraceEvent")?;
+        let (mut seq, mut t_us, mut span) = (None, None, None);
+        // Written first, so normally the first three keys; the scan stops
+        // once all three are seen (a later repeat cannot win anyway).
+        while seq.is_none() || t_us.is_none() || span.is_none() {
+            let Some(key) = c.next_key()? else { break };
+            match &*key {
+                "seq" if seq.is_none() => {
+                    seq = Some(u64::deserialize(c).map_err(|e| e.in_field("seq"))?);
+                }
+                "t_us" if t_us.is_none() => {
+                    t_us = Some(f64::deserialize(c).map_err(|e| e.in_field("t_us"))?);
+                }
+                "span" if span.is_none() => {
+                    span = Some(Option::deserialize(c).map_err(|e| e.in_field("span"))?);
+                }
+                _ => c.skip_value()?,
+            }
+        }
+        // `kind` reads the whole object, passing over the three above.
+        *c = start;
+        let kind = EventKind::deserialize(c)?;
         Ok(TraceEvent {
-            kind: EventKind::from_value(value)?,
-            seq: u64::from_value(value.field("seq")).map_err(|e| e.in_field("seq"))?,
-            t_us: f64::from_value(value.field("t_us")).map_err(|e| e.in_field("t_us"))?,
-            span: Option::from_value(value.field("span")).map_err(|e| e.in_field("span"))?,
+            kind,
+            seq: seq
+                .map_or_else(u64::missing, Ok)
+                .map_err(|e| e.in_field("seq"))?,
+            t_us: t_us
+                .map_or_else(f64::missing, Ok)
+                .map_err(|e| e.in_field("t_us"))?,
+            span: span.unwrap_or(None),
         })
     }
 }
@@ -540,9 +567,10 @@ impl Deserialize for TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
-    fn every_kind_roundtrips_through_value() {
+    fn every_kind_reads_back_with_its_keys_in_any_order() {
         for (i, kind) in EventKind::samples().into_iter().enumerate() {
             let event = TraceEvent {
                 seq: i as u64,
@@ -550,8 +578,15 @@ mod tests {
                 span: if i % 2 == 0 { Some(7) } else { None },
                 kind,
             };
-            let back = TraceEvent::from_value(&event.to_value()).expect("roundtrip");
-            assert_eq!(back, event);
+            let line = serde_json::to_string(&event).expect("render");
+            let Ok(Value::Object(mut pairs)) = serde_json::from_str(&line) else {
+                panic!("a trace line is an object: {line}");
+            };
+            // The tag last, the sequencing fields after the payload.
+            pairs.reverse();
+            let reversed = serde_json::to_string(&Value::Object(pairs)).unwrap();
+            let back: TraceEvent = serde_json::from_str(&reversed).expect("reordered parse");
+            assert_eq!(back, event, "{reversed}");
         }
     }
 
@@ -576,9 +611,14 @@ mod tests {
         let samples = EventKind::samples();
         let tags: std::collections::HashSet<String> = samples
             .iter()
-            .map(|k| match k.to_value().get("kind") {
-                Some(Value::Str(tag)) => tag.clone(),
-                other => panic!("kind tag missing: {other:?}"),
+            .map(|k| {
+                match serde_json::from_str::<Value>(&serde_json::to_string(k).unwrap())
+                    .unwrap()
+                    .get("kind")
+                {
+                    Some(Value::Str(tag)) => tag.clone(),
+                    other => panic!("kind tag missing: {other:?}"),
+                }
             })
             .collect();
         assert_eq!(tags.len(), samples.len(), "duplicate kind tag");

@@ -2,14 +2,22 @@
 //!
 //! The build environment has no crates.io access, so this workspace-local
 //! crate provides the subset the results pipeline needs: `Serialize` and
-//! `Deserialize` traits defined over an owned [`Value`] tree, primitive and
-//! container impls, and re-exported derive macros. `serde_json` (also
-//! shimmed) renders and parses that tree.
+//! `Deserialize` traits, primitive and container impls, and re-exported
+//! derive macros. `serde_json` (also shimmed) holds the entry points.
 //!
-//! The design intentionally trades serde's zero-copy visitor machinery for
-//! a tiny, auditable data model: every type lowers to a `Value`, and JSON
-//! is a rendering of `Value`. That is plenty for result archiving, which
-//! is the only (de)serialization this workspace performs.
+//! The only format this workspace speaks is JSON, so the traits speak it
+//! directly instead of going through serde's visitor machinery or an
+//! intermediate tree. [`Serialize`] writes a value into a [`Writer`], which
+//! appends JSON to one output `String` and owns the separators and the
+//! compact or pretty indentation. [`Deserialize`] reads a value off a
+//! [`Cursor`], which borrows the input text: a derived struct takes its
+//! keys as they come, checking the declaration order first and searching
+//! its key list only when the order differs, and passes over unknown keys
+//! without building them. A key an object lacks reads as an explicit
+//! `null` would ([`Deserialize::missing`]).
+//!
+//! [`Value`] is an owned JSON document for tests and hand edits (patch a
+//! field, render it back); nothing on the way to or from JSON builds one.
 //!
 //! The derives take `default`, `skip_serializing_if`, `tag` and
 //! `rename_all` attributes (see the `serde_derive` shim); any other shape
@@ -28,84 +36,16 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+mod de;
+mod ser;
+mod value;
+
+pub use de::Cursor;
+pub use ser::Writer;
+pub use value::Value;
+
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A parsed or to-be-rendered data tree.
-///
-/// Objects preserve insertion order (a `Vec` of pairs, not a map) so the
-/// rendered JSON matches struct declaration order, which keeps archived
-/// results diffable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    /// All integers ride in `i128`, wide enough for any primitive int.
-    Int(i128),
-    Float(f64),
-    Str(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// An empty object, ready for [`Value::set`] calls.
-    #[must_use]
-    pub fn object() -> Self {
-        Value::Object(Vec::new())
-    }
-
-    /// Insert or replace a key on an object; no-op on other variants.
-    pub fn set(&mut self, key: &str, value: Value) {
-        if let Value::Object(pairs) = self {
-            if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) {
-                slot.1 = value;
-            } else {
-                pairs.push((key.to_owned(), value));
-            }
-        }
-    }
-
-    /// Look up a key on an object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Look up a key, treating a missing key as JSON `null` (so `Option`
-    /// fields tolerate both `"k": null` and an absent `"k"`).
-    #[must_use]
-    pub fn field(&self, key: &str) -> &Value {
-        const NULL: Value = Value::Null;
-        self.get(key).unwrap_or(&NULL)
-    }
-
-    /// Require this value to be an object, with a type name for errors.
-    pub fn expect_object(&self, type_name: &str) -> Result<&Self, DeError> {
-        match self {
-            Value::Object(_) => Ok(self),
-            other => Err(DeError::new(format!(
-                "expected JSON object for `{type_name}`, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-}
 
 /// Deserialization failure: what was expected, and where.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,14 +78,19 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Lower a value into the [`Value`] tree.
+/// Write a value as JSON.
 pub trait Serialize {
-    fn to_value(&self) -> Value;
+    fn serialize(&self, writer: &mut Writer);
 }
 
-/// Rebuild a value from the [`Value`] tree.
+/// Read a value from JSON.
 pub trait Deserialize: Sized {
-    fn from_value(value: &Value) -> Result<Self, DeError>;
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError>;
+
+    /// What a key absent from its object reads as: the same as `null`.
+    fn missing() -> Result<Self, DeError> {
+        Self::deserialize(&mut Cursor::new("null"))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -155,24 +100,13 @@ pub trait Deserialize: Sized {
 macro_rules! int_impls {
     ($($ty:ty),* $(,)?) => {$(
         impl Serialize for $ty {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i128)
+            fn serialize(&self, writer: &mut Writer) {
+                writer.int(*self as i128);
             }
         }
         impl Deserialize for $ty {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::Int(i) => <$ty>::try_from(*i).map_err(|_| {
-                        DeError::new(format!(
-                            "integer {i} out of range for {}",
-                            stringify!($ty)
-                        ))
-                    }),
-                    other => Err(DeError::new(format!(
-                        "expected integer, found {}",
-                        other.kind()
-                    ))),
-                }
+            fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError> {
+                cursor.int(stringify!($ty))
             }
         }
     )*};
@@ -183,28 +117,17 @@ int_impls!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! float_impls {
     ($($ty:ty),* $(,)?) => {$(
         impl Serialize for $ty {
-            fn to_value(&self) -> Value {
-                let v = *self as f64;
-                // JSON has no NaN/Infinity; match serde_json's lossy `null`.
-                if v.is_finite() {
-                    Value::Float(v)
-                } else {
-                    Value::Null
-                }
+            fn serialize(&self, writer: &mut Writer) {
+                writer.float(f64::from(*self));
             }
         }
         impl Deserialize for $ty {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::Float(f) => Ok(*f as $ty),
-                    Value::Int(i) => Ok(*i as $ty),
-                    // Non-finite floats were rendered as null.
-                    Value::Null => Ok(<$ty>::NAN),
-                    other => Err(DeError::new(format!(
-                        "expected number, found {}",
-                        other.kind()
-                    ))),
-                }
+            fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError> {
+                cursor.float().map(|f| f as $ty)
+            }
+
+            fn missing() -> Result<Self, DeError> {
+                Ok(<$ty>::NAN)
             }
         }
     )*};
@@ -213,131 +136,110 @@ macro_rules! float_impls {
 float_impls!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, writer: &mut Writer) {
+        writer.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::new(format!(
-                "expected bool, found {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError> {
+        cursor.bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, writer: &mut Writer) {
+        writer.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::new(format!(
-                "expected string, found {}",
-                other.kind()
-            ))),
-        }
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError> {
+        cursor.str().map(|s| s.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn serialize(&self, writer: &mut Writer) {
+        writer.str(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, writer: &mut Writer) {
+        (**self).serialize(writer);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, writer: &mut Writer) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(writer),
+            None => writer.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError> {
+        if cursor.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(cursor).map(Some)
         }
+    }
+
+    fn missing() -> Result<Self, DeError> {
+        Ok(None)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, writer: &mut Writer) {
+        writer.begin_array();
+        for item in self {
+            writer.element();
+            item.serialize(writer);
+        }
+        writer.end_array();
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| T::from_value(v).map_err(|e| e.in_field(&format!("[{i}]"))))
-                .collect(),
-            other => Err(DeError::new(format!(
-                "expected array, found {}",
-                other.kind()
-            ))),
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError> {
+        cursor.begin_array()?;
+        let mut items = Vec::new();
+        while cursor.next_element()? {
+            let item =
+                T::deserialize(cursor).map_err(|e| e.in_field(&format!("[{}]", items.len())));
+            items.push(item?);
         }
+        Ok(items)
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Object(pairs) => pairs
-                .iter()
-                .map(|(k, v)| {
-                    V::from_value(v)
-                        .map(|v| (k.clone(), v))
-                        .map_err(|e| e.in_field(k))
-                })
-                .collect(),
-            other => Err(DeError::new(format!(
-                "expected object, found {}",
-                other.kind()
-            ))),
+    fn serialize(&self, writer: &mut Writer) {
+        writer.begin_object();
+        for (key, value) in self {
+            writer.key(key);
+            value.serialize(writer);
         }
+        writer.end_object();
     }
 }
 
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(value.clone())
+/// On a repeated key the last value wins, as inserting each pair in
+/// document order leaves it.
+impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, DeError> {
+        cursor.begin_object("BTreeMap")?;
+        let mut map = BTreeMap::new();
+        while let Some(key) = cursor.next_key()? {
+            let value = V::deserialize(cursor).map_err(|e| e.in_field(&key))?;
+            map.insert(key.into_owned(), value);
+        }
+        Ok(map)
     }
 }
 
@@ -345,37 +247,52 @@ impl Deserialize for Value {
 mod tests {
     use super::*;
 
-    #[test]
-    fn object_set_get_and_order() {
-        let mut obj = Value::object();
-        obj.set("b", Value::Int(2));
-        obj.set("a", Value::Int(1));
-        obj.set("b", Value::Int(3));
-        assert_eq!(obj.get("b"), Some(&Value::Int(3)));
-        // Insertion order preserved, replacement in place.
-        if let Value::Object(pairs) = &obj {
-            assert_eq!(pairs[0].0, "b");
-            assert_eq!(pairs[1].0, "a");
-        } else {
-            panic!("expected object");
-        }
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut w = Writer::compact();
+        value.serialize(&mut w);
+        w.finish()
+    }
+
+    fn parse<T: Deserialize>(text: &str) -> Result<T, DeError> {
+        let mut cursor = Cursor::new(text);
+        let value = T::deserialize(&mut cursor)?;
+        cursor.finish()?;
+        Ok(value)
     }
 
     #[test]
     fn option_roundtrips_through_null_and_missing() {
         let some: Option<f64> = Some(4.5);
         let none: Option<f64> = None;
-        assert_eq!(Option::<f64>::from_value(&some.to_value()), Ok(Some(4.5)));
-        assert_eq!(Option::<f64>::from_value(&none.to_value()), Ok(None));
-        // A missing field reads as Null, which is None.
-        let obj = Value::object();
-        assert_eq!(Option::<f64>::from_value(obj.field("absent")), Ok(None));
+        assert_eq!(parse::<Option<f64>>(&json(&some)), Ok(Some(4.5)));
+        assert_eq!(json(&none), "null");
+        assert_eq!(parse::<Option<f64>>(&json(&none)), Ok(None));
+        // A missing field reads as null does, which is None.
+        assert_eq!(Option::<f64>::missing(), Ok(None));
+        assert!(f64::missing().unwrap().is_nan());
+        assert_eq!(
+            String::missing().unwrap_err().to_string(),
+            "expected string, found null"
+        );
     }
 
     #[test]
     fn int_range_errors_are_reported() {
-        let v = Value::Int(-1);
-        assert!(u32::from_value(&v).is_err());
-        assert_eq!(i64::from_value(&v), Ok(-1));
+        assert!(parse::<u32>("-1").is_err());
+        assert_eq!(parse::<i64>("-1"), Ok(-1));
+        assert!(parse::<u64>("1.0").is_err(), "a float is not an integer");
+        assert_eq!(parse::<f64>("3"), Ok(3.0), "an integer is a number");
+    }
+
+    #[test]
+    fn containers_render_empty_and_nested() {
+        let empty: Vec<u8> = Vec::new();
+        assert_eq!(json(&empty), "[]");
+        assert_eq!(json(&BTreeMap::<String, u8>::new()), "{}");
+        let nested = vec![vec![1u8, 2], vec![]];
+        assert_eq!(json(&nested), "[[1,2],[]]");
+        assert_eq!(parse::<Vec<Vec<u8>>>("[[1, 2], []]"), Ok(nested));
+        let map: BTreeMap<String, u8> = parse(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap();
+        assert_eq!(map["a"], 3, "a map keeps the last of a repeated key");
     }
 }

@@ -3,8 +3,13 @@
 //! Without crates.io access there is no `syn`/`quote`, so the derives here
 //! parse the token stream by hand. They cover non-generic named-field
 //! structs (one object key per field, in declaration order) and enums of
-//! unit and named-field variants, lowering to the shim `serde::Value` tree.
-//! Three attributes are understood, spelled as in real serde:
+//! unit and named-field variants. The generated `Serialize` writes each
+//! key and value into the shim `serde::Writer`; the generated
+//! `Deserialize` reads keys off a `serde::Cursor` as they come, into one
+//! slot per field: the first time a key appears it fills its slot, an
+//! unknown or repeated key is skipped, and a slot still empty at the end
+//! reads as `Deserialize::missing()` (what `null` reads as). Three
+//! attributes are understood, spelled as in real serde:
 //!
 //! - `#[serde(default)]` / `#[serde(default = "path")]` on a field: a
 //!   missing key **or an explicit `null`** reads as `Default::default()`
@@ -14,8 +19,9 @@
 //!   keeps the bytes an older binary wrote.
 //! - `#[serde(tag = "key", rename_all = "snake_case")]` on an enum: one
 //!   object per value, the variant name under `key` first, then its fields
-//!   in declaration order. A unit-only enum needs no `tag` and renders each
-//!   variant as a plain string.
+//!   in declaration order. A reader finds the tag wherever it is. A
+//!   unit-only enum needs no `tag` and renders each variant as a plain
+//!   string.
 //!
 //! Anything else (another attribute, a tuple variant, generics) is a
 //! compile error naming the offending item.
@@ -30,7 +36,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Body::Struct(fields) => format!(
             "let {} = self; {}",
             pattern("Self", fields),
-            object(None, fields)
+            write_object(None, fields)
         ),
         Body::Enum(variants) => {
             let arms: String = variants
@@ -38,18 +44,20 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 .map(|v| {
                     let path = format!("{}::{}", item.name, v.name);
                     let fields = v.fields.as_deref().unwrap_or_default();
-                    let value = match &item.tag {
-                        Some(tag) => object(Some((tag, &v.wire)), fields),
-                        None => format!("::serde::Value::Str({:?}.to_owned())", v.wire),
+                    let write = match &item.tag {
+                        Some(tag) => write_object(Some((tag, &v.wire)), fields),
+                        None => format!("__w.str({:?});", v.wire),
                     };
-                    format!("{} => {value},", pattern(&path, fields))
+                    format!("{} => {{ {write} }}", pattern(&path, fields))
                 })
                 .collect();
             format!("match self {{ {arms} }}")
         }
     };
     let code = format!(
-        "impl ::serde::Serialize for {} {{ fn to_value(&self) -> ::serde::Value {{ {body} }} }}",
+        "impl ::serde::Serialize for {} {{\
+             fn serialize(&self, __w: &mut ::serde::Writer) {{ {body} }}\
+         }}",
         item.name
     );
     code.parse().expect("generated Serialize impl parses")
@@ -60,44 +68,38 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
-    let object = format!("let __obj = __value.expect_object({name:?})?;");
     let body = match &item.body {
-        Body::Struct(fields) => {
-            format!(
-                "{object} ::std::result::Result::Ok(Self {{ {} }})",
-                inits(fields)
-            )
-        }
+        Body::Struct(fields) => format!(
+            "__c.begin_object({name:?})?; {}",
+            read_fields("Self", fields)
+        ),
         Body::Enum(variants) => {
             let arms: String = variants
                 .iter()
                 .map(|v| {
-                    let inits = inits(v.fields.as_deref().unwrap_or_default());
-                    let (wire, variant) = (&v.wire, &v.name);
-                    format!(
-                        "{wire:?} => ::std::result::Result::Ok({name}::{variant} {{ {inits} }}),"
-                    )
+                    let path = format!("{name}::{}", v.name);
+                    let read = match (&item.tag, &v.fields) {
+                        (Some(_), fields) => {
+                            read_fields(&path, fields.as_deref().unwrap_or_default())
+                        }
+                        (None, _) => format!("::std::result::Result::Ok({path})"),
+                    };
+                    format!("{:?} => {{ {read} }}", v.wire)
                 })
                 .collect();
             let tag = match &item.tag {
-                Some(tag) => format!(
-                    "{object} let __tag: ::std::string::String = {};",
-                    read(tag, None)
-                ),
-                None => {
-                    "let __tag: ::std::string::String = ::serde::Deserialize::from_value(__value)?;"
-                        .to_owned()
-                }
+                Some(tag) => format!("__c.tag({tag:?}, {name:?})?"),
+                None => "__c.str()?".to_owned(),
             };
             format!(
-                "{tag} match __tag.as_str() {{ {arms} __other => ::std::result::Result::Err(\
+                "let __tag = {tag}; match &*__tag {{ {arms} __other => ::std::result::Result::Err(\
                      ::serde::DeError::new(::std::format!(\"unknown {name} `{{}}`\", __other))) }}"
             )
         }
     };
     let code = format!(
         "impl ::serde::Deserialize for {name} {{\
-             fn from_value(__value: &::serde::Value)\
+             fn deserialize(__c: &mut ::serde::Cursor<'_>)\
                  -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\
          }}"
     );
@@ -117,6 +119,8 @@ enum Body {
 
 struct Field {
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     /// Expression a missing or null key reads as.
     default: Option<String>,
     /// Predicate path that keeps the key off the wire.
@@ -140,51 +144,86 @@ fn pattern(path: &str, fields: &[Field]) -> String {
     format!("{path} {{ {binds}.. }}")
 }
 
-/// An object expression: the optional `(tag key, variant name)` pair, then
-/// every bound field in declaration order.
-fn object(tag: Option<(&String, &String)>, fields: &[Field]) -> String {
+/// Statements writing an object: the optional `(tag key, variant name)`
+/// pair, then every bound field in declaration order.
+fn write_object(tag: Option<(&String, &String)>, fields: &[Field]) -> String {
     let tag = tag.map_or(String::new(), |(key, wire)| {
-        format!("__pairs.push(({key:?}.to_owned(), ::serde::Value::Str({wire:?}.to_owned())));")
+        format!("__w.key({key:?}); __w.str({wire:?});")
     });
-    let pushes: String = fields
+    let writes: String = fields
         .iter()
         .map(|f| {
-            let push = format!(
-                "__pairs.push(({0:?}.to_owned(), ::serde::Serialize::to_value(__field_{0})));",
+            let write = format!(
+                "__w.key({0:?}); ::serde::Serialize::serialize(__field_{0}, __w);",
                 f.name
             );
             match &f.skip_if {
-                Some(path) => format!("if !{path}(__field_{}) {{ {push} }}", f.name),
-                None => push,
+                Some(path) => format!("if !{path}(__field_{}) {{ {write} }}", f.name),
+                None => write,
             }
         })
         .collect();
-    format!(
-        "{{ let mut __pairs = ::std::vec::Vec::with_capacity({}); {tag} {pushes}\
-            ::serde::Value::Object(__pairs) }}",
-        fields.len() + 1
-    )
+    format!("__w.begin_object(); {tag} {writes} __w.end_object();")
 }
 
-/// `name: expr,` initializers reading each field from `__obj`.
-fn inits(fields: &[Field]) -> String {
-    fields
+/// Statements reading the rest of an open object into `path { fields }`:
+/// one `Option` slot per field, filled by the first key of its name, then
+/// the struct built from the slots (a missing key reads as its default,
+/// or as `Deserialize::missing()`, errors naming the key).
+fn read_fields(path: &str, fields: &[Field]) -> String {
+    let slots: String = fields
         .iter()
-        .map(|f| format!("{}: {},", f.name, read(&f.name, f.default.as_deref())))
-        .collect()
-}
-
-/// An expression deserializing `key` of `__obj` (errors name the key);
-/// with a `default`, a missing or null key reads as that instead.
-fn read(key: &str, default: Option<&str>) -> String {
-    let parse = format!("::serde::Deserialize::from_value(__v).map_err(|e| e.in_field({key:?}))?");
-    let value = match default {
-        Some(default) => {
-            format!("match __v {{ ::serde::Value::Null => {default}, __v => {parse} }}")
-        }
-        None => parse,
-    };
-    format!("{{ let __v = __obj.field({key:?}); {value} }}")
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "let mut __slot{i}: ::std::option::Option<{}> = ::std::option::Option::None;",
+                f.ty
+            )
+        })
+        .collect();
+    let keys: String = fields.iter().map(|f| format!("{:?},", f.name)).collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let read = format!(
+                "::serde::Deserialize::deserialize(__c).map_err(|e| e.in_field({:?}))?",
+                f.name
+            );
+            let read = match &f.default {
+                Some(default) => format!("if __c.null()? {{ {default} }} else {{ {read} }}"),
+                None => read,
+            };
+            format!(
+                "{i} if __slot{i}.is_none() => __slot{i} = ::std::option::Option::Some({read}),"
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let missing = match &f.default {
+                Some(default) => default.clone(),
+                None => format!(
+                    "::serde::Deserialize::missing().map_err(|e| e.in_field({:?}))?",
+                    f.name
+                ),
+            };
+            format!(
+                "{}: match __slot{i} {{ ::std::option::Option::Some(__v) => __v, \
+                     ::std::option::Option::None => {missing} }},",
+                f.name
+            )
+        })
+        .collect();
+    format!(
+        "{slots} let mut __next = 0usize;\
+         while let ::std::option::Option::Some(__index) = __c.next_field(&[{keys}], &mut __next)? {{\
+             match __index {{ {arms} _ => __c.skip_value()?, }}\
+         }}\
+         ::std::result::Result::Ok({path} {{ {inits} }})"
+    )
 }
 
 type Attrs = Vec<(String, Option<String>)>;
@@ -286,20 +325,23 @@ fn parse_fields(body: TokenStream, owner: &str) -> Vec<Field> {
                         ),
                     }
                 }
-                fields.push(Field {
-                    name,
-                    default,
-                    skip_if,
-                });
+                let mut ty = TokenStream::new();
                 let mut angle_depth = 0i32;
                 for ty_tt in tts.by_ref() {
-                    match ty_tt {
+                    match &ty_tt {
                         TokenTree::Punct(q) if q.as_char() == '<' => angle_depth += 1,
                         TokenTree::Punct(q) if q.as_char() == '>' => angle_depth -= 1,
                         TokenTree::Punct(q) if q.as_char() == ',' && angle_depth == 0 => break,
                         _ => {}
                     }
+                    ty.extend([ty_tt]);
                 }
+                fields.push(Field {
+                    name,
+                    ty: ty.to_string(),
+                    default,
+                    skip_if,
+                });
             }
             _ => {}
         }

@@ -406,6 +406,48 @@ fn push_subcommand_round_trips_a_report_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A pushed fingerprint names the shard's segment files, so one that is
+/// not a plain file name must be refused, not written outside `--dir`.
+#[test]
+fn push_with_an_escaping_fingerprint_fails_and_writes_nothing() {
+    let root = temp_path("escape");
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("data");
+    let daemon = Daemon::start(&dir, &["--batch", "2"]);
+    let addr = daemon.addr();
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/v1-runreport.json"
+    );
+    let push = |fingerprint: &str| {
+        Command::new(env!("CARGO_BIN_EXE_lmbench"))
+            .args(["report", "push", fixture, "--to", &addr])
+            .args(["--fingerprint", fingerprint])
+            .output()
+            .expect("spawn lmbench report push")
+    };
+    let out = push("../escaped");
+    assert!(!out.status.success(), "{out:?}");
+    assert!(push("fleet-host-00ab54cd12ef3401").status.success());
+    // Shutdown seals the pending batch, which an accepted escape would
+    // have joined.
+    daemon.stop();
+    let names = |dir: &Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|d| d.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(names(&root), ["data"]);
+    assert_eq!(
+        names(&dir),
+        ["fleet-host-00ab54cd12ef3401.000000.seg.jsonl"]
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn the_audit_log_ends_with_the_daemons_own_books() {
     let dir = temp_path("audit");
