@@ -44,8 +44,10 @@ struct Shard {
     /// The full series, ordered by `(unix_seconds, arrival)`. Queries
     /// read this; disk is only for durability and restarts.
     entries: Vec<Baseline>,
-    /// Entries not yet sealed into a segment, in arrival order.
-    pending: Vec<Baseline>,
+    /// Positions in `entries` of the entries not yet sealed into a
+    /// segment, in arrival order; the seal renders them from there, so a
+    /// pending entry is held once.
+    pending: Vec<usize>,
     /// Sealed segment files, in ascending, disjoint number ranges.
     sealed: Vec<Segment>,
     /// Next segment number; strictly increasing so number order is
@@ -288,7 +290,11 @@ impl SegmentStore {
             let started = Instant::now();
             let number = shard.next_segment;
             let path = segment_path(&dir, fingerprint, number, number);
-            write_segment(&path, &shard.pending)?;
+            let entries = &shard.entries;
+            write_segment(
+                &path,
+                shard.pending.iter().map(|&i| entries[i].to_json_compact()),
+            )?;
             shard.next_segment += 1;
             shard.sealed.push(Segment {
                 lo: number,
@@ -323,9 +329,16 @@ impl ReportStore for SegmentStore {
         let fingerprint = entry.fingerprint.clone();
         let batch_size = self.batch_size;
         let shard = self.shards.entry(fingerprint.clone()).or_default();
-        shard.pending.push(entry.clone());
-        shard.entries.push(entry);
-        sort_series(&mut shard.entries);
+        // Behind every entry of the same second or earlier: where a stable
+        // sort by capture time would put it.
+        let at = shard
+            .entries
+            .partition_point(|e| e.unix_seconds <= entry.unix_seconds);
+        shard.entries.insert(at, entry);
+        for i in shard.pending.iter_mut().filter(|i| **i >= at) {
+            *i += 1;
+        }
+        shard.pending.push(at);
         let seq = shard.entries.len() as u64;
         if shard.pending.len() >= batch_size {
             self.flush_shard(&fingerprint)?;
@@ -397,15 +410,19 @@ fn save_suffix(path: &Path, entry: &Baseline) -> u64 {
         .unwrap_or(0)
 }
 
-/// Writes one segment: compact JSON, one entry per line, durably renamed
-/// into place so a crash mid-write never leaves a torn segment visible.
-fn write_segment(path: &Path, entries: &[Baseline]) -> io::Result<()> {
+/// Writes one segment: one compact JSON entry per line, in one write,
+/// durably renamed into place so a crash mid-write never leaves a torn
+/// segment visible.
+fn write_segment<S: AsRef<str>>(path: &Path, lines: impl IntoIterator<Item = S>) -> io::Result<()> {
+    let mut text = String::new();
+    for line in lines {
+        text.push_str(line.as_ref());
+        text.push('\n');
+    }
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        for entry in entries {
-            writeln!(f, "{}", entry.to_json_compact())?;
-        }
+        f.write_all(text.as_bytes())?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)
@@ -419,7 +436,7 @@ fn compact_shard(dir: &Path, fingerprint: &str, shard: &mut Shard) -> io::Result
     // The shard's series (already time-ordered) is the merge's content,
     // and its name covers every input.
     let path = segment_path(dir, fingerprint, lo, hi);
-    write_segment(&path, &shard.entries)?;
+    write_segment(&path, shard.entries.iter().map(Baseline::to_json_compact))?;
     let inputs = std::mem::replace(&mut shard.sealed, vec![Segment { lo, hi, path }]);
     // Once the rename is durable, an input that a crash or a failed
     // delete leaves behind is one that replay drops, not one it re-reads.
@@ -676,6 +693,32 @@ mod tests {
         assert!(dir.join("bad.json").exists());
         assert_eq!((files(&root), files(&dir)), (1, 3));
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_sealed_segment_holds_the_appended_entries_lines_in_arrival_order() {
+        let dir = scratch_dir("lines");
+        let mut store = SegmentStore::open(&dir, 4, 100).unwrap();
+        // Out of capture order, with a same-second pair.
+        let appended: Vec<Baseline> = [(20, "a"), (10, "b"), (10, "c"), (30, "d")]
+            .into_iter()
+            .map(|(s, host)| {
+                let mut e = entry("fp-a", s);
+                e.host = host.into();
+                e
+            })
+            .collect();
+        for e in &appended {
+            store.append(e.clone()).unwrap();
+        }
+        assert_eq!(store.segment_count("fp-a"), 1, "the batch of 4 sealed");
+        let text = fs::read_to_string(segment_path(&dir, "fp-a", 0, 0)).unwrap();
+        let expected: String = appended
+            .iter()
+            .map(|e| e.to_json_compact() + "\n")
+            .collect();
+        assert_eq!(text, expected);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! adds hundreds of microseconds" overhead of the paper's Tables 12–13.
 
 use crate::message::{Body, ReplyBody, RpcFault, RpcMessage};
-use crate::record::{read_record, write_record};
+use crate::record::{read_record, write_record, READ_BUFFER_BYTES};
 use crate::registry::{Protocol, Registry};
 use bytes::Bytes;
 use lmb_timing::{Harness, Latency, TimeUnit};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, UdpSocket};
 
 /// Client-side call failures.
@@ -47,7 +47,8 @@ impl std::fmt::Display for CallError {
 impl std::error::Error for CallError {}
 
 enum Transport {
-    Tcp(TcpStream),
+    /// Replies are read through one buffer per connection.
+    Tcp(BufReader<TcpStream>),
     Udp(UdpSocket),
 }
 
@@ -76,7 +77,7 @@ impl RpcClient {
                 let stream = TcpStream::connect(("127.0.0.1", port))?;
                 stream.set_nodelay(true)?;
                 stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-                Transport::Tcp(stream)
+                Transport::Tcp(BufReader::with_capacity(READ_BUFFER_BYTES, stream))
             }
             Protocol::Udp => {
                 let sock = UdpSocket::bind("127.0.0.1:0")?;
@@ -107,7 +108,7 @@ impl RpcClient {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
         Ok(Self {
-            transport: Transport::Tcp(stream),
+            transport: Transport::Tcp(BufReader::with_capacity(READ_BUFFER_BYTES, stream)),
             program,
             version,
             next_xid: 1,
@@ -122,9 +123,9 @@ impl RpcClient {
         let wire = RpcMessage::call(xid, self.program, self.version, procedure, args).encode();
 
         let reply_bytes = match &mut self.transport {
-            Transport::Tcp(stream) => {
-                write_record(stream, &wire)?;
-                read_record(stream)?
+            Transport::Tcp(conn) => {
+                write_record(conn.get_mut(), &wire)?;
+                read_record(conn)?
             }
             Transport::Udp(sock) => {
                 sock.send(&wire)?;

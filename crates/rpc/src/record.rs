@@ -2,9 +2,11 @@
 //!
 //! RPC messages over TCP are framed into records; each fragment is preceded
 //! by a 4-byte big-endian header whose top bit marks the final fragment and
-//! whose low 31 bits give the fragment length. This framing — one extra
-//! write, one extra read, one length check per message — is part of the
-//! layering cost the paper measures.
+//! whose low 31 bits give the fragment length. As Sun RPC's `xdrrec` stream
+//! does, a fragment leaves with its mark in one send, and a connection reads
+//! records through one buffer, so a record that arrives whole costs one
+//! read. The framing's own cost is then one length check per fragment, not
+//! an extra write and read per message.
 
 use bytes::{Buf, Bytes, BytesMut};
 use std::io::{self, Read, Write};
@@ -12,27 +14,37 @@ use std::io::{self, Read, Write};
 /// Largest fragment this implementation emits or accepts.
 pub const MAX_FRAGMENT: usize = 1 << 24;
 
-/// Writes `payload` as one or more record fragments.
+/// Capacity of a connection's read buffer: a mark and a small record (an
+/// echo call, a table reply) arrive in one read, and a record larger than
+/// what is left of the buffer is read straight into its own allocation.
+pub(crate) const READ_BUFFER_BYTES: usize = 8 << 10;
+
+/// Writes `payload` as one or more record fragments, each fragment and its
+/// mark copied into one buffer and handed to the writer in one `write_all`
+/// (one `write` on a socket that takes it whole).
 pub fn write_record<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let mut chunks = payload.chunks(MAX_FRAGMENT).peekable();
+    let mut fragment = Vec::with_capacity(4 + payload.len().min(MAX_FRAGMENT));
     // A zero-length record is still one (final, empty) fragment.
-    if payload.is_empty() {
-        w.write_all(&0x8000_0000u32.to_be_bytes())?;
-        return Ok(());
-    }
-    while let Some(chunk) = chunks.next() {
-        let last = chunks.peek().is_none();
-        let mut header = chunk.len() as u32;
+    let mut rest = payload;
+    loop {
+        let (chunk, tail) = rest.split_at(rest.len().min(MAX_FRAGMENT));
+        let last = tail.is_empty();
+        let mark = chunk.len() as u32 | if last { 0x8000_0000 } else { 0 };
+        fragment.clear();
+        fragment.extend_from_slice(&mark.to_be_bytes());
+        fragment.extend_from_slice(chunk);
+        w.write_all(&fragment)?;
         if last {
-            header |= 0x8000_0000;
+            return Ok(());
         }
-        w.write_all(&header.to_be_bytes())?;
-        w.write_all(chunk)?;
+        rest = tail;
     }
-    Ok(())
 }
 
-/// Reads one complete record (possibly multiple fragments).
+/// Reads one complete record (possibly multiple fragments). Give it the
+/// connection's buffered reader, not the bare socket: the mark and the body
+/// then come out of one read, and bytes past the record stay buffered for
+/// the next call.
 pub fn read_record<R: Read>(r: &mut R) -> io::Result<Bytes> {
     read_record_limited(r, usize::MAX)
 }
@@ -101,6 +113,96 @@ pub fn deframe_all(mut stream: Bytes) -> io::Result<Vec<Bytes>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
+
+    /// Passes writes through to `inner`, keeping each call's byte count.
+    struct CountingWriter<W> {
+        inner: W,
+        calls: Vec<usize>,
+    }
+
+    impl<W: Write> Write for CountingWriter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = self.inner.write(buf)?;
+            self.calls.push(n);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// Passes reads through to `inner`, counting the calls.
+    struct CountingReader<R> {
+        inner: R,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_single_fragment_record_is_one_write() {
+        let mut w = CountingWriter {
+            inner: Vec::new(),
+            calls: Vec::new(),
+        };
+        write_record(&mut w, b"hello rpc").unwrap();
+        assert_eq!(w.calls, vec![4 + 9], "mark and fragment in one call");
+        write_record(&mut w, b"").unwrap();
+        assert_eq!(w.calls, vec![13, 4], "an empty record is its mark alone");
+        assert_eq!(
+            w.inner,
+            [frame(b"hello rpc").as_ref(), frame(b"").as_ref()].concat()
+        );
+    }
+
+    #[test]
+    fn a_record_past_max_fragment_is_one_write_per_fragment() {
+        // Zeroed and only ever read, the payload stays on Linux's
+        // shared zero page; only the one fragment buffer is touched.
+        let payload = vec![0u8; MAX_FRAGMENT + 1];
+        let mut w = CountingWriter {
+            inner: io::sink(),
+            calls: Vec::new(),
+        };
+        write_record(&mut w, &payload).unwrap();
+        assert_eq!(w.calls, vec![4 + MAX_FRAGMENT, 4 + 1]);
+    }
+
+    #[test]
+    fn a_buffered_connection_reads_a_whole_record_in_one_read() {
+        let stream = [frame(b"first").as_ref(), frame(b"second message").as_ref()].concat();
+        let mut conn = BufReader::with_capacity(
+            READ_BUFFER_BYTES,
+            CountingReader {
+                inner: io::Cursor::new(stream),
+                reads: 0,
+            },
+        );
+        assert_eq!(read_record(&mut conn).unwrap().as_ref(), b"first");
+        assert_eq!(conn.get_ref().reads, 1, "mark and body from one read");
+        // The pipelined second record was buffered by that same read.
+        assert_eq!(read_record(&mut conn).unwrap().as_ref(), b"second message");
+        assert_eq!(conn.get_ref().reads, 1);
+        assert!(read_record(&mut conn).is_err(), "end of stream");
+    }
+
+    #[test]
+    fn a_buffered_connection_refuses_an_oversized_mark_before_reading_its_body() {
+        let mut stream = ((MAX_FRAGMENT as u32 + 1) | 0x8000_0000)
+            .to_be_bytes()
+            .to_vec();
+        stream.extend_from_slice(b"body");
+        let mut conn = BufReader::with_capacity(READ_BUFFER_BYTES, io::Cursor::new(stream));
+        let err = read_record(&mut conn).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
 
     #[test]
     fn single_fragment_round_trip() {
@@ -202,6 +304,14 @@ mod proptests {
             let records = deframe_all(frame(&data)).unwrap();
             prop_assert_eq!(records.len(), 1);
             prop_assert_eq!(records[0].as_ref(), data.as_slice());
+        }
+
+        #[test]
+        fn framing_is_the_mark_then_the_payload(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
+            let mut expected = (data.len() as u32 | 0x8000_0000).to_be_bytes().to_vec();
+            expected.extend_from_slice(&data);
+            let framed = frame(&data);
+            prop_assert_eq!(framed.as_ref(), expected.as_slice());
         }
 
         #[test]

@@ -12,13 +12,13 @@
 //! it is buffered.
 
 use crate::message::{Body, RpcFault, RpcMessage};
-use crate::record::{read_record_limited, write_record};
+use crate::record::{read_record_limited, write_record, READ_BUFFER_BYTES};
 use crate::registry::{Protocol, Registry};
 use bytes::Bytes;
 use lmb_metrics::{Counter, Gauge, Histogram, Rows};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -253,13 +253,15 @@ fn tcp_accept(
 }
 
 /// Serves one connection until the peer closes it, an unrecoverable
-/// framing error occurs, or the server stops. The read timeout is only
-/// ever hit while *idle between records* with a well-formed peer (a
-/// record, once its header arrives, follows immediately on loopback), so
-/// timing out and re-checking the stop flag cannot tear a record in
-/// practice.
+/// framing error occurs, or the server stops. Calls are read through one
+/// buffer per connection, so a call that arrives whole costs one read and
+/// calls pipelined behind it are answered in order from the buffer. The
+/// read timeout is only ever hit while *idle between records* with a
+/// well-formed peer (a record, once its header arrives, follows
+/// immediately on loopback), so timing out and re-checking the stop flag
+/// cannot tear a record in practice.
 fn serve_connection(
-    mut conn: TcpStream,
+    conn: TcpStream,
     dispatch: &Arc<RwLock<Dispatch>>,
     stop: &Arc<AtomicBool>,
     metrics: Option<&RpcMetrics>,
@@ -267,6 +269,7 @@ fn serve_connection(
     let _ = conn.set_nodelay(true);
     let _ = conn.set_read_timeout(Some(std::time::Duration::from_millis(100)));
     let _active = ActiveGuard::open(metrics);
+    let mut conn = BufReader::with_capacity(READ_BUFFER_BYTES, conn);
     while !stop.load(Ordering::Relaxed) {
         let record = match read_record_limited(&mut conn, MAX_RECORD_BYTES) {
             Ok(record) => record,
@@ -280,7 +283,7 @@ fn serve_connection(
         let Some(encoded) = serve_record(dispatch, metrics, record) else {
             return;
         };
-        if write_record(&mut conn, &encoded).is_err() {
+        if write_record(conn.get_mut(), &encoded).is_err() {
             return;
         }
     }

@@ -118,6 +118,57 @@ fn wrong_rpc_version_is_denied_not_served() {
     );
 }
 
+/// A framed echo call with transaction id `xid` and argument `word`.
+fn framed_echo_call(xid: u32, word: &'static [u8]) -> Vec<u8> {
+    let call = RpcMessage::call(
+        xid,
+        ECHO_PROGRAM,
+        ECHO_VERSION,
+        ECHO_PROC,
+        Bytes::from_static(word),
+    );
+    let mut framed = Vec::new();
+    write_record(&mut framed, &call.encode()).unwrap();
+    framed
+}
+
+fn read_echo_reply(conn: &mut impl std::io::Read) -> (u32, Bytes) {
+    let reply = RpcMessage::decode(read_record(conn).unwrap()).unwrap();
+    match reply.body {
+        Body::Reply(ReplyBody::Success(result)) => (reply.xid, result),
+        other => panic!("expected a success reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn pipelined_calls_in_one_write_are_answered_in_order() {
+    let (server, _registry) = echo_server();
+    let mut conn = TcpStream::connect(("127.0.0.1", server.tcp_port())).unwrap();
+    conn.write_all(&[framed_echo_call(1, b"one!"), framed_echo_call(2, b"two!")].concat())
+        .unwrap();
+    let mut replies = std::io::BufReader::new(conn);
+    assert_eq!(
+        read_echo_reply(&mut replies),
+        (1, Bytes::from_static(b"one!"))
+    );
+    assert_eq!(
+        read_echo_reply(&mut replies),
+        (2, Bytes::from_static(b"two!"))
+    );
+}
+
+#[test]
+fn a_call_dribbled_one_byte_per_write_is_answered() {
+    let (server, _registry) = echo_server();
+    let mut conn = TcpStream::connect(("127.0.0.1", server.tcp_port())).unwrap();
+    conn.set_nodelay(true).unwrap();
+    for byte in framed_echo_call(9, b"drip") {
+        conn.write_all(&[byte]).unwrap();
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    assert_eq!(read_echo_reply(&mut conn), (9, Bytes::from_static(b"drip")));
+}
+
 #[test]
 fn oversized_payload_drops_the_connection() {
     let (server, _registry) = echo_server();

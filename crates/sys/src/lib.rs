@@ -30,6 +30,6 @@ pub use perf::{
     perf_event_paranoid, probe_counter, CounterKind, CounterValues, PerfError, PerfGroup,
 };
 pub use pipe::Pipe;
-pub use process::{fork, getpid, waitpid, ExitStatus, ForkResult, Pid};
+pub use process::{fork, getpid, pin_to_current_cpu, waitpid, ExitStatus, ForkResult, Pid};
 pub use rusage::{RusageDelta, RusageSnapshot};
 pub use signal::{install_handler, raise, Signal};

@@ -1,4 +1,5 @@
-//! Process primitives: `fork`, `execve`, `waitpid`, `getpid`, `_exit`.
+//! Process primitives: `fork`, `execve`, `waitpid`, `getpid`, `_exit`,
+//! and pinning a thread to one CPU.
 //!
 //! These back the paper's §6.5 process-creation benchmarks: "Unix starts any
 //! new process with a `fork` and/or `fork`/`execve`. Starting programs this
@@ -133,9 +134,41 @@ pub fn execv(path: &str, argv: &[&str]) -> Errno {
     Errno::last()
 }
 
+/// Pins the calling thread to the CPU it is running on and returns that
+/// CPU; threads it spawns afterwards inherit the pin.
+///
+/// A paired comparison of two loopback round trips pins its client and
+/// both echo servers this way. Left free, the scheduler may wake one
+/// server on the client's CPU and the other on a CPU busy with other work,
+/// and under load that choice, not the code, sets the difference.
+pub fn pin_to_current_cpu() -> Result<usize> {
+    // SAFETY: sched_getcpu takes no arguments.
+    let cpu = check_int(unsafe { libc::sched_getcpu() })? as usize;
+    // A 1024-CPU `cpu_set_t`, the C library's default size.
+    let mut mask = [0u64; 16];
+    *mask.get_mut(cpu / 64).ok_or(Errno(libc::EINVAL))? |= 1 << (cpu % 64);
+    // SAFETY: `mask` outlives the call and is exactly the size passed.
+    check_int(unsafe {
+        libc::sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr().cast())
+    })?;
+    Ok(cpu)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_pinned_thread_and_the_threads_it_spawns_stay_on_its_cpu() {
+        let cpu = pin_to_current_cpu().unwrap();
+        for _ in 0..3 {
+            // A thread spawned now inherits the pin, so pinning it again
+            // finds it on the same CPU.
+            let spawned = std::thread::spawn(pin_to_current_cpu).join().unwrap();
+            assert_eq!(spawned, Ok(cpu));
+            assert_eq!(pin_to_current_cpu(), Ok(cpu));
+        }
+    }
 
     #[test]
     fn getpid_is_stable() {

@@ -20,7 +20,7 @@
 
 use crate::calibrate::{calibrate_iterations_with, time_interval_ns_with};
 use crate::clock::{ClockInfo, RealClock, TimeSource};
-use crate::result::Measurement;
+use crate::result::{Comparison, Measurement};
 use crate::stats::{Samples, SummaryPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -112,6 +112,16 @@ impl Default for Options {
         Self::paper()
     }
 }
+
+/// How long [`Harness::compare`] keeps adding pairs, on the harness's own
+/// clock, while the interval of the increment still spans zero.
+pub const COMPARE_BUDGET: Duration = Duration::from_secs(2);
+
+/// Pairs [`Harness::compare`] times before it first asks for an interval.
+/// Six already give one (the extremes cover the median at 97%), but a
+/// verdict on so few pairs can rest on one transient, such as the first
+/// wake-ups of a freshly started server.
+const MIN_PAIRS: usize = 64;
 
 /// One run's harness self-budget: nanoseconds spent warming up and
 /// calibrating, read from each harness's own source (virtual under
@@ -338,6 +348,50 @@ impl<T: TimeSource> Harness<T> {
         });
         self.repeat(1, ops, body)
     }
+
+    /// Prices `b` over `a`, each a block of `ops` operations as in
+    /// [`Harness::measure_block`]: the paired per-op increment of B over A.
+    ///
+    /// After warm-up the blocks run on this thread in ABBA order, and each
+    /// adjacent A–B pair keeps its difference, so load or drift that both
+    /// blocks of a pair share cancels, where two independently timed
+    /// minima would each catch whatever else the host was doing. Pairs
+    /// are added until the median difference's distribution-free 95%
+    /// interval excludes zero or [`COMPARE_BUDGET`] has passed; an interval
+    /// that still spans zero reads as unknown ([`Comparison::verdict`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is zero.
+    pub fn compare(&self, ops: u64, mut a: impl FnMut(), mut b: impl FnMut()) -> Comparison {
+        assert!(ops > 0, "compare needs ops > 0");
+        for _ in 0..self.options.warmup_runs {
+            a();
+            b();
+        }
+        let per_op =
+            |body: &mut dyn FnMut()| time_interval_ns_with(&self.source, 1, body) / ops as f64;
+        let budget_ns = COMPARE_BUDGET.as_nanos() as f64;
+        let started = self.source.now_ns();
+        let mut differences = Samples::new();
+        // The interval is re-checked as the pair count grows by an eighth,
+        // so a long comparison sorts O(log n) times, not once per pair.
+        let mut next_check = MIN_PAIRS;
+        loop {
+            let (a1, b1) = (per_op(&mut a), per_op(&mut b));
+            let (b2, a2) = (per_op(&mut b), per_op(&mut a));
+            differences.push(b1 - a1);
+            differences.push(b2 - a2);
+            let out_of_time = self.source.now_ns() - started >= budget_ns;
+            if differences.len() >= next_check || out_of_time {
+                next_check = differences.len() + differences.len() / 8;
+                let comparison = Comparison::from_differences(differences.clone());
+                if comparison.verdict().is_some() || out_of_time {
+                    return comparison;
+                }
+            }
+        }
+    }
 }
 
 impl Default for Harness<RealClock> {
@@ -547,6 +601,89 @@ mod tests {
         assert_eq!(billed_block, bare_block + 2);
         assert!(budget.warmup_ns.load(Ordering::Relaxed) > 0);
         assert!(budget.calibrate_ns.load(Ordering::Relaxed) > 0);
+    }
+
+    fn pinned_sim_harness(sim: &SimClock) -> Harness<SimClock> {
+        Harness::with_source_and_clock(
+            Options::quick(),
+            sim.clone(),
+            ClockInfo {
+                resolution_ns: 1.0,
+                overhead_ns: 50.0,
+            },
+        )
+    }
+
+    #[test]
+    fn compare_prices_the_increment_and_stops_once_it_excludes_zero() {
+        let sim = SimClock::new(81).with_read_overhead_ns(50.0);
+        let h = pinned_sim_harness(&sim);
+        let c = h.compare(
+            4,
+            sim.scripted_body(CostModel::Constant { ns: 1_000.0 }),
+            sim.scripted_body(CostModel::Constant { ns: 1_400.0 }),
+        );
+        assert_eq!(c.increment_ns, 100.0, "400 ns more per 4-op block");
+        assert_eq!(c.interval_ns, Some((100.0, 100.0)));
+        assert_eq!(c.verdict(), Some(std::cmp::Ordering::Greater));
+        assert_eq!(c.differences.len(), MIN_PAIRS, "stopped at the first check");
+
+        let cheaper = h.compare(
+            1,
+            sim.scripted_body(CostModel::Constant { ns: 900.0 }),
+            sim.scripted_body(CostModel::Constant { ns: 850.0 }),
+        );
+        assert_eq!(cheaper.increment_ns, -50.0);
+        assert_eq!(cheaper.verdict(), Some(std::cmp::Ordering::Less));
+    }
+
+    #[test]
+    fn compare_in_abba_order_cancels_shared_drift() {
+        // Every block, A or B, costs 10 ns more than the block before it;
+        // B costs 30 ns more than A. A then B gains +10 on the increment and
+        // B then A loses 10, so the pair median is the 30 ns alone.
+        let sim = SimClock::new(82).with_read_overhead_ns(50.0);
+        let h = pinned_sim_harness(&sim);
+        let drift = std::cell::Cell::new(0.0);
+        let block = |extra_ns: f64| {
+            let (sim, drift) = (sim.clone(), &drift);
+            move || {
+                drift.set(drift.get() + 10.0);
+                sim.advance(1_000.0 + drift.get() + extra_ns);
+            }
+        };
+        let c = h.compare(1, block(0.0), block(30.0));
+        assert_eq!(c.increment_ns, 30.0);
+        assert_eq!(c.interval_ns, Some((20.0, 40.0)));
+        assert_eq!(c.verdict(), Some(std::cmp::Ordering::Greater));
+    }
+
+    #[test]
+    fn compare_of_equal_costs_reads_unknown_once_the_budget_is_spent() {
+        let sim = SimClock::new(83).with_read_overhead_ns(50.0);
+        let h = pinned_sim_harness(&sim);
+        // Two bodies of one cost, each with its own noise stream.
+        let noisy = |seed: u64| {
+            let (sim, mut rng) = (sim.clone(), crate::sim::SplitMix::new(seed));
+            move || sim.advance(1_000_000.0 + 10_000.0 * rng.uniform())
+        };
+        let started = sim.true_now_ns();
+        let c = h.compare(1, noisy(1), noisy(2));
+        assert_eq!(c.verdict(), None, "{c}");
+        let (low, high) = c.interval_ns.expect("hundreds of pairs");
+        assert!(low < 0.0 && high > 0.0, "{c}");
+        let spent_ns = sim.true_now_ns() - started;
+        assert!(spent_ns >= COMPARE_BUDGET.as_nanos() as f64, "{spent_ns}");
+        assert!(
+            spent_ns < 1.1 * COMPARE_BUDGET.as_nanos() as f64,
+            "{spent_ns}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "compare needs ops > 0")]
+    fn compare_rejects_zero_ops() {
+        Harness::new(Options::quick()).compare(0, || {}, || {});
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use counters::{
 pub use cycle::{estimate_clock, ClockEstimate};
 pub use harness::{new_recorder, take_events, Harness, HarnessBudget, Options, Recorder};
 pub use quality::Quality;
-pub use result::{Bandwidth, Latency, Measurement, TimeUnit};
+pub use result::{Bandwidth, Comparison, Latency, Measurement, TimeUnit};
 pub use sim::{CostModel, SimClock, SplitMix};
 pub use sizing::{paged_out_fraction_with, probe_available_memory, MemorySizer};
 pub use stats::{Samples, Sorted, SummaryPolicy};

@@ -258,6 +258,54 @@ impl fmt::Display for Bandwidth {
     }
 }
 
+/// A paired price of B over A from [`crate::Harness::compare`]: the
+/// median of the per-op differences B − A, one per adjacent A–B pair, and
+/// that median's distribution-free 95% interval.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Comparison {
+    /// Median per-op increment of B over A, ns (negative if B is cheaper).
+    pub increment_ns: f64,
+    /// The increment's 95% interval, ns; `None` with fewer than six pairs.
+    pub interval_ns: Option<(f64, f64)>,
+    /// Per-op differences B − A, ns, in the order the pairs were timed.
+    pub differences: Samples,
+}
+
+impl Comparison {
+    /// Summarizes per-op pair differences B − A.
+    pub(crate) fn from_differences(differences: Samples) -> Self {
+        let sorted = differences.sorted();
+        let increment_ns = sorted.p50().unwrap_or(f64::NAN);
+        let interval_ns = sorted.median_interval();
+        Self {
+            increment_ns,
+            interval_ns,
+            differences,
+        }
+    }
+
+    /// `Greater` when B costs more than A, `Less` when it costs less, and
+    /// `None` (unknown) while the interval is missing or spans zero.
+    pub fn verdict(&self) -> Option<std::cmp::Ordering> {
+        match self.interval_ns {
+            Some((low, _)) if low > 0.0 => Some(std::cmp::Ordering::Greater),
+            Some((_, high)) if high < 0.0 => Some(std::cmp::Ordering::Less),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Comparison {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:+.1} ns", self.increment_ns)?;
+        match self.interval_ns {
+            Some((low, high)) => write!(f, " [{low:.1}, {high:.1}]")?,
+            None => write!(f, " [no interval]")?,
+        }
+        write!(f, " over {} pairs", self.differences.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

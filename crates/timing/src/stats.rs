@@ -293,6 +293,25 @@ impl<'a> Sorted<'a> {
         Some(self.percentile(75.0)? - self.percentile(25.0)?)
     }
 
+    /// Distribution-free 95% confidence interval of the median: the order
+    /// statistics `(x_(k), x_(n+1-k))` for the largest `k` whose coverage
+    /// `1 - 2·P(Bin(n, ½) < k)` is still at least 95%. `None` below six
+    /// values, where not even the extremes cover the median that often.
+    #[must_use]
+    pub fn median_interval(&self) -> Option<(f64, f64)> {
+        let n = self.values.len();
+        // P(Bin(n, ½) = i), stepped up from i = 0 in log space so a large
+        // `n` neither underflows nor overflows.
+        let mut ln_pmf = -(n as f64) * std::f64::consts::LN_2;
+        let (mut k, mut below_k) = (0, 0.0);
+        while below_k + ln_pmf.exp() <= 0.025 {
+            below_k += ln_pmf.exp();
+            k += 1;
+            ln_pmf += ((n - k + 1) as f64 / k as f64).ln();
+        }
+        (k > 0).then(|| (self.values[k - 1], self.values[n - k]))
+    }
+
     /// Samples outside the Tukey fences `[q1 - 1.5·IQR, q3 + 1.5·IQR]` —
     /// the repetitions most likely disturbed by a daemon or a scheduler
     /// preemption rather than the operation under test.
@@ -325,6 +344,28 @@ impl FromIterator<f64> for Samples {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_interval_takes_the_binomial_order_statistics() {
+        let ramp = |n: usize| Samples::from_values((1..=n).map(|i| i as f64));
+        assert_eq!(ramp(0).sorted().median_interval(), None);
+        assert_eq!(
+            ramp(5).sorted().median_interval(),
+            None,
+            "extremes cover 93.75%"
+        );
+        assert_eq!(ramp(6).sorted().median_interval(), Some((1.0, 6.0)));
+        // The textbook n = 20 interval is (x_6, x_15): P(Bin(20, ½) ≤ 5) is
+        // 0.0207 and P(≤ 6) is 0.0577.
+        assert_eq!(ramp(20).sorted().median_interval(), Some((6.0, 15.0)));
+        // Insertion order does not matter, only rank.
+        let shuffled = Samples::from_values([5.0, 1.0, 6.0, 3.0, 2.0, 4.0]);
+        assert_eq!(shuffled.sorted().median_interval(), Some((1.0, 6.0)));
+        // Large sets stay finite and narrow to about ±1/√n around the median.
+        let (lo, hi) = ramp(10_000).sorted().median_interval().unwrap();
+        assert!((4_890.0..4_910.0).contains(&lo), "{lo}");
+        assert!((5_090.0..5_110.0).contains(&hi), "{hi}");
+    }
 
     fn sample(values: &[f64]) -> Samples {
         Samples::from_values(values.iter().copied())

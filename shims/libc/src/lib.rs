@@ -294,6 +294,8 @@ extern "C" {
     pub fn sigaction(signum: c_int, act: *const sigaction, oldact: *mut sigaction) -> c_int;
     pub fn sigemptyset(set: *mut sigset_t) -> c_int;
     pub fn getrusage(who: c_int, usage: *mut rusage) -> c_int;
+    pub fn sched_getcpu() -> c_int;
+    pub fn sched_setaffinity(pid: pid_t, cpusetsize: size_t, mask: *const c_void) -> c_int;
     pub fn getsockopt(
         sockfd: c_int,
         level: c_int,

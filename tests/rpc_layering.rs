@@ -3,9 +3,10 @@
 //! of microseconds of additional latency" — on 1995 hardware; here we
 //! assert the *direction*, not the magnitude).
 
+use bytes::Bytes;
 use lmbench::ipc;
 use lmbench::rpc::{client, Protocol, Registry, RpcServer, ECHO_PROC, ECHO_PROGRAM, ECHO_VERSION};
-use lmbench::timing::{Harness, Options};
+use lmbench::timing::{Comparison, Harness, Options};
 
 fn echo_registry() -> (RpcServer, Registry) {
     let registry = Registry::new();
@@ -14,30 +15,54 @@ fn echo_registry() -> (RpcServer, Registry) {
     (server, registry)
 }
 
-#[test]
-fn rpc_over_tcp_costs_more_than_raw_tcp() {
-    let h = Harness::new(Options::quick().with_repetitions(3));
+/// Pins this test's thread, and so every echo server it starts after, to
+/// the CPU it runs on. Unpinned, the scheduler can wake one server on the
+/// client's CPU and the other on a CPU busy with other work; under a
+/// concurrent build that made the raw exchange several µs per call slower
+/// than the RPC call, for whole comparisons.
+fn pin_to_one_cpu() {
+    lmbench::sys::pin_to_current_cpu().expect("pin the test thread to one CPU");
+}
+
+/// Prices an RPC echo call over `protocol` against the raw word exchange
+/// `raw_round_trip` on the same transport. Single calls of each alternate
+/// in ABBA order on this thread, so whatever else the host runs (the other
+/// tests of this binary included) loads both sides of every pair alike.
+fn rpc_over_raw(protocol: Protocol, raw_round_trip: impl FnMut()) -> Comparison {
     let (_server, registry) = echo_registry();
-    let raw = ipc::measure_tcp_latency(&h, 200).as_micros();
-    let rpc = client::measure_rpc_latency(&h, &registry, Protocol::Tcp, 200).as_micros();
-    assert!(raw > 0.0 && rpc > 0.0);
+    let mut rpc = client::RpcClient::connect(&registry, ECHO_PROGRAM, ECHO_VERSION, protocol)
+        .expect("rpc client");
+    let word = Bytes::from_static(b"lmbw");
+    // Warm both servers past their first wake-ups before any pair counts.
+    let options = Options::quick().with_warmup_runs(200);
+    Harness::new(options).compare(1, raw_round_trip, || {
+        rpc.call(ECHO_PROC, word.clone()).expect("rpc call");
+    })
+}
+
+/// The layering cost is real: the increment's 95% interval lies above 0.
+fn assert_rpc_costs_more(layer: &str, c: &Comparison) {
+    let low = c.interval_ns.map_or(f64::NAN, |(low, _)| low);
     assert!(
-        rpc > raw,
-        "RPC/TCP {rpc}us not above raw TCP {raw}us — the layering cost vanished"
+        low > 0.0,
+        "{layer} over raw: {c} does not exclude 0 — the layering cost vanished"
     );
 }
 
 #[test]
+fn rpc_over_tcp_costs_more_than_raw_tcp() {
+    pin_to_one_cpu();
+    let mut raw = ipc::TcpEchoPair::start().expect("tcp echo pair");
+    let c = rpc_over_raw(Protocol::Tcp, || raw.round_trip().expect("tcp round trip"));
+    assert_rpc_costs_more("RPC/TCP", &c);
+}
+
+#[test]
 fn rpc_over_udp_costs_more_than_raw_udp() {
-    let h = Harness::new(Options::quick().with_repetitions(3));
-    let (_server, registry) = echo_registry();
-    let raw = ipc::measure_udp_latency(&h, 200).as_micros();
-    let rpc = client::measure_rpc_latency(&h, &registry, Protocol::Udp, 200).as_micros();
-    assert!(raw > 0.0 && rpc > 0.0);
-    assert!(
-        rpc > raw,
-        "RPC/UDP {rpc}us not above raw UDP {raw}us — the layering cost vanished"
-    );
+    pin_to_one_cpu();
+    let raw = ipc::UdpEchoPair::start().expect("udp echo pair");
+    let c = rpc_over_raw(Protocol::Udp, || raw.round_trip().expect("udp round trip"));
+    assert_rpc_costs_more("RPC/UDP", &c);
 }
 
 #[test]
@@ -57,8 +82,8 @@ fn rpc_payloads_round_trip_through_both_transports() {
     }
 }
 
-fn bytes_of(len: usize) -> bytes::Bytes {
-    bytes::Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
+fn bytes_of(len: usize) -> Bytes {
+    Bytes::from((0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
 }
 
 /// Runs `f` on its own thread and waits up to 2 s for it to finish.
