@@ -206,11 +206,10 @@ impl ResultsService {
             &m.history,
             move |args| {
                 let req: HistoryRequest = proto::from_wire(args)?;
-                let reply = {
-                    let shared = s.lock();
-                    let history = shared.store.history(&req.fingerprint).map_err(|_| ())?;
-                    proto::history_reply(history, &req.bench, &req.metric)
-                };
+                let reply = s
+                    .lock()
+                    .store
+                    .history_reply(&req.fingerprint, &req.bench, &req.metric);
                 note_query("history", &req.fingerprint, reply.points.len() as u64);
                 Ok(proto::to_wire(&reply))
             },

@@ -15,11 +15,11 @@
 //! [`Baseline`] per `{fingerprint}-{unix_seconds}[-n].json` file. Opening
 //! a directory imports such files into segments once and removes them.
 
-use super::proto::StoreStats;
+use super::proto::{self, HistoryReply, StoreStats};
 use lmb_metrics::{Histogram, Rows};
 use lmb_results::{Baseline, ReportStore};
 use lmb_trace::EventKind;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -37,13 +37,19 @@ struct Segment {
     path: PathBuf,
 }
 
-/// One host's series: every entry (flushed or not), the not-yet-sealed
-/// tail, and the sealed segment files holding the rest.
+/// One host's series: every entry (flushed or not), the index of its
+/// records by bench name, the not-yet-sealed tail, and the sealed segment
+/// files holding the rest.
 #[derive(Debug, Default)]
 struct Shard {
     /// The full series, ordered by `(unix_seconds, arrival)`. Queries
     /// read this; disk is only for durability and restarts.
     entries: Vec<Baseline>,
+    /// For each bench name, `(run position, record position)` of the
+    /// first record of that name in each run that has one, oldest run
+    /// first: what [`lmb_results::RunReport::find`] would find in every
+    /// run, so a `history` query touches only the runs it answers from.
+    index: HashMap<String, Vec<(u32, u32)>>,
     /// Positions in `entries` of the entries not yet sealed into a
     /// segment, in arrival order; the seal renders them from there, so a
     /// pending entry is held once.
@@ -151,6 +157,21 @@ impl SegmentStore {
         }
     }
 
+    /// The `history` reply for one metric of `fingerprint`'s series, built
+    /// from the shard's index; the same reply [`proto::history_reply`]
+    /// builds by scanning every record of every run.
+    pub fn history_reply(&self, fingerprint: &str, bench: &str, metric: &str) -> HistoryReply {
+        let Some(shard) = self.shards.get(fingerprint) else {
+            return proto::history_points(&[], std::iter::empty(), metric);
+        };
+        let hits = shard.index.get(bench).map_or(&[][..], Vec::as_slice);
+        let records = hits.iter().map(|&(run, record)| {
+            let run = run as usize;
+            (run, &shard.entries[run].report.records[record as usize])
+        });
+        proto::history_points(&shard.entries, records, metric)
+    }
+
     /// Renders the store's telemetry as `service.*` rows.
     pub(crate) fn flatten_into(&self, rows: &mut Rows) {
         self.batch_runs.flatten_into("service.batch_runs", rows);
@@ -224,6 +245,7 @@ impl SegmentStore {
         }
         for shard in self.shards.values_mut() {
             sort_series(&mut shard.entries);
+            shard.reindex();
         }
         self.shards
             .retain(|_, s| !s.entries.is_empty() || !s.sealed.is_empty());
@@ -320,6 +342,32 @@ impl SegmentStore {
     }
 }
 
+impl Shard {
+    /// Adds run `run`'s records to the index, which must already hold
+    /// every earlier run and no later one.
+    fn index_run(&mut self, run: usize) {
+        let position = u32::try_from(run).expect("a shard holds under 2^32 runs");
+        for (record, bench) in self.entries[run].report.records.iter().enumerate() {
+            let hits = match self.index.get_mut(bench.name.as_str()) {
+                Some(hits) => hits,
+                None => self.index.entry(bench.name.clone()).or_default(),
+            };
+            // A repeated name in one run: the first record answers.
+            if hits.last().is_none_or(|&(last, _)| last != position) {
+                hits.push((position, record as u32));
+            }
+        }
+    }
+
+    /// Rebuilds the index from the whole series.
+    fn reindex(&mut self) {
+        self.index.clear();
+        for run in 0..self.entries.len() {
+            self.index_run(run);
+        }
+    }
+}
+
 impl ReportStore for SegmentStore {
     /// Rejects an entry whose fingerprint could not name a segment file
     /// inside the store's directory (see [`check_fingerprint`]) with
@@ -335,6 +383,12 @@ impl ReportStore for SegmentStore {
             .entries
             .partition_point(|e| e.unix_seconds <= entry.unix_seconds);
         shard.entries.insert(at, entry);
+        if at + 1 == shard.entries.len() {
+            shard.index_run(at);
+        } else {
+            // Every run behind it moved: rebuild rather than renumber.
+            shard.reindex();
+        }
         for i in shard.pending.iter_mut().filter(|i| **i >= at) {
             *i += 1;
         }
@@ -719,6 +773,124 @@ mod tests {
             .collect();
         assert_eq!(text, expected);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A run of `records`, each `(bench, [(label, value)])`.
+    fn run_of(fingerprint: &str, seconds: u64, records: &[(&str, &[(&str, f64)])]) -> Baseline {
+        use lmb_results::{BenchRecord, BenchStatus, MetricValue};
+        let mut e = entry(fingerprint, seconds);
+        e.report.records = records
+            .iter()
+            .map(|&(name, metrics)| BenchRecord {
+                name: name.into(),
+                produces: "Table 7".into(),
+                status: BenchStatus::Ok,
+                attempts: 1,
+                wall_ms: 1.0,
+                exclusive: false,
+                provenance: None,
+                rusage: None,
+                counters: None,
+                metrics: metrics
+                    .iter()
+                    .map(|&(label, value)| MetricValue {
+                        label: label.into(),
+                        value,
+                        unit: "us".into(),
+                    })
+                    .collect(),
+                span: None,
+            })
+            .collect();
+        e
+    }
+
+    const BENCHES: [&str; 4] = ["lat_a", "lat_b", "bw_c", "lat_missing"];
+    const LABELS: [&str; 3] = ["", "p50", "p99"];
+
+    /// For every (fingerprint, bench, metric), the indexed reply equals
+    /// the scanning one.
+    fn index_agrees_with_scan(store: &SegmentStore) -> Result<(), String> {
+        for fp in ["fp-a", "fp-b", "fp-none"] {
+            let history = store.history(fp).unwrap();
+            for bench in BENCHES {
+                for metric in LABELS {
+                    let indexed = store.history_reply(fp, bench, metric);
+                    let scanned = proto::history_reply(history, bench, metric);
+                    if indexed != scanned {
+                        return Err(format!(
+                            "{fp}/{bench}/{metric:?}: {indexed:?} != {scanned:?}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A push as the proptest draws it: capture second, shard, and one
+    /// record per `(bench, label, value)` triple.
+    fn pushed(seconds: u64, shard: usize, records: &[(usize, usize, u32)]) -> Baseline {
+        let fp = ["fp-a", "fp-b"][shard];
+        let metrics: Vec<[(&str, f64); 1]> = records
+            .iter()
+            .map(|&(_, label, value)| [(LABELS[label], f64::from(value) / 8.0)])
+            .collect();
+        let records: Vec<(&str, &[(&str, f64)])> = records
+            .iter()
+            .zip(&metrics)
+            .map(|(&(bench, ..), m)| (BENCHES[bench % 3], &m[..]))
+            .collect();
+        run_of(fp, seconds, &records)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+        #[test]
+        fn the_history_index_answers_as_the_scan_does(
+            pushes in proptest::collection::vec(
+                (
+                    0u64..6,
+                    0usize..2,
+                    proptest::collection::vec((0usize..3, 0usize..3, 0u32..400), 0..5),
+                ),
+                1..14,
+            ),
+            imports in proptest::collection::vec(
+                (0u64..8, 0usize..2, proptest::collection::vec((0usize..3, 0usize..3, 0u32..400), 0..4)),
+                0..4,
+            ),
+        ) {
+            let dir = scratch_dir("index");
+            let mut store = SegmentStore::open(&dir, 3, 2).unwrap();
+            // Out-of-order and same-second pushes come from the draw; this
+            // run carries `lat_a` twice, and the first must answer.
+            store
+                .append(run_of("fp-a", 3, &[("lat_a", &[("", 1.0)]), ("lat_a", &[("", 2.0)])]))
+                .unwrap();
+            for (seconds, shard, records) in &pushes {
+                store.append(pushed(*seconds, *shard, records)).unwrap();
+                index_agrees_with_scan(&store).map_err(proptest::TestCaseError::fail)?;
+            }
+            let twice = store.history_reply("fp-a", "lat_a", "");
+            proptest::prop_assert!(twice.points.iter().any(|p| p.value == 1.0));
+            proptest::prop_assert!(twice.points.iter().all(|p| p.value != 2.0));
+            store.flush_all().unwrap();
+            drop(store);
+
+            // Older-layout envelopes, imported on the next open.
+            for (n, (seconds, shard, records)) in imports.iter().enumerate() {
+                let e = pushed(*seconds, *shard, records);
+                let name = format!("{}-{}-{n}.json", e.fingerprint, e.unix_seconds);
+                fs::write(dir.join(name), e.to_json()).unwrap();
+            }
+            let mut store = SegmentStore::open(&dir, 3, 2).unwrap();
+            index_agrees_with_scan(&store).map_err(proptest::TestCaseError::fail)?;
+            // A mid-series push after the replay.
+            store.append(pushed(2, 0, &[(0, 0, 7), (1, 1, 9)])).unwrap();
+            index_agrees_with_scan(&store).map_err(proptest::TestCaseError::fail)?;
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -37,6 +37,8 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 mod de;
+mod float;
+mod scan;
 mod ser;
 mod value;
 

@@ -9,8 +9,9 @@ use std::fmt::Write as _;
 /// [`Writer::element`] before each item of an array, and the writer
 /// decides where commas, newlines and spaces go. A container that gets
 /// no key or element renders as `{}` or `[]`. Nothing is allocated per
-/// value: numbers go through `write!`, each run of characters that needs
-/// no escape is one `push_str`, and indentation is a slice of a constant
+/// value: numbers are formatted into a stack buffer, each run of
+/// characters that needs no escape is found eight bytes at a time and
+/// copied with one `push_str`, and indentation is a slice of a constant
 /// run of spaces.
 #[derive(Debug)]
 pub struct Writer {
@@ -94,12 +95,13 @@ impl Writer {
             .push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
     }
 
-    /// Writes a float with Rust's shortest round-trip `{:?}` form, so an
-    /// integral value keeps its `.0`; JSON has no NaN or infinity, so a
+    /// Writes a float in its shortest round-trip form, byte for byte as
+    /// Rust's `{:?}` renders it (so an integral value keeps its `.0`), but
+    /// without going through `fmt`; JSON has no NaN or infinity, so a
     /// non-finite value writes `null`.
     pub fn float(&mut self, value: f64) {
         if value.is_finite() {
-            let _ = write!(self.out, "{value:?}");
+            crate::float::write_f64(&mut self.out, value);
         } else {
             self.null();
         }
@@ -111,12 +113,14 @@ impl Writer {
         out.push('"');
         // Every byte that needs an escape is ASCII, hence a whole
         // character: the runs between them slice `s` on char boundaries.
+        let bytes = s.as_bytes();
         let mut run_start = 0;
-        for (i, byte) in s.bytes().enumerate() {
-            if !matches!(byte, b'"' | b'\\' | 0x00..=0x1f) {
-                continue;
-            }
+        loop {
+            let i = run_start + crate::scan::escape_end(&bytes[run_start..]);
             out.push_str(&s[run_start..i]);
+            let Some(&byte) = bytes.get(i) else {
+                break;
+            };
             match byte {
                 b'"' => out.push_str("\\\""),
                 b'\\' => out.push_str("\\\\"),
@@ -129,7 +133,6 @@ impl Writer {
             }
             run_start = i + 1;
         }
-        out.push_str(&s[run_start..]);
         out.push('"');
     }
 
@@ -147,6 +150,18 @@ impl Writer {
     pub fn key(&mut self, key: &str) {
         self.separate();
         self.str(key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+    }
+
+    /// [`Writer::key`] for a key that needs no escape, given already
+    /// quoted (`"\"name\""`): how the derives write every field name.
+    pub fn quoted_key(&mut self, quoted: &str) {
+        debug_assert!(quoted.len() >= 2 && quoted.starts_with('"') && quoted.ends_with('"'));
+        self.separate();
+        self.out.push_str(quoted);
         self.out.push(':');
         if self.indent.is_some() {
             self.out.push(' ');

@@ -4,7 +4,8 @@
 //! parse the token stream by hand. They cover non-generic named-field
 //! structs (one object key per field, in declaration order) and enums of
 //! unit and named-field variants. The generated `Serialize` writes each
-//! key and value into the shim `serde::Writer`; the generated
+//! key, as a literal already quoted, and each value into the shim
+//! `serde::Writer`; the generated
 //! `Deserialize` reads keys off a `serde::Cursor` as they come, into one
 //! slot per field: the first time a key appears it fills its slot, an
 //! unknown or repeated key is skipped, and a slot still empty at the end
@@ -148,13 +149,14 @@ fn pattern(path: &str, fields: &[Field]) -> String {
 /// pair, then every bound field in declaration order.
 fn write_object(tag: Option<(&String, &String)>, fields: &[Field]) -> String {
     let tag = tag.map_or(String::new(), |(key, wire)| {
-        format!("__w.key({key:?}); __w.str({wire:?});")
+        format!("{} __w.str({wire:?});", write_key(key))
     });
     let writes: String = fields
         .iter()
         .map(|f| {
             let write = format!(
-                "__w.key({0:?}); ::serde::Serialize::serialize(__field_{0}, __w);",
+                "{} ::serde::Serialize::serialize(__field_{}, __w);",
+                write_key(&f.name),
                 f.name
             );
             match &f.skip_if {
@@ -164,6 +166,17 @@ fn write_object(tag: Option<(&String, &String)>, fields: &[Field]) -> String {
         })
         .collect();
     format!("__w.begin_object(); {tag} {writes} __w.end_object();")
+}
+
+/// The statement writing object key `key`: as a quoted literal when it
+/// needs no escape, as every field name does.
+fn write_key(key: &str) -> String {
+    if key.chars().any(|c| c == '"' || c == '\\' || c.is_control()) {
+        format!("__w.key({key:?});")
+    } else {
+        let quoted = format!("\"{key}\"");
+        format!("__w.quoted_key({quoted:?});")
+    }
 }
 
 /// Statements reading the rest of an open object into `path { fields }`:

@@ -5,9 +5,9 @@
 //! straight to the one output `String`; [`from_str`] hands it a
 //! `serde::Cursor` over the input text and then checks nothing but
 //! whitespace follows. No tree is built in either direction. Floats are
-//! rendered with Rust's shortest-roundtrip `{:?}` formatting so
-//! parse(render(x)) reproduces x bit-for-bit, which the results-archive
-//! tests rely on.
+//! rendered in their shortest round-trip form by the shim's own formatter,
+//! byte for byte as Rust's `{:?}` renders them, so parse(render(x))
+//! reproduces x bit-for-bit, which the results-archive tests rely on.
 
 use serde::{Cursor, Deserialize, Serialize, Writer};
 use std::fmt;
