@@ -27,8 +27,8 @@ use lmb_results::{
 };
 use lmb_sys::{RusageDelta, RusageSnapshot};
 use lmb_timing::{
-    new_recorder, open_perf, take_events, ClockInfo, CounterValues, Counters, Harness,
-    HarnessBudget, Measurement, PerfCounters, Quality, RealClock, SimClock, TimeSource,
+    new_recorder, open_perf, take_events, Clock, ClockInfo, CounterValues, Counters, Harness,
+    HarnessBudget, Measurement, PerfCounters, Quality,
 };
 use lmb_trace::{emit, emit_in, ContextGuard, EventKind, Span, SpanId, Trace};
 use std::cell::Cell;
@@ -37,69 +37,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// The clock every engine-level decision reads: scheduling stamps, phase
-/// budgets, watchdog deadlines, retry sleeps.
-///
-/// An enum rather than a generic parameter so `Engine`, `RunCtx` and every
-/// public signature stay un-parameterized: the real arm delegates to the
-/// zero-sized [`RealClock`] (one match on a fieldless discriminant), the
-/// sim arm shares a seeded [`SimClock`] with the scripted benchmark bodies
-/// so a whole suite run advances one virtual timeline.
-#[derive(Debug, Clone)]
-pub enum EngineClock {
-    /// The host monotonic clock (the default).
-    Real(RealClock),
-    /// A seeded virtual clock; the engine runs with zero real-time sleeps.
-    Sim(SimClock),
-}
-
-impl EngineClock {
-    /// The shared sim clock, when this engine runs under virtual time.
-    #[must_use]
-    pub fn sim(&self) -> Option<&SimClock> {
-        match self {
-            EngineClock::Real(_) => None,
-            EngineClock::Sim(sim) => Some(sim),
-        }
-    }
-
-    /// The report's record of the sim clock's configuration, when this
-    /// engine runs under virtual time.
-    #[must_use]
-    pub fn provenance(&self) -> Option<SimProvenance> {
-        self.sim().map(|sim| SimProvenance {
-            seed: sim.seed(),
-            resolution_ns: sim.resolution_ns(),
-            read_overhead_ns: sim.read_overhead_ns(),
-            read_jitter_ns: sim.read_jitter_ns(),
-        })
-    }
-}
-
-impl Default for EngineClock {
-    fn default() -> Self {
-        EngineClock::Real(RealClock)
-    }
-}
-
-impl TimeSource for EngineClock {
-    fn now_ns(&self) -> f64 {
-        match self {
-            EngineClock::Real(c) => c.now_ns(),
-            EngineClock::Sim(c) => c.now_ns(),
-        }
-    }
-
-    fn sleep(&self, d: Duration) {
-        match self {
-            EngineClock::Real(c) => c.sleep(d),
-            EngineClock::Sim(c) => c.sleep(d),
-        }
-    }
-
-    fn is_virtual(&self) -> bool {
-        matches!(self, EngineClock::Sim(_))
-    }
+/// The report's record of the sim clock's configuration, when `clock`
+/// runs virtual time.
+#[must_use]
+pub fn sim_provenance(clock: &Clock) -> Option<SimProvenance> {
+    clock.sim().map(|sim| SimProvenance {
+        seed: sim.seed(),
+        resolution_ns: sim.resolution_ns(),
+        read_overhead_ns: sim.read_overhead_ns(),
+        read_jitter_ns: sim.read_jitter_ns(),
+    })
 }
 
 /// Per-execute phase accounting, in nanoseconds. Owned by one `execute`
@@ -131,12 +78,12 @@ struct PhaseBudget {
 /// `break`/`continue` path through the attempt loop is accounted.
 struct PhaseTimer<'a> {
     sink: &'a Cell<u64>,
-    clock: &'a EngineClock,
+    clock: &'a Clock,
     started: f64,
 }
 
 impl<'a> PhaseTimer<'a> {
-    fn start(clock: &'a EngineClock, sink: &'a Cell<u64>) -> Self {
+    fn start(clock: &'a Clock, sink: &'a Cell<u64>) -> Self {
         PhaseTimer {
             sink,
             clock,
@@ -223,8 +170,8 @@ pub(crate) fn probe_substrates(requires: &[Substrate]) -> Result<(), String> {
 /// engine can move it onto the watchdogged benchmark thread.
 #[derive(Debug, Clone)]
 pub struct RunCtx {
-    /// Measurement harness, pre-wired with the engine's provenance
-    /// recorder and the run's harness budget.
+    /// Measurement harness on the engine's clock, pre-wired with the
+    /// engine's provenance recorder and the run's harness budget.
     pub harness: Harness,
     /// Suite configuration.
     pub config: SuiteConfig,
@@ -308,7 +255,7 @@ pub struct Engine {
     registry: Registry,
     config: SuiteConfig,
     faults: FaultPlan,
-    clock: EngineClock,
+    clock: Clock,
 }
 
 impl Engine {
@@ -319,7 +266,7 @@ impl Engine {
             registry,
             config,
             faults: FaultPlan::default(),
-            clock: EngineClock::default(),
+            clock: Clock::Real,
         })
     }
 
@@ -330,11 +277,12 @@ impl Engine {
         self
     }
 
-    /// Installs the clock engine-level decisions read. Pass
-    /// [`EngineClock::Sim`] with the same [`SimClock`] the scripted
-    /// benchmark bodies share to run the whole suite under virtual time.
+    /// Installs the clock engine-level decisions and the benchmarks'
+    /// harnesses read. Pass [`Clock::Sim`] with the same
+    /// [`lmb_timing::SimClock`] the scripted benchmark bodies share to run
+    /// the whole suite under virtual time.
     #[must_use]
-    pub fn with_clock(mut self, clock: EngineClock) -> Self {
+    pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
         self
     }
@@ -420,7 +368,7 @@ impl Engine {
                 .map(|slot| slot.expect("every benchmark produced a record").0)
                 .collect(),
             harness: Some(harness),
-            sim: self.clock.provenance(),
+            sim: sim_provenance(&self.clock),
             ..Default::default()
         };
         emit(|| EventKind::SuiteEnd {
@@ -511,17 +459,17 @@ impl Engine {
             let sys_before = lmb_sys::syscall_snapshot();
             let recorder = new_recorder();
             let bench_span = span.id().clone();
-            // Under simulation the context harness is never measured with
-            // (scripted bodies build their own sim-clocked harness), so a
-            // pinned ClockInfo replaces the real probe: no wall-clock work
-            // and no host-dependent numbers anywhere near the report.
+            // Under simulation the context harness runs on the engine's
+            // own sim clock, pinned to the clock's scripted profile instead
+            // of probed: scripted bodies measure with it directly, and no
+            // wall-clock work or host-dependent number nears the report.
             let harness = match self.clock.sim() {
-                Some(_) => Harness::with_source_and_clock(
+                Some(sim) => Harness::pinned(
                     self.config.options,
-                    RealClock,
+                    self.clock.clone(),
                     ClockInfo {
-                        resolution_ns: 1.0,
-                        overhead_ns: 15.0,
+                        resolution_ns: sim.resolution_ns(),
+                        overhead_ns: sim.read_overhead_ns(),
                     },
                 ),
                 None => Harness::new(self.config.options),
@@ -700,7 +648,7 @@ impl Engine {
 /// harness's warm-up and calibration among them) and the emission counts
 /// of the suite span's trace (zero when the run is untraced).
 fn harness_budget(
-    clock: &EngineClock,
+    clock: &Clock,
     suite_started: f64,
     budget: &PhaseBudget,
     suite_span: &SpanId,
@@ -922,7 +870,7 @@ fn midpoint_median(sorted: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::config::RetryPolicy;
-    use lmb_timing::{Samples, SummaryPolicy};
+    use lmb_timing::{Samples, SimClock, SummaryPolicy};
     use std::time::Instant;
 
     fn engine_for(names: &[&str], config: SuiteConfig) -> Engine {
@@ -1107,7 +1055,7 @@ mod tests {
             resolution_ns: 7.0,
             overhead_ns: 50.0,
         };
-        Harness::with_source_and_clock(lmb_timing::Options::quick(), sim, pinned)
+        Harness::pinned(lmb_timing::Options::quick(), Clock::Sim(sim), pinned)
             .with_recorder(recorder.clone())
             .measure_block(4, body);
         let p = provenance_from(&take_events(&recorder)).expect("provenance");
@@ -1441,7 +1389,7 @@ mod tests {
 
     /// Runs a pool entry and an exclusive entry whose bodies record the
     /// thread they ran on; returns (bench name, thread id, thread name).
-    fn attempt_threads(clock: EngineClock) -> Vec<(&'static str, std::thread::ThreadId, String)> {
+    fn attempt_threads(clock: Clock) -> Vec<(&'static str, std::thread::ThreadId, String)> {
         use crate::output::BenchOutput;
         use crate::registry::{BenchRunner, Category};
         use std::sync::Mutex;
@@ -1470,7 +1418,7 @@ mod tests {
     #[test]
     fn virtual_attempts_run_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        for (name, thread, _) in attempt_threads(EngineClock::Sim(SimClock::new(3))) {
+        for (name, thread, _) in attempt_threads(Clock::Sim(SimClock::new(3))) {
             assert_eq!(thread, caller, "{name} left the thread that called execute");
         }
     }
@@ -1478,10 +1426,66 @@ mod tests {
     #[test]
     fn real_attempts_run_on_their_own_bench_thread() {
         let caller = std::thread::current().id();
-        for (name, thread, thread_name) in attempt_threads(EngineClock::default()) {
+        for (name, thread, thread_name) in attempt_threads(Clock::Real) {
             assert_ne!(thread, caller, "{name} ran on the calling thread");
             assert_eq!(thread_name, format!("bench-{name}"));
         }
+    }
+
+    /// Runs one scripted benchmark that measures with `ctx.harness` on a
+    /// non-default sim profile; returns the record's provenance as JSON and
+    /// what the runner saw of its harness: (pinned clock info, whether one
+    /// read through the harness's clock was one read of the engine's sim).
+    fn virtual_run(seed: u64) -> (String, ClockInfo, bool) {
+        use crate::output::BenchOutput;
+        use crate::registry::{BenchRunner, Category};
+        use std::sync::Mutex;
+        let sim = SimClock::new(seed)
+            .with_resolution_ns(100.0)
+            .with_read_overhead_ns(40.0)
+            .with_read_jitter_ns(5.0);
+        let seen = Arc::new(Mutex::new(None));
+        let runner: BenchRunner = {
+            let (sim, seen) = (sim.clone(), Arc::clone(&seen));
+            Arc::new(move |ctx| {
+                let before = sim.reads();
+                ctx.harness.source().now_ns();
+                let shared = sim.reads() == before + 1;
+                *seen.lock().unwrap() = Some((ctx.harness.clock(), shared));
+                let body = sim.scripted_body(lmb_timing::CostModel::Noisy {
+                    base_ns: 900.0,
+                    spread_ns: 300.0,
+                });
+                ctx.harness.measure(body);
+                BenchOutput::new()
+            })
+        };
+        let bench = Benchmark::scripted("scripted", "virtual", Category::Latency, false, runner);
+        let outcome = Engine::new(Registry::custom(vec![bench]), SuiteConfig::quick())
+            .unwrap()
+            .with_clock(Clock::Sim(sim))
+            .execute();
+        let record = outcome.report.find("scripted").expect("record");
+        assert_eq!(record.status, BenchStatus::Ok, "{record:?}");
+        let provenance = serde_json::to_string(&record.provenance).unwrap();
+        let (info, shared) = seen.lock().unwrap().take().expect("runner ran");
+        (provenance, info, shared)
+    }
+
+    #[test]
+    fn virtual_runs_measure_with_a_context_harness_on_the_engine_sim() {
+        let (provenance, info, shared) = virtual_run(41);
+        assert!(shared, "the context harness reads another clock");
+        let pinned = ClockInfo {
+            resolution_ns: 100.0,
+            overhead_ns: 40.0,
+        };
+        assert_eq!(info, pinned, "the sim profile is pinned, not probed");
+        assert!(
+            provenance.contains("\"clock_resolution_ns\":100.0"),
+            "{provenance}"
+        );
+        assert_eq!(virtual_run(41).0, provenance, "same seed, other provenance");
     }
 
     #[test]

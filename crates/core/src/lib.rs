@@ -33,7 +33,7 @@ pub mod simfuzz;
 pub mod suite;
 
 pub use config::{RetryPolicy, SuiteConfig, Verbosity};
-pub use engine::{Engine, EngineClock, EngineOutcome, FaultPlan, RunCtx, Substrate};
+pub use engine::{sim_provenance, Engine, EngineOutcome, FaultPlan, RunCtx, Substrate};
 pub use error::SuiteError;
 pub use host::detect_host;
 pub use output::{BenchOutput, Metric, Unit};

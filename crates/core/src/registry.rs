@@ -22,7 +22,7 @@ use std::sync::Arc;
 ///
 /// `Arc`'d so scripted simulation benchmarks can capture state (a shared
 /// `SimClock`, a cost model) while the standard registry keeps paying only
-/// a pointer per entry via [`arc_runner`].
+/// a pointer per entry via `arc_runner`.
 pub type BenchRunner = Arc<dyn Fn(&RunCtx) -> BenchOutput + Send + Sync>;
 
 /// Wraps a plain function pointer as a [`BenchRunner`]. Taking `fn` rather

@@ -19,17 +19,15 @@
 //! point; the sweep continues and records the failure.
 
 use crate::config::SuiteConfig;
-use crate::engine::{
-    panic_message, probe_substrates, provenance_from, EngineClock, FaultPlan, Substrate,
-};
+use crate::engine::{panic_message, probe_substrates, provenance_from, FaultPlan, Substrate};
 use crate::error::SuiteError;
 use lmb_results::{
     BenchRecord, BenchStatus, GeneratorSample, MetricValue, RatePoint, RateSweep, ScalePoint,
     ScalingCurve,
 };
 use lmb_timing::{
-    ArrivalProcess, ClockInfo, CostModel, Harness, Measurement, Options, Quality, Samples,
-    SimClock, TimeSource,
+    ArrivalProcess, Clock, ClockInfo, CostModel, Harness, Measurement, Options, Quality, Samples,
+    SimClock,
 };
 use lmb_trace::{emit, ContextGuard, EventKind, Span};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -349,11 +347,11 @@ struct GenRun {
 }
 
 /// Drives one generator through `ops` operations under the given pacing
-/// discipline, timed against `source` (the generator's own virtual clock
+/// discipline, timed against `clock` (the generator's own virtual clock
 /// for scripted runs, the host clock otherwise). Stops at the first
 /// transport failure, which the caller reads back from the generator.
-fn paced_run<T: TimeSource>(
-    source: &T,
+fn paced_run(
+    clock: &Clock,
     gen: &mut dyn LoadGen,
     mode: LoadMode,
     process: &ArrivalProcess,
@@ -364,7 +362,7 @@ fn paced_run<T: TimeSource>(
     let mut latencies_ns = Vec::with_capacity(ops as usize);
     let mut late = 0u64;
     let mut max_lag_ns = 0.0f64;
-    let t_base = source.now_ns();
+    let t_base = clock.now_ns();
     for i in 0..ops {
         let (origin_ns, done_ns) = match mode {
             LoadMode::Open => {
@@ -372,27 +370,27 @@ fn paced_run<T: TimeSource>(
                 // The first arrival is scheduled at the epoch itself;
                 // reading the clock again to check it would charge the
                 // read's own overhead as a fake late start.
-                let now = if i == 0 { t_base } else { source.now_ns() };
+                let now = if i == 0 { t_base } else { clock.now_ns() };
                 if now < t_arr {
-                    source.sleep(Duration::from_nanos((t_arr - now) as u64));
+                    clock.sleep(Duration::from_nanos((t_arr - now) as u64));
                 } else if now > t_arr {
                     // The service is behind schedule: this arrival queues.
                     late += 1;
                     max_lag_ns = max_lag_ns.max(now - t_arr);
                 }
                 gen.op();
-                (t_arr, source.now_ns())
+                (t_arr, clock.now_ns())
             }
             LoadMode::Closed => {
-                let start = source.now_ns();
+                let start = clock.now_ns();
                 gen.op();
-                let done = source.now_ns();
+                let done = clock.now_ns();
                 // Pace from completion: the generator throttles itself to
                 // the offered rate only while the service keeps up, and
                 // never notices falling behind.
                 let idle_ns = closed_gap_ns - (done - start);
                 if idle_ns > 0.0 {
-                    source.sleep(Duration::from_nanos(idle_ns as u64));
+                    clock.sleep(Duration::from_nanos(idle_ns as u64));
                 }
                 (start, done)
             }
@@ -404,7 +402,7 @@ fn paced_run<T: TimeSource>(
     }
     GenRun {
         ops: latencies_ns.len() as u64,
-        elapsed_ns: (source.now_ns() - t_base).max(0.0),
+        elapsed_ns: (clock.now_ns() - t_base).max(0.0),
         samples: Samples::from_values(latencies_ns),
         late,
         max_lag_ns,
@@ -415,24 +413,24 @@ fn paced_run<T: TimeSource>(
 /// A generator's own harness, timed against its own clock: a scripted
 /// generator's virtual clock with a pinned resolution (no hardware probe,
 /// so the point is deterministic), the probed host clock otherwise.
-fn generator_harness(gen: &dyn LoadGen, options: Options) -> Harness<EngineClock> {
-    let (clock, info) = match gen.sim_clock() {
-        Some(sim) => (
-            EngineClock::Sim(sim),
+fn generator_harness(gen: &dyn LoadGen, options: Options) -> Harness {
+    match gen.sim_clock() {
+        Some(sim) => Harness::pinned(
+            options,
+            Clock::Sim(sim),
             ClockInfo {
                 resolution_ns: 1.0,
                 overhead_ns: 15.0,
             },
         ),
-        None => (EngineClock::default(), ClockInfo::probe()),
-    };
-    Harness::with_source_and_clock(options, clock, info)
+        None => Harness::new(options),
+    }
 }
 
 /// A trace-only clock reading: virtual ground truth, which charges no
 /// read and so leaves the measurement it brackets undisturbed, or the
 /// host clock.
-fn span_ns(clock: &EngineClock) -> f64 {
+fn span_ns(clock: &Clock) -> f64 {
     clock
         .sim()
         .map_or_else(|| clock.now_ns(), SimClock::true_now_ns)
@@ -477,7 +475,7 @@ fn failed_rate_point(offered_per_s: f64, reason: String) -> RatePoint {
 /// ([`LoadRunner::run_target`]).
 pub struct LoadRunner {
     config: SuiteConfig,
-    clock: EngineClock,
+    clock: Clock,
     /// Arrival-process shape and seed; the rate is replaced per point.
     process: ArrivalProcess,
     /// Scheduled arrivals per rate point, and the peak probe's burst.
@@ -496,7 +494,7 @@ impl LoadRunner {
         let ops = round_trip_ops(&config).max(64);
         Ok(LoadRunner {
             config,
-            clock: EngineClock::default(),
+            clock: Clock::Real,
             process: ArrivalProcess::uniform(1.0),
             ops,
             max_p: 4,
@@ -505,9 +503,9 @@ impl LoadRunner {
     }
 
     /// Replaces the runner's wall clock (virtual runs pass
-    /// [`EngineClock::Sim`] so report wall times are deterministic).
+    /// [`Clock::Sim`] so report wall times are deterministic).
     #[must_use]
-    pub fn with_clock(mut self, clock: EngineClock) -> Self {
+    pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
         self
     }
@@ -920,7 +918,7 @@ impl LoadRunner {
     }
 
     /// Runs one released generator's body against its harness's clock.
-    fn run_body(&self, h: &Harness<EngineClock>, gen: &mut dyn LoadGen, body: Body) -> GenRun {
+    fn run_body(&self, h: &Harness, gen: &mut dyn LoadGen, body: Body) -> GenRun {
         let clock = h.source();
         match body {
             Body::Harness(ops) => {
@@ -996,7 +994,7 @@ mod tests {
         let sim = SimClock::new(1);
         let mut gen = SimServerGen::new(&sim, CostModel::Constant { ns: 50_000.0 });
         let process = ArrivalProcess::uniform(10_000.0);
-        let run = paced_run(&sim, &mut gen, LoadMode::Open, &process, 50);
+        let run = paced_run(&Clock::Sim(sim), &mut gen, LoadMode::Open, &process, 50);
         assert_eq!(run.ops, 50);
         assert_eq!(run.late, 0);
         assert_eq!(run.max_lag_ns, 0.0);
@@ -1013,7 +1011,7 @@ mod tests {
         let sim = SimClock::new(1);
         let mut gen = SimServerGen::new(&sim, CostModel::Constant { ns: 50_000.0 });
         let process = ArrivalProcess::uniform(40_000.0);
-        let run = paced_run(&sim, &mut gen, LoadMode::Open, &process, 50);
+        let run = paced_run(&Clock::Sim(sim), &mut gen, LoadMode::Open, &process, 50);
         assert!(run.late > 40, "almost every arrival starts late");
         assert!(run.max_lag_ns > 1_000_000.0, "lag accumulates past 1 ms");
         let first = run.samples.values()[0];
@@ -1031,7 +1029,7 @@ mod tests {
         let sim = SimClock::new(1);
         let mut gen = SimServerGen::new(&sim, CostModel::Constant { ns: 50_000.0 });
         let process = ArrivalProcess::uniform(40_000.0);
-        let run = paced_run(&sim, &mut gen, LoadMode::Closed, &process, 50);
+        let run = paced_run(&Clock::Sim(sim), &mut gen, LoadMode::Closed, &process, 50);
         assert_eq!(run.late, 0);
         assert_eq!(run.max_lag_ns, 0.0);
         for lat in run.samples.values() {

@@ -7,14 +7,13 @@ use super::proto::{
     self, DiffReply, DiffRequest, HistoryReply, HistoryRequest, PushReply, PushRequest, StatsReply,
     StatsRequest, TableReply, TableRequest,
 };
-use crate::engine::EngineClock;
 use bytes::Bytes;
 use lmb_results::Baseline;
 use lmb_rpc::{
     CallError, RpcClient, RESULTS_PROC_DIFF, RESULTS_PROC_HISTORY, RESULTS_PROC_PUSH,
     RESULTS_PROC_STATS, RESULTS_PROC_TABLE, RESULTS_PROGRAM, RESULTS_VERSION,
 };
-use lmb_timing::TimeSource;
+use lmb_timing::Clock;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -46,7 +45,7 @@ fn backoff_ms(attempt: u32) -> u64 {
 pub struct ReportClient {
     addr: String,
     conn: Option<RpcClient>,
-    clock: EngineClock,
+    clock: Clock,
 }
 
 impl ReportClient {
@@ -56,15 +55,15 @@ impl ReportClient {
         ReportClient {
             addr: addr.into(),
             conn: None,
-            clock: EngineClock::default(),
+            clock: Clock::Real,
         }
     }
 
     /// Replaces the clock that paces retry backoff (virtual runs pass
-    /// [`EngineClock::Sim`] so the retry schedule is testable without
+    /// [`Clock::Sim`] so the retry schedule is testable without
     /// real sleeps).
     #[must_use]
-    pub fn with_clock(mut self, clock: EngineClock) -> Self {
+    pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
         self
     }
@@ -201,8 +200,8 @@ mod tests {
             l.local_addr().unwrap().port()
         };
         let sim = lmb_timing::SimClock::new(7);
-        let mut client = ReportClient::new(format!("127.0.0.1:{port}"))
-            .with_clock(EngineClock::Sim(sim.clone()));
+        let mut client =
+            ReportClient::new(format!("127.0.0.1:{port}")).with_clock(Clock::Sim(sim.clone()));
         assert!(client.diff("fp-a").is_err());
         // 4 attempts sleep 50 + 100 + 200 ms between them, exactly.
         assert_eq!(sim.true_now_ns(), 350.0 * 1e6);

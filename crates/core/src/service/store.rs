@@ -370,7 +370,7 @@ impl Shard {
 
 impl ReportStore for SegmentStore {
     /// Rejects an entry whose fingerprint could not name a segment file
-    /// inside the store's directory (see [`check_fingerprint`]) with
+    /// inside the store's directory (see `check_fingerprint`) with
     /// [`io::ErrorKind::InvalidInput`], storing nothing.
     fn append(&mut self, entry: Baseline) -> io::Result<u64> {
         check_fingerprint(&entry.fingerprint)?;

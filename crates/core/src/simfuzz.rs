@@ -1,6 +1,6 @@
 //! Scenario fuzzing for whole-engine virtual time.
 //!
-//! The sim seam ([`EngineClock::Sim`], scripted registries) makes a *full*
+//! The sim seam ([`Clock::Sim`], scripted registries) makes a *full*
 //! suite run — scheduling, probes, watchdog, retries, phase budgets,
 //! report, diff — a deterministic function of a seed. This module turns
 //! that seam into a property fuzzer: a [`Scenario`] is a seeded random
@@ -19,12 +19,12 @@
 //! a named regression scenario in `tests/sim_fuzz.rs` alongside the fix.
 
 use crate::config::{RetryPolicy, SuiteConfig};
-use crate::engine::{Engine, EngineClock, EngineOutcome};
+use crate::engine::{sim_provenance, Engine, EngineOutcome};
 use crate::output::{BenchOutput, Unit};
 use crate::registry::{BenchRunner, Benchmark, Category, Registry};
 use crate::scale::{omission_gap, LoadGen, LoadMode, LoadRunner, SimServerGen};
 use lmb_results::{ReportDiff, RunReport};
-use lmb_timing::{ClockInfo, CostModel, SimClock, SplitMix, TimeUnit};
+use lmb_timing::{Clock, CostModel, SimClock, SplitMix, TimeUnit};
 use std::sync::Arc;
 
 /// The scripted benchmark names a scenario draws from. Static because
@@ -211,8 +211,8 @@ impl Scenario {
     }
 
     /// The scripted registry: every benchmark body advances `sim` by its
-    /// cost model instead of doing real work, and measures itself against
-    /// a sim-clocked harness wearing the engine's provenance recorder.
+    /// cost model instead of doing real work, and measures itself with the
+    /// engine's context harness, which runs on `sim` when the engine does.
     #[must_use]
     pub fn registry(&self, sim: &SimClock) -> Registry {
         let benches = self
@@ -230,23 +230,13 @@ fn scripted_benchmark(bench: &ScriptedBench, sim: &SimClock) -> Benchmark {
     let model = bench.model;
     let block_ops = bench.block_ops;
     let runner: BenchRunner = Arc::new(move |ctx| {
-        // The context harness is real-clocked (RunCtx is not generic); a
-        // scripted body rebases it onto the shared sim clock, pinned to
-        // the scenario's true clock properties so calibration and overhead
-        // compensation see exactly the clock the scenario scripted, while
-        // provenance and the harness budget still flow into the engine's
-        // run as usual.
-        let harness = ctx.harness.rebased(
-            sim.clone(),
-            ClockInfo {
-                resolution_ns: sim.resolution_ns(),
-                overhead_ns: sim.read_overhead_ns(),
-            },
-        );
+        // Under `Clock::Sim(sim)` the engine pins the context harness to
+        // the sim's scripted profile, so calibration and overhead
+        // compensation see exactly the clock the scenario scripted.
         let body = sim.scripted_body(model);
         let m = match block_ops {
-            Some(ops) => harness.measure_block(ops, body),
-            None => harness.measure(body),
+            Some(ops) => ctx.harness.measure_block(ops, body),
+            None => ctx.harness.measure(body),
         };
         BenchOutput::new().metric("op", m.per_op(TimeUnit::Micros), Unit::Micros)
     });
@@ -278,7 +268,7 @@ pub fn run_scenario(scenario: &Scenario) -> EngineOutcome {
     let sim = scenario.clock();
     let engine = Engine::new(scenario.registry(&sim), scenario_config())
         .expect("quick preset validates")
-        .with_clock(EngineClock::Sim(sim));
+        .with_clock(Clock::Sim(sim));
     engine.execute()
 }
 
@@ -402,8 +392,8 @@ pub fn load_sim_rig(seed: u64) -> (SimClock, CostModel) {
 #[must_use]
 pub fn run_load_scenario(seed: u64) -> RunReport {
     let (sim, model) = load_sim_rig(seed);
-    let clock = EngineClock::Sim(sim.clone());
-    let provenance = clock.provenance();
+    let clock = Clock::Sim(sim.clone());
+    let provenance = sim_provenance(&clock);
     let runner = LoadRunner::new(SuiteConfig::quick())
         .expect("quick preset validates")
         .with_clock(clock)

@@ -78,7 +78,7 @@ impl UdpEchoPair {
     }
 
     /// One word round trip. A datagram that is not echoed within
-    /// [`RECV_TIMEOUT`] is retransmitted, up to [`MAX_ATTEMPTS`] sends;
+    /// `RECV_TIMEOUT` is retransmitted, up to `MAX_ATTEMPTS` sends;
     /// after that the exchange fails with `TimedOut` rather than wedging
     /// the benchmark in `recv`.
     pub fn round_trip(&self) -> std::io::Result<()> {

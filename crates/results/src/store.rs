@@ -10,7 +10,7 @@
 //!
 //! [`SCHEMA_VERSION`] is the single definition of the current on-disk and
 //! on-wire schema version, stamped into every serialized [`Baseline`],
-//! [`RunReport`](crate::RunReport) and [`SuiteRun`](crate::SuiteRun).
+//! [`RunReport`] and [`SuiteRun`](crate::SuiteRun).
 //! Deserialization is tolerant in the established style of
 //! `rusage.contended` and `provenance.clamped_samples`: a missing
 //! `schema_version` reads as version 1 (every file written before the

@@ -11,8 +11,8 @@
 //! intended start offsets one arrival at a time.
 //!
 //! Offsets are plain `f64` nanoseconds from an epoch the caller picks
-//! (usually a [`crate::TimeSource::now_ns`] reading), so the same
-//! schedule drives a real clock or a [`crate::SimClock`] identically —
+//! (usually a [`crate::Clock::now_ns`] reading), so the same schedule
+//! drives [`crate::Clock::Real`] or [`crate::Clock::Sim`] identically —
 //! and the Poisson stream draws from the same splitmix64 generator as the
 //! sim clock's jitter, so a seeded schedule is bitwise reproducible.
 //!

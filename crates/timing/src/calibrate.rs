@@ -9,7 +9,7 @@
 //! a linear projection to land the final interval *near* the target instead
 //! of far beyond it.
 
-use crate::clock::{RealClock, TimeSource};
+use crate::clock::Clock;
 use std::time::Duration;
 
 /// Result of calibrating a benchmark body against the clock.
@@ -55,7 +55,7 @@ pub const MAX_ITERATIONS: u64 = 1 << 34;
 pub const MAX_PROJECTED_TARGET_MULTIPLE: f64 = 2.0;
 
 /// Finds an iteration count such that `iterations` runs of `body` take at
-/// least `target` time on the real clock.
+/// least `target` time on `clock`.
 ///
 /// The ramp starts at 1 and doubles until a probe lands within 2x of the
 /// target; from there the final count is projected linearly from the last
@@ -69,27 +69,23 @@ pub const MAX_PROJECTED_TARGET_MULTIPLE: f64 = 2.0;
 /// # Examples
 ///
 /// ```
+/// use lmb_timing::{calibrate_iterations, Clock};
 /// use std::time::Duration;
-/// let cal = lmb_timing::calibrate_iterations(Duration::from_micros(200), || {
+/// let cal = calibrate_iterations(&Clock::Real, Duration::from_micros(200), || {
 ///     std::hint::black_box((0..64u64).sum::<u64>());
 /// });
 /// assert!(cal.iterations >= 1);
 /// assert!(cal.observed_ns > 0.0);
 /// ```
-pub fn calibrate_iterations(target: Duration, body: impl FnMut()) -> Calibration {
-    calibrate_iterations_with(&RealClock, target, body)
-}
-
-/// [`calibrate_iterations`] against an arbitrary [`TimeSource`].
-pub fn calibrate_iterations_with<T: TimeSource>(
-    source: &T,
+pub fn calibrate_iterations(
+    clock: &Clock,
     target: Duration,
     mut body: impl FnMut(),
 ) -> Calibration {
     let target_ns = target.as_nanos() as f64;
     let mut n: u64 = 1;
     loop {
-        let elapsed = time_interval_ns_with(source, n, &mut body);
+        let elapsed = time_interval_ns(clock, n, &mut body);
         if elapsed >= target_ns {
             return Calibration {
                 iterations: n,
@@ -135,7 +131,7 @@ pub fn calibrate_iterations_with<T: TimeSource>(
     }
 }
 
-/// Times `iterations` runs of `body` on `source` and returns the raw
+/// Times `iterations` runs of `body` on `clock` and returns the raw
 /// elapsed interval in nanoseconds (no division, no compensation).
 ///
 /// This is the primitive the harness builds on: it subtracts the probed
@@ -144,17 +140,13 @@ pub fn calibrate_iterations_with<T: TimeSource>(
 /// # Panics
 ///
 /// Panics if `iterations` is zero.
-pub fn time_interval_ns_with<T: TimeSource>(
-    source: &T,
-    iterations: u64,
-    mut body: impl FnMut(),
-) -> f64 {
+pub fn time_interval_ns(clock: &Clock, iterations: u64, mut body: impl FnMut()) -> f64 {
     assert!(iterations > 0, "cannot time zero iterations");
-    let start = source.now_ns();
+    let start = clock.now_ns();
     for _ in 0..iterations {
         body();
     }
-    source.now_ns() - start
+    clock.now_ns() - start
 }
 
 #[cfg(test)]
@@ -166,12 +158,12 @@ mod tests {
     #[test]
     fn calibration_meets_target() {
         let target = Duration::from_micros(500);
-        let cal = calibrate_iterations(target, || {
+        let cal = calibrate_iterations(&Clock::Real, target, || {
             std::hint::black_box((0..32u64).fold(0, |a, b| a ^ b));
         });
         // Re-run at the calibrated count; it should take at least ~half the
         // target (allowing for warm-up effects in the calibration pass).
-        let total = time_interval_ns_with(&RealClock, cal.iterations, || {
+        let total = time_interval_ns(&Clock::Real, cal.iterations, || {
             std::hint::black_box((0..32u64).fold(0, |a, b| a ^ b));
         });
         assert!(
@@ -187,7 +179,7 @@ mod tests {
 
     #[test]
     fn calibration_of_slow_body_stays_small() {
-        let cal = calibrate_iterations(Duration::from_micros(100), || {
+        let cal = calibrate_iterations(&Clock::Real, Duration::from_micros(100), || {
             std::thread::sleep(Duration::from_micros(200));
         });
         assert_eq!(cal.iterations, 1);
@@ -196,7 +188,7 @@ mod tests {
     #[test]
     fn calibration_runs_body_at_least_once() {
         let count = AtomicU64::new(0);
-        calibrate_iterations(Duration::from_nanos(1), || {
+        calibrate_iterations(&Clock::Real, Duration::from_nanos(1), || {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert!(count.load(Ordering::Relaxed) >= 1);
@@ -205,7 +197,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero iterations")]
     fn zero_iterations_rejected() {
-        time_interval_ns_with(&RealClock, 0, || {});
+        time_interval_ns(&Clock::Real, 0, || {});
     }
 
     #[test]
@@ -216,7 +208,7 @@ mod tests {
         let target_ns = target.as_nanos() as f64;
         let sim = SimClock::new(21).with_read_overhead_ns(20.0);
         let body = sim.scripted_body(CostModel::Constant { ns: 80.0 });
-        let cal = calibrate_iterations_with(&sim, target, body);
+        let cal = calibrate_iterations(&Clock::Sim(sim), target, body);
         assert!(
             cal.observed_ns >= target_ns,
             "undershot: {}",
@@ -243,7 +235,7 @@ mod tests {
             .with_read_overhead_ns(100.0);
         let body = sim.scripted_body(CostModel::Constant { ns: 50_000.0 });
         let before = sim.true_now_ns();
-        let cal = calibrate_iterations_with(&sim, target, body);
+        let cal = calibrate_iterations(&Clock::Sim(sim.clone()), target, body);
         assert!(cal.observed_ns >= target_ns);
         assert!(
             cal.observed_ns <= target_ns * (MAX_PROJECTED_TARGET_MULTIPLE + 0.1),
@@ -270,7 +262,7 @@ mod tests {
             .with_resolution_ns(10_000.0)
             .with_read_overhead_ns(5.0);
         let body = sim.scripted_body(CostModel::Constant { ns: 3.0 });
-        let cal = calibrate_iterations_with(&sim, Duration::from_micros(100), body);
+        let cal = calibrate_iterations(&Clock::Sim(sim), Duration::from_micros(100), body);
         assert!(cal.iterations > 1_000, "iterations {}", cal.iterations);
         assert!(cal.observed_ns >= 100_000.0);
     }

@@ -1,4 +1,4 @@
-//! Monotonic-clock introspection and the [`TimeSource`] abstraction.
+//! Monotonic-clock introspection and the [`Clock`] every measurement reads.
 //!
 //! The paper (§3.4, "Clock resolution") reads the system clock via
 //! `gettimeofday`, whose resolution on some 1995 systems was 10 ms — a long
@@ -10,70 +10,80 @@
 //!
 //! Everything downstream of the clock — calibration, repetition, overhead
 //! subtraction, quality grading — is deterministic logic over observed
-//! intervals, so it is testable against a *simulated* clock. [`TimeSource`]
-//! is the seam: the harness is generic over it, the real path monomorphizes
-//! to plain `Instant` reads, and [`crate::sim::SimClock`] replays scripted
-//! clocks (coarse resolution, expensive reads, jitter) under test.
+//! intervals, so it is testable against a *simulated* clock. [`Clock`] is
+//! the one seam: [`Clock::Real`] reads `Instant`, and [`Clock::Sim`]
+//! replays a scripted [`SimClock`] (coarse resolution, expensive reads,
+//! jitter). The harness, the engine, the load runner and the results
+//! client all hold a `Clock`, so a virtual run advances one timeline.
 
+use crate::sim::SimClock;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// A monotonic clock the timing machinery reads.
-///
-/// Implementations must be monotonic (consecutive [`TimeSource::now_ns`]
-/// readings never decrease) and cheap enough to call in measurement loops.
-/// The two implementations are [`RealClock`] (an `Instant` under the hood;
-/// the default for every benchmark) and [`crate::sim::SimClock`] (a seeded,
-/// deterministic clock for testing the measurement logic itself).
-pub trait TimeSource {
-    /// Nanoseconds since an arbitrary fixed epoch.
-    ///
-    /// Readings are quantized to the clock's resolution and cost its read
-    /// overhead — exactly the imperfections §3.4's machinery compensates
-    /// for, which is why the simulated implementation models both.
-    fn now_ns(&self) -> f64;
-
-    /// Blocks (or, under simulation, advances virtual time) for `d`.
-    fn sleep(&self, d: Duration);
-
-    /// Whether this source advances virtual rather than wall-clock time.
-    ///
-    /// Engine-level machinery (watchdogs, retry backoff, phase budgets)
-    /// branches on this to stay deterministic under simulation while
-    /// keeping the real path byte-for-byte unchanged.
-    fn is_virtual(&self) -> bool {
-        false
-    }
-}
-
-/// Anchor instant for [`RealClock::now_ns`]; process-global so readings
-/// from independently constructed `RealClock` values share an epoch.
+/// Anchor instant for [`Clock::Real`] readings; process-global so every
+/// real clock shares an epoch.
 fn real_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// The host's monotonic clock (`std::time::Instant`).
+/// The monotonic clock the timing machinery reads.
 ///
-/// Zero-sized: a `Harness<RealClock>` carries no extra state and every
-/// `now_ns` call monomorphizes to an `Instant::now()` plus a subtraction
-/// against a cached epoch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RealClock;
+/// Readings never decrease and are cheap enough for measurement loops.
+/// The real arm costs one match on a fieldless discriminant over the bare
+/// `Instant` read; the sim arm shares a seeded [`SimClock`] with the
+/// scripted bodies that advance it.
+#[derive(Debug, Clone)]
+pub enum Clock {
+    /// The host's monotonic clock (`std::time::Instant`).
+    Real,
+    /// A seeded virtual clock: reads and sleeps advance virtual time.
+    Sim(SimClock),
+}
 
-impl TimeSource for RealClock {
+impl Clock {
+    /// Nanoseconds since an arbitrary fixed epoch.
+    ///
+    /// Readings are quantized to the clock's resolution and cost its read
+    /// overhead — exactly the imperfections §3.4's machinery compensates
+    /// for, which is why the simulated arm models both.
     #[inline(always)]
-    fn now_ns(&self) -> f64 {
-        real_epoch().elapsed().as_nanos() as f64
+    pub fn now_ns(&self) -> f64 {
+        match self {
+            Clock::Real => real_epoch().elapsed().as_nanos() as f64,
+            Clock::Sim(sim) => sim.now_ns(),
+        }
     }
 
-    #[inline]
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
+    /// Blocks for `d`, or under simulation advances virtual time by it.
+    pub fn sleep(&self, d: Duration) {
+        match self {
+            Clock::Real => std::thread::sleep(d),
+            Clock::Sim(sim) => sim.sleep(d),
+        }
+    }
+
+    /// The virtual clock, when this one is simulated.
+    #[must_use]
+    pub fn sim(&self) -> Option<&SimClock> {
+        match self {
+            Clock::Real => None,
+            Clock::Sim(sim) => Some(sim),
+        }
+    }
+
+    /// Whether this clock advances virtual rather than wall-clock time.
+    ///
+    /// Engine-level machinery (watchdogs, retry backoff, phase budgets)
+    /// branches on this to stay deterministic under simulation while
+    /// keeping the real path unchanged.
+    #[must_use]
+    pub fn is_virtual(&self) -> bool {
+        matches!(self, Clock::Sim(_))
     }
 }
 
-/// Observed properties of the monotonic clock on this host.
+/// Observed properties of a monotonic clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockInfo {
     /// Smallest nonzero tick the clock can report, in nanoseconds.
@@ -83,20 +93,15 @@ pub struct ClockInfo {
 }
 
 impl ClockInfo {
-    /// Probes the real clock and returns its resolution and read overhead.
+    /// Probes `clock` and returns its resolution and read overhead.
     ///
-    /// The probe is cheap (well under a millisecond) and deterministic in
-    /// structure, so it is safe to call at harness construction time.
-    pub fn probe() -> Self {
-        Self::probe_with(&RealClock)
-    }
-
-    /// Probes an arbitrary [`TimeSource`] the same way [`ClockInfo::probe`]
-    /// probes the host clock.
-    pub fn probe_with<T: TimeSource>(source: &T) -> Self {
+    /// The probe is cheap (well under a millisecond on the host clock) and
+    /// deterministic in structure, so it is safe to call at harness
+    /// construction time.
+    pub fn probe(clock: &Clock) -> Self {
         Self {
-            resolution_ns: resolution_ns_of(source),
-            overhead_ns: overhead_ns_of(source),
+            resolution_ns: clock_resolution_ns(clock),
+            overhead_ns: clock_overhead_ns(clock),
         }
     }
 
@@ -112,36 +117,31 @@ impl ClockInfo {
 
 impl Default for ClockInfo {
     fn default() -> Self {
-        Self::probe()
+        Self::probe(&Clock::Real)
     }
 }
 
 /// Upper bound on reads spent waiting for a clock to visibly advance; a
-/// source that stalls longer is treated as having already shown its
+/// clock that stalls longer is treated as having already shown its
 /// coarsest useful tick (guards against pathological simulated clocks).
 const RESOLUTION_SPIN_LIMIT: u32 = 1 << 20;
 
-/// Measures the smallest nonzero delta the monotonic clock reports.
+/// Measures the smallest nonzero delta `clock` reports.
 ///
 /// Spins reading the clock until it advances, many times, and returns the
 /// smallest observed advance in nanoseconds. On modern Linux this is a few
 /// tens of nanoseconds; on the paper's 1995 systems the analogous probe
 /// would have reported 10 ms.
-pub fn clock_resolution_ns() -> f64 {
-    resolution_ns_of(&RealClock)
-}
-
-/// [`clock_resolution_ns`] against an arbitrary [`TimeSource`].
-pub fn resolution_ns_of<T: TimeSource>(source: &T) -> f64 {
+pub fn clock_resolution_ns(clock: &Clock) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..64 {
-        let start = source.now_ns();
-        let mut now = source.now_ns();
+        let start = clock.now_ns();
+        let mut now = clock.now_ns();
         // Spin until the clock visibly advances (bounded, so a broken or
-        // frozen source cannot hang the probe).
+        // frozen clock cannot hang the probe).
         let mut spins = 0;
         while now == start && spins < RESOLUTION_SPIN_LIMIT {
-            now = source.now_ns();
+            now = clock.now_ns();
             spins += 1;
         }
         let delta = now - start;
@@ -158,21 +158,16 @@ pub fn resolution_ns_of<T: TimeSource>(source: &T) -> f64 {
     }
 }
 
-/// Measures the median cost of a single clock read.
-pub fn clock_overhead_ns() -> f64 {
-    overhead_ns_of(&RealClock)
-}
-
-/// [`clock_overhead_ns`] against an arbitrary [`TimeSource`].
-pub fn overhead_ns_of<T: TimeSource>(source: &T) -> f64 {
+/// Measures the median cost of a single read of `clock`.
+pub fn clock_overhead_ns(clock: &Clock) -> f64 {
     const BATCH: u32 = 1024;
     let mut samples = Vec::with_capacity(16);
     for _ in 0..16 {
-        let start = source.now_ns();
+        let start = clock.now_ns();
         for _ in 0..BATCH {
-            std::hint::black_box(source.now_ns());
+            std::hint::black_box(clock.now_ns());
         }
-        let elapsed = source.now_ns() - start;
+        let elapsed = clock.now_ns() - start;
         samples.push(elapsed / f64::from(BATCH));
     }
     samples.sort_by(|a, b| a.total_cmp(b));
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn resolution_is_positive_and_sane() {
-        let r = clock_resolution_ns();
+        let r = clock_resolution_ns(&Clock::Real);
         assert!(r >= 1.0, "resolution {r} below 1ns");
         // Anything coarser than 10ms would break the suite the same way it
         // broke 1995 gettimeofday users; modern clocks are far better.
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn overhead_is_positive_and_sane() {
-        let o = clock_overhead_ns();
+        let o = clock_overhead_ns(&Clock::Real);
         assert!(o > 0.0);
         assert!(o < 100_000.0, "Instant::now() cost {o} ns is implausible");
     }
@@ -260,55 +255,44 @@ mod tests {
 
     #[test]
     fn probe_populates_both_fields() {
-        let info = ClockInfo::probe();
+        let info = ClockInfo::probe(&Clock::Real);
         assert!(info.resolution_ns >= 1.0);
         assert!(info.overhead_ns > 0.0);
     }
 
     #[test]
     fn real_clock_is_monotonic_and_shares_an_epoch() {
-        let a = RealClock;
-        let b = RealClock;
+        let a = Clock::Real;
+        let b = Clock::Real;
         let t0 = a.now_ns();
         let t1 = b.now_ns();
         let t2 = a.now_ns();
-        assert!(t1 >= t0, "independent RealClocks disagree: {t0} then {t1}");
+        assert!(t1 >= t0, "independent real clocks disagree: {t0} then {t1}");
         assert!(t2 >= t1);
     }
 
     #[test]
     fn real_clock_sleep_advances_the_reading() {
-        let c = RealClock;
+        let c = Clock::Real;
         let t0 = c.now_ns();
         c.sleep(Duration::from_millis(2));
         assert!(c.now_ns() - t0 >= 1_500_000.0);
     }
 
     #[test]
-    fn generic_probe_of_real_clock_matches_direct_probe_regime() {
-        // Same clock, same probe structure: the generic path must land in
-        // the same order of magnitude as the Instant-specialized numbers.
-        let via_trait = ClockInfo::probe_with(&RealClock);
-        assert!(via_trait.resolution_ns >= 1.0);
-        assert!(via_trait.resolution_ns < 10_000_000.0);
-        assert!(via_trait.overhead_ns > 0.0);
-        assert!(via_trait.overhead_ns < 100_000.0);
-    }
-
-    #[test]
     fn real_path_read_overhead_is_not_inflated_by_the_trait() {
-        // Monomorphization guard for the acceptance criterion: timing a
-        // batch of reads through the `TimeSource` trait must cost the same
-        // regime as raw `Instant::now()` — if the trait ever gained dynamic
-        // dispatch or an allocation, this ratio explodes.
+        // Dispatch-cost guard: timing a batch of reads through
+        // `Clock::Real` must cost the same regime as raw `Instant::now()` —
+        // if the enum's real arm ever gained dynamic dispatch or an
+        // allocation, this ratio explodes.
         const BATCH: u32 = 4096;
         let median = |f: &mut dyn FnMut() -> f64| {
             let mut runs: Vec<f64> = (0..9).map(|_| f()).collect();
             runs.sort_by(|a, b| a.total_cmp(b));
             runs[runs.len() / 2]
         };
-        let clock = RealClock;
-        let mut via_trait = || {
+        let clock = Clock::Real;
+        let mut via_clock = || {
             let sw = Stopwatch::start();
             for _ in 0..BATCH {
                 std::hint::black_box(clock.now_ns());
@@ -322,14 +306,14 @@ mod tests {
             }
             sw.elapsed_ns() / f64::from(BATCH)
         };
-        let generic = median(&mut via_trait);
+        let generic = median(&mut via_clock);
         let direct = median(&mut via_instant);
         // Wide bound: now_ns adds a subtraction + f64 conversion over the
         // bare Instant read, and CI machines are noisy. Catching a 10x
         // blow-up is the point, not a 1.1x one.
         assert!(
             generic <= direct * 10.0 + 50.0,
-            "trait read {generic}ns vs instant {direct}ns"
+            "clock read {generic}ns vs instant {direct}ns"
         );
     }
 }

@@ -9,12 +9,12 @@
 //! field-wise minimum as the bracket overhead, and subtracts it
 //! (saturating) from every measured delta.
 //!
-//! Like the clock, the counter backend is a seam: [`CounterSource`] is
-//! implemented by [`PerfCounters`] (a real `perf_event_open` group via
-//! `lmb-sys`) and by [`SimCounters`] (scripted readings), so all of the
-//! compensation and delta logic is testable with no PMU at all — which
-//! is also the only way to test it in CI containers, where
-//! `perf_event_paranoid` denies the real thing.
+//! Like the clock ([`crate::Clock`], real or simulated), the counter
+//! backend is a seam: [`CounterSource`] is implemented by [`PerfCounters`]
+//! (a real `perf_event_open` group via `lmb-sys`) and by [`SimCounters`]
+//! (scripted readings), so all of the compensation and delta logic is
+//! testable with no PMU at all — which is also the only way to test it in
+//! CI containers, where `perf_event_paranoid` denies the real thing.
 
 use std::collections::VecDeque;
 
@@ -22,7 +22,7 @@ use lmb_sys::perf::PerfGroup;
 pub use lmb_sys::perf::{CounterKind, CounterValues, PerfError};
 
 /// A startable/stoppable counter group; the counter analog of
-/// [`crate::TimeSource`].
+/// [`crate::Clock`].
 ///
 /// `start` zeroes and begins counting; `stop` ends the bracket and
 /// yields the raw (uncompensated) counts, or `None` if the backend tore.

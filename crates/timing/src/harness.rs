@@ -12,14 +12,14 @@
 //! 5. summarize with the benchmark's policy ([`crate::stats`]), minimum by
 //!    default (paper §3.4 "Variability").
 //!
-//! The harness is generic over its [`TimeSource`]. Benchmarks use the
-//! default [`RealClock`] (`Harness::new`, monomorphized to raw `Instant`
-//! reads); tests drive the same code against a seeded
-//! [`crate::sim::SimClock`] via [`Harness::with_source`], which makes every
-//! step above a deterministic, provable function of the scripted clock.
+//! A harness reads one [`Clock`]. Benchmarks use [`Clock::Real`]
+//! (`Harness::new`); tests and virtual engine runs drive the same code
+//! against a seeded [`crate::sim::SimClock`] as [`Clock::Sim`], which makes
+//! every step above a deterministic, provable function of the scripted
+//! clock.
 
-use crate::calibrate::{calibrate_iterations_with, time_interval_ns_with};
-use crate::clock::{ClockInfo, RealClock, TimeSource};
+use crate::calibrate::{calibrate_iterations, time_interval_ns};
+use crate::clock::{Clock, ClockInfo};
 use crate::result::{Comparison, Measurement};
 use crate::stats::{Samples, SummaryPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,7 +124,7 @@ pub const COMPARE_BUDGET: Duration = Duration::from_secs(2);
 const MIN_PAIRS: usize = 64;
 
 /// One run's harness self-budget: nanoseconds spent warming up and
-/// calibrating, read from each harness's own source (virtual under
+/// calibrating, read from each harness's own clock (virtual under
 /// simulation).
 ///
 /// Run-scoped, never process-wide: the run that wants the budget builds
@@ -160,63 +160,43 @@ pub fn take_events(recorder: &Recorder) -> Vec<Measurement> {
     std::mem::take(&mut *recorder.lock().expect("recorder lock"))
 }
 
-/// A configured measurement harness, generic over its clock.
-///
-/// The default type parameter keeps every existing call site spelled
-/// `Harness` (and every `&Harness` argument) pointing at the real-clock
-/// harness; only tests that inject a [`crate::sim::SimClock`] name the
-/// parameter. Each instantiation monomorphizes separately, so the real
-/// path pays nothing for the seam.
+/// A configured measurement harness over one [`Clock`].
 #[derive(Debug, Clone)]
-pub struct Harness<T: TimeSource = RealClock> {
+pub struct Harness {
     options: Options,
-    clock: ClockInfo,
+    info: ClockInfo,
     recorder: Option<Recorder>,
     budget: Option<Arc<HarnessBudget>>,
-    source: T,
+    clock: Clock,
 }
 
-impl Harness<RealClock> {
+impl Harness {
     /// Builds a real-clock harness, probing the clock once up front.
     pub fn new(options: Options) -> Self {
-        Self::with_source(options, RealClock)
-    }
-}
-
-impl<T: TimeSource> Harness<T> {
-    /// Builds a harness over an arbitrary [`TimeSource`], probing it once
-    /// up front exactly as [`Harness::new`] probes the host clock.
-    pub fn with_source(options: Options, source: T) -> Self {
-        let clock = ClockInfo::probe_with(&source);
-        Self::with_source_and_clock(options, source, clock)
+        Self::on_clock(options, Clock::Real)
     }
 
-    /// Builds a harness with a pinned [`ClockInfo`] instead of probing.
+    /// Builds a harness over `clock`, probing it once up front exactly as
+    /// [`Harness::new`] probes the host clock.
+    pub fn on_clock(options: Options, clock: Clock) -> Self {
+        let info = ClockInfo::probe(&clock);
+        Self::pinned(options, clock, info)
+    }
+
+    /// Builds a harness over `clock` with a pinned [`ClockInfo`] instead of
+    /// probing.
     ///
-    /// For tests that need hand-computable results: the probe's estimates
-    /// carry sub-nanosecond noise, a pinned value does not. Also useful to
-    /// replay a previously probed clock.
-    pub fn with_source_and_clock(options: Options, source: T, clock: ClockInfo) -> Self {
+    /// For tests that need hand-computable results (the probe's estimates
+    /// carry sub-nanosecond noise, a pinned value does not), for virtual
+    /// runs that pin their sim clock's scripted profile, and to replay a
+    /// previously probed clock.
+    pub fn pinned(options: Options, clock: Clock, info: ClockInfo) -> Self {
         Self {
             options,
-            clock,
+            info,
             recorder: None,
             budget: None,
-            source,
-        }
-    }
-
-    /// The same harness — options, recorder and budget — over another
-    /// source with a pinned [`ClockInfo`]. Scripted sim benchmark bodies
-    /// use this to measure on their virtual clock while still reporting
-    /// into the engine's provenance recorder and run budget.
-    pub fn rebased<U: TimeSource>(&self, source: U, clock: ClockInfo) -> Harness<U> {
-        Harness {
-            options: self.options,
             clock,
-            recorder: self.recorder.clone(),
-            budget: self.budget.clone(),
-            source,
         }
     }
 
@@ -242,21 +222,21 @@ impl<T: TimeSource> Harness<T> {
         let Some(budget) = &self.budget else {
             return run();
         };
-        let started = self.source.now_ns();
+        let started = self.clock.now_ns();
         let result = run();
-        let elapsed = (self.source.now_ns() - started).max(0.0) as u64;
+        let elapsed = (self.clock.now_ns() - started).max(0.0) as u64;
         phase(budget).fetch_add(elapsed, Ordering::Relaxed);
         result
     }
 
-    /// The probed clock characteristics.
+    /// The probed (or pinned) clock characteristics.
     pub fn clock(&self) -> ClockInfo {
-        self.clock
+        self.info
     }
 
-    /// The time source measurements run against.
-    pub fn source(&self) -> &T {
-        &self.source
+    /// The clock measurements run against.
+    pub fn source(&self) -> &Clock {
+        &self.clock
     }
 
     /// The options in force.
@@ -266,7 +246,7 @@ impl<T: TimeSource> Harness<T> {
 
     /// The interval each timed region must span.
     pub fn target_interval(&self) -> Duration {
-        self.clock
+        self.info
             .min_interval(self.options.resolution_multiple)
             .max(self.options.min_interval)
     }
@@ -282,8 +262,8 @@ impl<T: TimeSource> Harness<T> {
         let mut samples = Samples::new();
         let mut clamped = 0u32;
         for _ in 0..self.options.repetitions {
-            let elapsed = time_interval_ns_with(&self.source, loops, &mut body);
-            let compensated = elapsed - self.clock.overhead_ns;
+            let elapsed = time_interval_ns(&self.clock, loops, &mut body);
+            let compensated = elapsed - self.info.overhead_ns;
             if compensated < 0.0 {
                 clamped += 1;
                 samples.push(0.0);
@@ -293,7 +273,7 @@ impl<T: TimeSource> Harness<T> {
         }
         let m = Measurement::from_per_op_samples(samples, ops, self.options.policy)
             .with_clamped_samples(clamped)
-            .with_context(self.options.warmup_runs, self.clock.resolution_ns);
+            .with_context(self.options.warmup_runs, self.info.resolution_ns);
         if let Some(recorder) = &self.recorder {
             recorder.lock().expect("recorder lock").push(m.clone());
         }
@@ -315,11 +295,11 @@ impl<T: TimeSource> Harness<T> {
         );
         let cal = self.billed(
             |b| &b.calibrate_ns,
-            || calibrate_iterations_with(&self.source, self.target_interval(), &mut body),
+            || calibrate_iterations(&self.clock, self.target_interval(), &mut body),
         );
         lmb_trace::emit(|| lmb_trace::EventKind::Calibrated {
             iterations: cal.iterations,
-            clock_resolution_ns: self.clock.resolution_ns,
+            clock_resolution_ns: self.info.resolution_ns,
         });
         self.repeat(cal.iterations, cal.iterations, body)
     }
@@ -344,7 +324,7 @@ impl<T: TimeSource> Harness<T> {
         );
         lmb_trace::emit(|| lmb_trace::EventKind::Calibrated {
             iterations: ops,
-            clock_resolution_ns: self.clock.resolution_ns,
+            clock_resolution_ns: self.info.resolution_ns,
         });
         self.repeat(1, ops, body)
     }
@@ -369,10 +349,9 @@ impl<T: TimeSource> Harness<T> {
             a();
             b();
         }
-        let per_op =
-            |body: &mut dyn FnMut()| time_interval_ns_with(&self.source, 1, body) / ops as f64;
+        let per_op = |body: &mut dyn FnMut()| time_interval_ns(&self.clock, 1, body) / ops as f64;
         let budget_ns = COMPARE_BUDGET.as_nanos() as f64;
-        let started = self.source.now_ns();
+        let started = self.clock.now_ns();
         let mut differences = Samples::new();
         // The interval is re-checked as the pair count grows by an eighth,
         // so a long comparison sorts O(log n) times, not once per pair.
@@ -382,7 +361,7 @@ impl<T: TimeSource> Harness<T> {
             let (b2, a2) = (per_op(&mut b), per_op(&mut a));
             differences.push(b1 - a1);
             differences.push(b2 - a2);
-            let out_of_time = self.source.now_ns() - started >= budget_ns;
+            let out_of_time = self.clock.now_ns() - started >= budget_ns;
             if differences.len() >= next_check || out_of_time {
                 next_check = differences.len() + differences.len() / 8;
                 let comparison = Comparison::from_differences(differences.clone());
@@ -394,7 +373,7 @@ impl<T: TimeSource> Harness<T> {
     }
 }
 
-impl Default for Harness<RealClock> {
+impl Default for Harness {
     fn default() -> Self {
         Self::new(Options::paper())
     }
@@ -538,9 +517,9 @@ mod tests {
             resolution_ns: 1.0,
             overhead_ns: 10_000.0,
         };
-        let h = Harness::with_source_and_clock(
+        let h = Harness::pinned(
             Options::quick().with_warmup_runs(0).with_repetitions(5),
-            sim,
+            Clock::Sim(sim),
             pinned,
         );
         let m = h.measure_block(1, body);
@@ -555,9 +534,9 @@ mod tests {
         let sim = SimClock::new(78).with_read_overhead_ns(50.0);
         let body = sim.scripted_body(CostModel::Constant { ns: 10.0 });
         let recorder = new_recorder();
-        let h = Harness::with_source_and_clock(
+        let h = Harness::pinned(
             Options::quick().with_warmup_runs(0).with_repetitions(3),
-            sim,
+            Clock::Sim(sim),
             ClockInfo {
                 resolution_ns: 1.0,
                 overhead_ns: 1_000.0,
@@ -583,7 +562,7 @@ mod tests {
                 resolution_ns: 1.0,
                 overhead_ns: 50.0,
             };
-            let mut h = Harness::with_source_and_clock(Options::quick(), sim.clone(), clock);
+            let mut h = Harness::pinned(Options::quick(), Clock::Sim(sim.clone()), clock);
             if let Some(budget) = budget {
                 h = h.with_budget(budget);
             }
@@ -603,10 +582,10 @@ mod tests {
         assert!(budget.calibrate_ns.load(Ordering::Relaxed) > 0);
     }
 
-    fn pinned_sim_harness(sim: &SimClock) -> Harness<SimClock> {
-        Harness::with_source_and_clock(
+    fn pinned_sim_harness(sim: &SimClock) -> Harness {
+        Harness::pinned(
             Options::quick(),
-            sim.clone(),
+            Clock::Sim(sim.clone()),
             ClockInfo {
                 resolution_ns: 1.0,
                 overhead_ns: 50.0,
@@ -693,9 +672,9 @@ mod tests {
         // compensated = cost.
         let sim = SimClock::new(79).with_read_overhead_ns(50.0);
         let body = sim.scripted_body(CostModel::Constant { ns: 200.0 });
-        let h = Harness::with_source_and_clock(
+        let h = Harness::pinned(
             Options::quick().with_warmup_runs(1).with_repetitions(5),
-            sim,
+            Clock::Sim(sim),
             ClockInfo {
                 resolution_ns: 1.0,
                 overhead_ns: 50.0,

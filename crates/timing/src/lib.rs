@@ -43,13 +43,10 @@ pub mod stats;
 
 pub use arrival::{ArrivalProcess, ArrivalSchedule};
 pub use calibrate::{
-    calibrate_iterations, calibrate_iterations_with, time_interval_ns_with, Calibration,
-    MAX_ITERATIONS, MAX_PROJECTED_TARGET_MULTIPLE,
+    calibrate_iterations, time_interval_ns, Calibration, MAX_ITERATIONS,
+    MAX_PROJECTED_TARGET_MULTIPLE,
 };
-pub use clock::{
-    clock_overhead_ns, clock_resolution_ns, overhead_ns_of, resolution_ns_of, ClockInfo, RealClock,
-    TimeSource,
-};
+pub use clock::{clock_overhead_ns, clock_resolution_ns, Clock, ClockInfo};
 pub use counters::{
     open_perf, CounterSource, CounterValues, Counters, PerfCounters, PerfError, SimCounters,
 };
@@ -58,7 +55,7 @@ pub use harness::{new_recorder, take_events, Harness, HarnessBudget, Options, Re
 pub use quality::Quality;
 pub use result::{Bandwidth, Comparison, Latency, Measurement, TimeUnit};
 pub use sim::{CostModel, SimClock, SplitMix};
-pub use sizing::{paged_out_fraction_with, probe_available_memory, MemorySizer};
+pub use sizing::{paged_out_fraction, probe_available_memory, MemorySizer};
 pub use stats::{Samples, Sorted, SummaryPolicy};
 
 /// Consumes a computed value so the optimizer cannot elide the loop that

@@ -3,11 +3,12 @@
 //! Every number the suite reports flows through the same pipeline — clock
 //! probe, warm-up, calibration, repetition, overhead subtraction, quality
 //! grading — and all of it is deterministic logic over observed intervals
-//! (§3.4). [`SimClock`] replays that logic against a scripted clock instead
-//! of the wall clock, the way time-virtualized schedulers are tested: a
-//! seeded simulation with configurable resolution (1 ns to the paper's
-//! 10 ms `gettimeofday`), per-read overhead, per-read jitter, and scripted
-//! benchmark-body cost models ([`CostModel`]). Same seed, same
+//! (§3.4). [`SimClock`], wrapped as [`crate::Clock::Sim`], replays that
+//! logic against a scripted clock instead of the wall clock, the way
+//! time-virtualized schedulers are tested: a seeded simulation with
+//! configurable resolution (1 ns to the paper's 10 ms `gettimeofday`),
+//! per-read overhead, per-read jitter, and scripted benchmark-body cost
+//! models ([`CostModel`]). Same seed, same
 //! measurements, byte for byte — so calibration convergence, negative-time
 //! clamping and quality grades become provable properties instead of flaky
 //! CI observations.
@@ -20,17 +21,16 @@
 //! # Examples
 //!
 //! ```
-//! use lmb_timing::{CostModel, Harness, Options, SimClock};
+//! use lmb_timing::{Clock, CostModel, Harness, Options, SimClock};
 //!
 //! let sim = SimClock::new(42).with_resolution_ns(100.0);
 //! let body = sim.scripted_body(CostModel::Constant { ns: 250.0 });
-//! let h = Harness::with_source(Options::quick(), sim.clone());
+//! let h = Harness::on_clock(Options::quick(), Clock::Sim(sim.clone()));
 //! let m = h.measure(body);
 //! // The simulated operation costs exactly 250 ns.
 //! assert!((m.per_op_ns() - 250.0).abs() < 1.0);
 //! ```
 
-use crate::clock::TimeSource;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -236,10 +236,10 @@ fn wide_ns(ns: u128) -> f64 {
 
 /// A seeded virtual monotonic clock.
 ///
-/// Clones share state: hand one clone to a [`crate::Harness`] and keep
-/// another to script body costs ([`SimClock::advance`],
-/// [`SimClock::scripted_body`]) and inspect the simulation
-/// ([`SimClock::true_now_ns`], [`SimClock::reads`]).
+/// Clones share state: hand one clone, as [`crate::Clock::Sim`], to a
+/// [`crate::Harness`] or an engine and keep another to script body costs
+/// ([`SimClock::advance`], [`SimClock::scripted_body`]) and inspect the
+/// simulation ([`SimClock::true_now_ns`], [`SimClock::reads`]).
 ///
 /// Reading the clock advances virtual time by the configured read overhead
 /// (plus jitter) and returns the advanced time quantized down to the
@@ -251,8 +251,8 @@ fn wide_ns(ns: u128) -> f64 {
 ///
 /// Configure the clock with the `with_*` builders before cloning it; a
 /// builder on a shared clock panics. After that, one thread at a time may
-/// drive it ([`TimeSource::now_ns`], [`SimClock::advance`],
-/// [`TimeSource::sleep`], scripted bodies). Clones may move between
+/// drive it ([`SimClock::now_ns`], [`SimClock::advance`],
+/// [`SimClock::sleep`], scripted bodies). Clones may move between
 /// threads — spawn and join order the accesses — but two threads must not
 /// drive clones of one clock concurrently: the updates are plain relaxed
 /// loads and stores, so concurrent drivers would lose advances (and their
@@ -354,7 +354,7 @@ impl SimClock {
     }
 
     /// Unquantized virtual time, ns — the simulation's ground truth, not
-    /// what a [`TimeSource::now_ns`] reading reports.
+    /// what a [`SimClock::now_ns`] reading reports.
     #[must_use]
     pub fn true_now_ns(&self) -> f64 {
         self.state.now()
@@ -407,10 +407,10 @@ impl SimClock {
             call += 1;
         }
     }
-}
 
-impl TimeSource for SimClock {
-    fn now_ns(&self) -> f64 {
+    /// Reads the clock: advances virtual time by one read's overhead (plus
+    /// jitter) and returns it quantized down to the resolution.
+    pub fn now_ns(&self) -> f64 {
         let s = &*self.state;
         let _driver = Driver::enter(s);
         // Jitter is drawn before time advances, and the sum keeps its
@@ -438,19 +438,16 @@ impl TimeSource for SimClock {
         }
     }
 
-    fn sleep(&self, d: Duration) {
+    /// Advances virtual time by `d` without reading the clock.
+    pub fn sleep(&self, d: Duration) {
         self.advance(duration_ns(d));
-    }
-
-    fn is_virtual(&self) -> bool {
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{overhead_ns_of, resolution_ns_of, ClockInfo};
+    use crate::clock::{clock_overhead_ns, clock_resolution_ns, Clock, ClockInfo};
 
     #[test]
     fn readings_are_monotonic_and_cost_overhead() {
@@ -667,17 +664,17 @@ mod tests {
         let sim = SimClock::new(6)
             .with_resolution_ns(10_000.0)
             .with_read_overhead_ns(20.0);
-        let res = resolution_ns_of(&sim);
+        let res = clock_resolution_ns(&Clock::Sim(sim));
         assert_eq!(res, 10_000.0, "probed resolution {res}");
         // Overhead probing needs a clock fine enough to resolve single
         // reads; quantization noise is exactly what §3.4 warns about.
         let fine = SimClock::new(6).with_read_overhead_ns(20.0);
-        let overhead = overhead_ns_of(&fine);
+        let overhead = clock_overhead_ns(&Clock::Sim(fine));
         assert!(
             (overhead - 20.0).abs() <= 1.0,
             "probed overhead {overhead}, configured 20"
         );
-        let info = ClockInfo::probe_with(&SimClock::new(6).with_read_overhead_ns(50.0));
+        let info = ClockInfo::probe(&Clock::Sim(SimClock::new(6).with_read_overhead_ns(50.0)));
         assert!(info.overhead_ns > 0.0 && info.resolution_ns > 0.0);
     }
 

@@ -15,7 +15,7 @@
 //! benchmark sizes (8 MB copies shrunk to 4 MB on small machines — the
 //! paper's own footnote 1 behaviour).
 
-use crate::clock::{ClockInfo, RealClock, TimeSource};
+use crate::clock::{Clock, ClockInfo};
 
 /// Page size used by the touch probe; 4 KiB matches every platform the
 /// suite targets (and over-striding merely touches more often, which is
@@ -51,7 +51,7 @@ pub fn probe_available_memory(start: usize, limit: usize) -> usize {
     // for the read overhead, so an expensive clock no longer masquerades
     // as a slow page (which used to misclassify resident memory as paged
     // out on hosts where a clock read costs microseconds).
-    let clock = ClockInfo::probe();
+    let clock = ClockInfo::probe(&Clock::Real);
     let mut good = 0usize;
     let mut size = start;
     loop {
@@ -67,16 +67,16 @@ pub fn probe_available_memory(start: usize, limit: usize) -> usize {
     good
 }
 
-/// Times one reference per page via `touch(page_index)` on `source`,
+/// Times one reference per page via `touch(page_index)` on `clock`,
 /// subtracts the clock-read overhead from each interval (clamped at zero),
 /// and returns the fraction slower than [`PAGED_OUT_THRESHOLD_NS`].
 ///
 /// This is the classification core of the paper's §3.1 probe, factored out
 /// so a simulated clock can drive it with scripted page costs. The real
 /// probe ([`probe_available_memory`]) calls it with a buffer-backed touch.
-pub fn paged_out_fraction_with<T: TimeSource>(
-    source: &T,
-    clock: &ClockInfo,
+pub fn paged_out_fraction(
+    clock: &Clock,
+    info: &ClockInfo,
     pages: usize,
     mut touch: impl FnMut(usize),
 ) -> f64 {
@@ -85,9 +85,9 @@ pub fn paged_out_fraction_with<T: TimeSource>(
     }
     let mut slow = 0usize;
     for p in 0..pages {
-        let start = source.now_ns();
+        let start = clock.now_ns();
         touch(p);
-        let dt = (source.now_ns() - start - clock.overhead_ns).max(0.0);
+        let dt = (clock.now_ns() - start - info.overhead_ns).max(0.0);
         if dt > PAGED_OUT_THRESHOLD_NS {
             slow += 1;
         }
@@ -112,7 +112,7 @@ fn try_touch(clock: &ClockInfo, size: usize) -> Option<f64> {
     for p in 0..pages {
         buf[p * PROBE_PAGE] = 1;
     }
-    Some(paged_out_fraction_with(&RealClock, clock, pages, |p| {
+    Some(paged_out_fraction(&Clock::Real, clock, pages, |p| {
         std::hint::black_box(buf[p * PROBE_PAGE]);
     }))
 }
@@ -258,7 +258,7 @@ mod tests {
             overhead_ns: 5_000.0,
         };
         let mut touch = sim.scripted_body(CostModel::Constant { ns: 100.0 });
-        let fraction = paged_out_fraction_with(&sim, &clock, 64, |_| touch());
+        let fraction = paged_out_fraction(&Clock::Sim(sim), &clock, 64, |_| touch());
         assert_eq!(fraction, 0.0, "resident pages misread as paged out");
     }
 
@@ -274,7 +274,7 @@ mod tests {
             overhead_ns: 30.0,
         };
         let mut fast = sim.scripted_body(CostModel::Constant { ns: 120.0 });
-        let fraction = paged_out_fraction_with(&sim, &clock, 100, |p| {
+        let fraction = paged_out_fraction(&Clock::Sim(sim.clone()), &clock, 100, |p| {
             if p % 4 == 0 {
                 sim.advance(50_000.0);
             } else {
@@ -296,7 +296,7 @@ mod tests {
             resolution_ns: 1.0,
             overhead_ns: 15.0,
         };
-        assert_eq!(paged_out_fraction_with(&sim, &clock, 0, |_| {}), 0.0);
+        assert_eq!(paged_out_fraction(&Clock::Sim(sim), &clock, 0, |_| {}), 0.0);
     }
 
     #[test]

@@ -20,10 +20,10 @@ const BATCH_BYTES: usize = 64 * 1024;
 /// Streams events as JSONL to any writer (file, stderr, a test buffer).
 ///
 /// Emission is batched: events append to an in-memory buffer which is
-/// written out when it reaches [`BATCH_BYTES`] or when the sink is flushed
-/// (its trace flushes every sink on span close and when the trace drops —
-/// so the artifact is valid up to the last closed span even after a
-/// crash).
+/// written out when it reaches `BATCH_BYTES` (64 KiB) or when the sink is
+/// flushed (its trace flushes every sink on span close and when the trace
+/// drops — so the artifact is valid up to the last closed span even after
+/// a crash).
 ///
 /// Write errors are never allowed to panic the benchmark being observed;
 /// instead every event lost to a failed write or serialization is counted

@@ -96,7 +96,9 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         match self.peek()? {
             b'n' => self.keyword("null").map(|()| f64::NAN),
-            b'-' | b'0'..=b'9' => Ok(match self.number()? {
+            first @ (b'-' | b'0'..=b'9') => Ok(match self.number()? {
+                // `-0` is an integer token, but as a float it keeps its sign.
+                Number::Int(0) if first == b'-' => -0.0,
                 Number::Int(i) => i as f64,
                 Number::Float(f) => f,
             }),
@@ -501,6 +503,16 @@ mod tests {
     use super::*;
     use crate::Value;
     use proptest::prelude::*;
+
+    #[test]
+    fn signed_zeros_read_as_the_standard_parse_reads_them() {
+        for text in ["-0", "-0.0", "-0e0", "0"] {
+            let read = Cursor::new(text).float().unwrap();
+            let want: f64 = text.parse().unwrap();
+            assert_eq!(read.to_bits(), want.to_bits(), "{text}");
+        }
+        assert_eq!(Cursor::new("-0").int::<i64>("i64").unwrap(), 0);
+    }
 
     /// One object's keys as `next_field` finds them: each key's index in
     /// `keys` and its value, or the error.

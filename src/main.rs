@@ -44,16 +44,16 @@
 
 use lmbench::core::service::{install_shutdown_handler, SegmentStore};
 use lmbench::core::{
-    detect_host, find_scale_spec, load_sim_rig, report, scale_registry, scenario_config, Engine,
-    EngineClock, EngineOutcome, FaultPlan, LoadGen, LoadMode, LoadRunner, LoadSpec, Registry,
-    ReportClient, ResultsService, Scenario, ServiceConfig, SimServerGen, Substrate, SuiteConfig,
-    SuiteError, Verbosity,
+    detect_host, find_scale_spec, load_sim_rig, report, scale_registry, scenario_config,
+    sim_provenance, Engine, EngineOutcome, FaultPlan, LoadGen, LoadMode, LoadRunner, LoadSpec,
+    Registry, ReportClient, ResultsService, Scenario, ServiceConfig, SimServerGen, Substrate,
+    SuiteConfig, SuiteError, Verbosity,
 };
 use lmbench::results::{
     fingerprint, load_entry, render_side_by_side, Baseline, ReportDiff, ReportStore, ResultsDb,
     RunReport,
 };
-use lmbench::timing::{ArrivalProcess, Harness};
+use lmbench::timing::{ArrivalProcess, Clock, Harness};
 use lmbench::trace::{
     check_seq_order, check_span_refs, check_spans, span_summaries, ContextGuard, Detail, JsonlSink,
     Progress, Sink, Trace,
@@ -339,11 +339,11 @@ fn load_command(args: &[String]) -> ExitCode {
     // so the report's wall times are deterministic too.
     type Make = Box<dyn Fn() -> Result<Box<dyn LoadGen>, String>>;
     let mut targets: Vec<(&str, &str, &[Substrate], Make)> = Vec::new();
-    let mut sim_provenance = None;
+    let mut provenance = None;
     if let Some(seed) = sim_seed {
         let (sim, model) = load_sim_rig(seed);
-        let clock = EngineClock::Sim(sim.clone());
-        sim_provenance = clock.provenance();
+        let clock = Clock::Sim(sim.clone());
+        provenance = sim_provenance(&clock);
         runner = runner.with_clock(clock).with_ops(256);
         targets.push((
             "sim_server",
@@ -374,7 +374,7 @@ fn load_command(args: &[String]) -> ExitCode {
         return ExitCode::from(3);
     };
     let mut report = RunReport {
-        sim: sim_provenance,
+        sim: provenance,
         ..RunReport::default()
     };
     for &(bench, produces, requires, ref make) in &targets {
@@ -697,7 +697,7 @@ fn env_doctor() -> ExitCode {
     println!("  fingerprint   {fp}");
 
     println!("=== Clock ===");
-    let clock = lmbench::timing::ClockInfo::probe();
+    let clock = lmbench::timing::ClockInfo::probe(&Clock::Real);
     println!("  resolution    {:.1} ns", clock.resolution_ns);
     println!("  read overhead {:.1} ns", clock.overhead_ns);
     let est = lmbench::timing::estimate_clock(3);
@@ -895,18 +895,14 @@ fn main() -> ExitCode {
                     };
                     let scenario = Scenario::from_seed(seed);
                     let sim = scenario.clock();
-                    (
-                        scenario.registry(&sim),
-                        scenario_config(),
-                        EngineClock::Sim(sim),
-                    )
+                    (scenario.registry(&sim), scenario_config(), Clock::Sim(sim))
                 }
                 None => {
                     let registry = match registry_from_args(&args) {
                         Ok(r) => r,
                         Err(err) => return fail(&err),
                     };
-                    (registry, config_from_args(&args), EngineClock::default())
+                    (registry, config_from_args(&args), Clock::Real)
                 }
             };
             let engine = match Engine::new(registry, config) {

@@ -10,11 +10,11 @@
 //! stream as typed events.
 
 use lmbench::core::{
-    load_sim_rig, omission_gap, run_load_scenario, EngineClock, LoadGen, LoadMode, LoadRunner,
-    SimServerGen, SuiteConfig, LADDER_FRACTIONS,
+    load_sim_rig, omission_gap, run_load_scenario, LoadGen, LoadMode, LoadRunner, SimServerGen,
+    SuiteConfig, LADDER_FRACTIONS,
 };
 use lmbench::results::{RateSweep, RunReport};
-use lmbench::timing::{ArrivalProcess, CostModel, SimClock};
+use lmbench::timing::{ArrivalProcess, Clock, CostModel, SimClock};
 use lmbench::trace::{EventKind, MemorySink, Trace};
 
 /// A sim-clocked runner over a constant-cost scripted server.
@@ -23,7 +23,7 @@ fn sim_runner(seed: u64, service_ns: f64) -> (LoadRunner, SimClock, CostModel) {
     let model = CostModel::Constant { ns: service_ns };
     let runner = LoadRunner::new(SuiteConfig::quick())
         .expect("quick config is valid")
-        .with_clock(EngineClock::Sim(sim.clone()))
+        .with_clock(Clock::Sim(sim.clone()))
         .with_ops(256);
     (runner, sim, model)
 }

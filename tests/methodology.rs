@@ -2,8 +2,8 @@
 //! paper's "Benchmarking notes" as executable claims.
 
 use lmbench::timing::{
-    calibrate_iterations, clock_overhead_ns, clock_resolution_ns, probe_available_memory, Harness,
-    MemorySizer, Options, Samples, SummaryPolicy,
+    calibrate_iterations, clock_overhead_ns, clock_resolution_ns, probe_available_memory, Clock,
+    Harness, MemorySizer, Options, Samples, SummaryPolicy,
 };
 use std::time::Duration;
 
@@ -53,8 +53,8 @@ fn calibration_scales_iterations_with_target() {
     let body = || {
         std::hint::black_box((0..64u64).fold(0u64, |a, b| a ^ b));
     };
-    let small = calibrate_iterations(Duration::from_micros(100), body).iterations;
-    let large = calibrate_iterations(Duration::from_millis(20), body).iterations;
+    let small = calibrate_iterations(&Clock::Real, Duration::from_micros(100), body).iterations;
+    let large = calibrate_iterations(&Clock::Real, Duration::from_millis(20), body).iterations;
     assert!(
         large > small,
         "20ms target calibrated to {large} <= 100us target's {small}"
@@ -99,12 +99,12 @@ fn memory_probe_finds_usable_memory_and_sizer_uses_it() {
 
 #[test]
 fn clock_probe_is_stable_across_calls() {
-    let r1 = clock_resolution_ns();
-    let r2 = clock_resolution_ns();
+    let r1 = clock_resolution_ns(&Clock::Real);
+    let r2 = clock_resolution_ns(&Clock::Real);
     // Same clock hardware: within 100x of each other (probes are noisy
     // but not regime-changing).
     assert!(r1 / r2 < 100.0 && r2 / r1 < 100.0, "{r1} vs {r2}");
-    let o = clock_overhead_ns();
+    let o = clock_overhead_ns(&Clock::Real);
     assert!(o > 0.0 && o < 100_000.0);
 }
 

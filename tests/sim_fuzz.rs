@@ -10,9 +10,9 @@
 use lmbench::core::simfuzz::{
     check_clean_run, check_determinism, fuzz, run_scenario, scenario_config, Scenario,
 };
-use lmbench::core::{Engine, EngineClock, FaultPlan};
+use lmbench::core::{Engine, FaultPlan};
 use lmbench::results::BenchStatus;
-use lmbench::timing::CostModel;
+use lmbench::timing::{Clock, CostModel};
 use lmbench::trace::{check_seq_order, check_span_refs, check_spans, EventKind, MemorySink, Trace};
 
 /// Sweep a band of the scenario space: every property over a run of
@@ -41,7 +41,7 @@ fn pinned_hang_drill_times_out_instantly_under_virtual_time() {
         let sim = scenario.clock();
         Engine::new(scenario.registry(&sim), scenario_config())
             .expect("quick preset validates")
-            .with_clock(EngineClock::Sim(sim))
+            .with_clock(Clock::Sim(sim))
             .with_faults(FaultPlan {
                 hang_in: Some(sab.into()),
                 ..FaultPlan::default()

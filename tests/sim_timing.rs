@@ -7,10 +7,8 @@
 //! byte-identical measurements (the determinism test at the bottom, which
 //! CI runs twice and compares).
 
-use lmbench::timing::{calibrate_iterations_with, ClockInfo, Quality};
-use lmbench::timing::{
-    paged_out_fraction_with, CostModel, Harness, Options, SimClock, SummaryPolicy, TimeSource,
-};
+use lmbench::timing::{calibrate_iterations, Clock, ClockInfo, Quality};
+use lmbench::timing::{paged_out_fraction, CostModel, Harness, Options, SimClock, SummaryPolicy};
 use std::time::Duration;
 
 /// A pinned ClockInfo whose overhead matches the sim's read overhead, so
@@ -44,7 +42,7 @@ fn calibration_converges_within_2x_of_target_across_clock_resolutions() {
             .with_resolution_ns(res_ns)
             .with_read_overhead_ns(20.0);
         let body = sim.scripted_body(CostModel::Constant { ns: 750.0 });
-        let cal = calibrate_iterations_with(&sim, target, body);
+        let cal = calibrate_iterations(&Clock::Sim(sim), target, body);
         assert!(
             cal.observed_ns >= target_ns,
             "res {res_ns}ns: undershot target ({} < {target_ns})",
@@ -86,9 +84,9 @@ fn per_op_times_are_never_negative_after_compensation() {
             for claimed_overhead in [0.0, 30.0, 2_000.0, 50_000.0] {
                 let sim = SimClock::new(seed * 100 + mi as u64).with_read_overhead_ns(25.0);
                 let body = sim.scripted_body(*model);
-                let h = Harness::with_source_and_clock(
+                let h = Harness::pinned(
                     Options::quick().with_warmup_runs(0).with_repetitions(5),
-                    sim,
+                    Clock::Sim(sim),
                     pinned(claimed_overhead),
                 );
                 let m = h.measure_block(1, body);
@@ -119,9 +117,9 @@ fn min_and_median_summaries_match_hand_computed_fixture() {
         start_ns: 100.0,
         per_call_ns: 10.0,
     });
-    let h = Harness::with_source_and_clock(
+    let h = Harness::pinned(
         Options::quick().with_warmup_runs(1).with_repetitions(5),
-        sim,
+        Clock::Sim(sim),
         pinned(60.0),
     );
     let m = h.measure_block(1, body);
@@ -146,9 +144,9 @@ fn quality_grades_follow_cv_bands_exactly() {
     // Constant body: zero dispersion, Good.
     let sim = SimClock::new(43).with_read_overhead_ns(10.0);
     let body = sim.scripted_body(CostModel::Constant { ns: 400.0 });
-    let h = Harness::with_source_and_clock(
+    let h = Harness::pinned(
         Options::quick().with_warmup_runs(0).with_repetitions(7),
-        sim,
+        Clock::Sim(sim),
         pinned(10.0),
     );
     let m = h.measure_block(1, body);
@@ -165,9 +163,9 @@ fn quality_grades_follow_cv_bands_exactly() {
         before_ns: 10.0,
         after_ns: 5_000.0,
     });
-    let h = Harness::with_source_and_clock(
+    let h = Harness::pinned(
         Options::quick().with_warmup_runs(0).with_repetitions(5),
-        sim,
+        Clock::Sim(sim),
         pinned(10.0),
     );
     let m = h.measure_block(1, body);
@@ -183,9 +181,9 @@ fn overhead_larger_than_interval_clamps_and_grades_suspect() {
     // overhead 10us around a 100ns body used to yield -9.9us per op.
     let sim = SimClock::new(45).with_read_overhead_ns(40.0);
     let body = sim.scripted_body(CostModel::Constant { ns: 100.0 });
-    let h = Harness::with_source_and_clock(
+    let h = Harness::pinned(
         Options::quick().with_warmup_runs(0).with_repetitions(5),
-        sim,
+        Clock::Sim(sim),
         pinned(10_000.0),
     );
     let m = h.measure_block(1, body);
@@ -202,14 +200,14 @@ fn sizing_probe_classifies_simulated_residency_correctly() {
     let sim = SimClock::new(46).with_read_overhead_ns(6_000.0);
     let clock = pinned(6_000.0);
     let mut touch = sim.scripted_body(CostModel::Constant { ns: 200.0 });
-    let fraction = paged_out_fraction_with(&sim, &clock, 128, |_| touch());
+    let fraction = paged_out_fraction(&Clock::Sim(sim), &clock, 128, |_| touch());
     assert_eq!(fraction, 0.0, "resident region misclassified");
 
     // Genuinely paged-out region: every 5th page faults at 80us.
     let sim = SimClock::new(47).with_read_overhead_ns(30.0);
     let clock = pinned(30.0);
     let mut fast = sim.scripted_body(CostModel::Constant { ns: 150.0 });
-    let fraction = paged_out_fraction_with(&sim, &clock, 200, |p| {
+    let fraction = paged_out_fraction(&Clock::Sim(sim.clone()), &clock, 200, |p| {
         if p % 5 == 0 {
             sim.advance(80_000.0);
         } else {
@@ -228,9 +226,9 @@ fn percentile_edges_hold_on_sim_measured_samples() {
         start_ns: 200.0,
         per_call_ns: 10.0,
     });
-    let h = Harness::with_source_and_clock(
+    let h = Harness::pinned(
         Options::quick().with_warmup_runs(0).with_repetitions(6),
-        sim,
+        Clock::Sim(sim),
         pinned(20.0),
     );
     let m = h.measure_block(1, body);
@@ -245,9 +243,9 @@ fn percentile_edges_hold_on_sim_measured_samples() {
     // All-equal set from a constant body: every percentile collapses.
     let sim = SimClock::new(49).with_read_overhead_ns(20.0);
     let body = sim.scripted_body(CostModel::Constant { ns: 333.0 });
-    let h = Harness::with_source_and_clock(
+    let h = Harness::pinned(
         Options::quick().with_warmup_runs(0).with_repetitions(5),
-        sim,
+        Clock::Sim(sim),
         pinned(20.0),
     );
     let m = h.measure_block(1, body);
@@ -259,9 +257,9 @@ fn percentile_edges_hold_on_sim_measured_samples() {
     // measurement honestly grades Suspect (no dispersion information).
     let sim = SimClock::new(50).with_read_overhead_ns(20.0);
     let body = sim.scripted_body(CostModel::Constant { ns: 777.0 });
-    let h = Harness::with_source_and_clock(
+    let h = Harness::pinned(
         Options::quick().with_warmup_runs(0).with_repetitions(1),
-        sim,
+        Clock::Sim(sim),
         pinned(20.0),
     );
     let m = h.measure_block(1, body);
@@ -278,7 +276,7 @@ fn full_harness_run_on_sim_clock_is_self_consistent() {
     // probe's own estimation error.
     let sim = SimClock::new(51).with_read_overhead_ns(15.0);
     let body = sim.scripted_body(CostModel::Constant { ns: 2_000.0 });
-    let h = Harness::with_source(Options::quick().with_warmup_runs(1), sim);
+    let h = Harness::on_clock(Options::quick().with_warmup_runs(1), Clock::Sim(sim));
     assert!(h.clock().resolution_ns > 0.0);
     let m = h.measure(body);
     assert!(
@@ -323,9 +321,9 @@ fn capture_measurements(seed: u64) -> String {
             .with_read_overhead_ns(35.0)
             .with_read_jitter_ns(8.0);
         let body = sim.scripted_body(*model);
-        let h = Harness::with_source_and_clock(
+        let h = Harness::pinned(
             Options::quick().with_warmup_runs(1).with_repetitions(9),
-            sim.clone(),
+            Clock::Sim(sim.clone()),
             pinned(35.0),
         );
         let m = h.measure_block(1, body);
