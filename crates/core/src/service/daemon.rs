@@ -7,7 +7,7 @@ use super::proto::{
 use super::store::SegmentStore;
 use bytes::Bytes;
 use lmb_metrics::{Counter, Histogram, Rows};
-use lmb_results::ReportStore;
+use lmb_results::{Baseline, ReportStore};
 use lmb_rpc::{
     Registry, RpcMetrics, RpcServer, RESULTS_PROC_DIFF, RESULTS_PROC_HISTORY, RESULTS_PROC_PUSH,
     RESULTS_PROC_STATS, RESULTS_PROC_TABLE, RESULTS_PROGRAM, RESULTS_VERSION,
@@ -76,49 +76,79 @@ impl ServiceMetrics {
     }
 }
 
-/// A `diff` reply already encoded for the wire, and the length of the
-/// series it answers.
-struct CachedDiff {
+/// A shard's `diff` and `table` replies, already encoded for the wire,
+/// each with the count its `query` trace event carries, and the length of
+/// the series they answer.
+#[derive(Default)]
+struct CachedReplies {
     runs: usize,
-    wire: Bytes,
-    regressions: u32,
+    diff: Option<(Bytes, u64)>,
+    table: Option<(Bytes, u64)>,
 }
 
 /// What the request handlers share under one lock: the store, and the
-/// newest encoded `diff` reply per shard.
+/// newest encoded `diff` and `table` replies per shard.
 struct Shared {
     store: SegmentStore,
-    diffs: HashMap<String, CachedDiff>,
+    replies: HashMap<String, CachedReplies>,
 }
 
 impl Shared {
     /// The wire `diff` reply for `fingerprint` and its regression count.
+    fn diff(&mut self, fingerprint: &str) -> io::Result<(Bytes, u64)> {
+        self.memo(
+            fingerprint,
+            |c| &mut c.diff,
+            |history| {
+                let reply = proto::diff_reply(history);
+                (proto::to_wire(&reply), u64::from(reply.regressions))
+            },
+        )
+    }
+
+    /// The wire `table` reply for `fingerprint` and its line count.
+    fn table(&mut self, fingerprint: &str) -> io::Result<(Bytes, u64)> {
+        self.memo(
+            fingerprint,
+            |c| &mut c.table,
+            |history| {
+                let reply = proto::table_reply(history.last());
+                (proto::to_wire(&reply), reply.text.lines().count() as u64)
+            },
+        )
+    }
+
+    /// The reply `build` makes from `fingerprint`'s series, kept in `slot`
+    /// of the shard's cached replies.
     ///
     /// The store is append-only, so a shard's length names its state:
     /// every push, even one that sorts into the middle of the series,
-    /// grows it. [`proto::diff_reply`] is a pure function of the series,
-    /// so a reply cached at the same length is byte-identical to a fresh
-    /// one. Only shards that exist get an entry; unknown fingerprints
-    /// from clients never grow the map.
-    fn diff(&mut self, fingerprint: &str) -> io::Result<(Bytes, u32)> {
+    /// grows it. [`proto::diff_reply`] and [`proto::table_reply`] are pure
+    /// functions of the series, so a reply cached at the same length is
+    /// byte-identical to a fresh one. Only shards that exist get an entry;
+    /// unknown fingerprints from clients never grow the map.
+    fn memo(
+        &mut self,
+        fingerprint: &str,
+        slot: fn(&mut CachedReplies) -> &mut Option<(Bytes, u64)>,
+        build: fn(&[Baseline]) -> (Bytes, u64),
+    ) -> io::Result<(Bytes, u64)> {
         let history = self.store.history(fingerprint)?;
         let runs = history.len();
-        if let Some(hit) = self.diffs.get(fingerprint).filter(|c| c.runs == runs) {
-            return Ok((hit.wire.clone(), hit.regressions));
+        if runs == 0 {
+            return Ok(build(history));
         }
-        let reply = proto::diff_reply(history);
-        let wire = proto::to_wire(&reply);
-        if runs > 0 {
-            self.diffs.insert(
-                fingerprint.to_string(),
-                CachedDiff {
-                    runs,
-                    wire: wire.clone(),
-                    regressions: reply.regressions,
-                },
-            );
+        let cached = match self.replies.get_mut(fingerprint) {
+            Some(cached) => cached,
+            None => self.replies.entry(fingerprint.to_string()).or_default(),
+        };
+        if cached.runs != runs {
+            *cached = CachedReplies {
+                runs,
+                ..CachedReplies::default()
+            };
         }
-        Ok((wire, reply.regressions))
+        Ok(slot(cached).get_or_insert_with(|| build(history)).clone())
     }
 }
 
@@ -167,7 +197,7 @@ impl ResultsService {
                 config.batch_size,
                 config.compact_threshold,
             )?,
-            diffs: HashMap::new(),
+            replies: HashMap::new(),
         }));
         let metrics = Arc::new(ServiceMetrics::default());
         let server = RpcServer::start_with(Registry::new(), metrics.rpc.clone())?;
@@ -194,7 +224,7 @@ impl ResultsService {
         register(&server, &ctx, RESULTS_PROC_DIFF, &m.diff, move |args| {
             let req: DiffRequest = proto::from_wire(args)?;
             let (wire, regressions) = s.lock().diff(&req.fingerprint).map_err(|_| ())?;
-            note_query("diff", &req.fingerprint, u64::from(regressions));
+            note_query("diff", &req.fingerprint, regressions);
             Ok(wire)
         });
 
@@ -218,13 +248,9 @@ impl ResultsService {
         let s = shared.clone();
         register(&server, &ctx, RESULTS_PROC_TABLE, &m.table, move |args| {
             let req: TableRequest = proto::from_wire(args)?;
-            let reply = {
-                let shared = s.lock();
-                let history = shared.store.history(&req.fingerprint).map_err(|_| ())?;
-                proto::table_reply(history.last())
-            };
-            note_query("table", &req.fingerprint, reply.text.lines().count() as u64);
-            Ok(proto::to_wire(&reply))
+            let (wire, lines) = s.lock().table(&req.fingerprint).map_err(|_| ())?;
+            note_query("table", &req.fingerprint, lines);
+            Ok(wire)
         });
 
         let s = shared.clone();
@@ -590,6 +616,17 @@ mod tests {
             .unwrap()
     }
 
+    fn table(client: &mut RpcClient, fingerprint: &str) -> Bytes {
+        client
+            .call(
+                RESULTS_PROC_TABLE,
+                proto::to_wire(&TableRequest {
+                    fingerprint: fingerprint.into(),
+                }),
+            )
+            .unwrap()
+    }
+
     #[test]
     fn a_mid_series_push_invalidates_the_cached_diff() {
         let (service, mut client, dir) = daemon_with("fp-m", &[100, 300]);
@@ -599,7 +636,7 @@ mod tests {
             stale,
             "unchanged tip, same bytes"
         );
-        assert_eq!(service.shared.lock().diffs.len(), 1);
+        assert_eq!(service.shared.lock().replies.len(), 1);
 
         // t=200 sorts between the two: the tip is still t=300, but the
         // run before it is not, and the series grew.
@@ -627,6 +664,101 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_table_answers_as_a_fresh_one_after_each_push() {
+        let (service, mut client, dir) = daemon_with("fp-tb", &[100, 300]);
+        let first = table(&mut client, "fp-tb");
+        assert_eq!(
+            table(&mut client, "fp-tb"),
+            first,
+            "unchanged series, same bytes"
+        );
+        assert!(service.shared.lock().replies["fp-tb"].table.is_some());
+
+        // A tail push of more records changes the newest run's table; a
+        // mid-series push does not, but grows the series all the same.
+        let mut series = vec![timed_entry("fp-tb", 100), timed_entry("fp-tb", 300)];
+        for (seconds, entry) in [
+            (400, labelled_entry("fp-tb", 400)),
+            (200, timed_entry("fp-tb", 200)),
+        ] {
+            push(&mut client, entry.clone());
+            series.push(entry);
+            series.sort_by_key(|e| e.unix_seconds);
+            let fresh = proto::to_wire(&proto::table_reply(series.last()));
+            assert_eq!(
+                table(&mut client, "fp-tb"),
+                fresh,
+                "after the push at t={seconds}"
+            );
+        }
+        assert_ne!(first, proto::to_wire(&proto::table_reply(series.last())));
+
+        drop(client);
+        service.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run whose `lat_syscall` record comes twice, its `p99` only in the
+    /// second, beside a `bw_mem` record with two labels in another unit.
+    fn labelled_entry(fingerprint: &str, seconds: u64) -> Baseline {
+        use lmb_results::runreport::MetricValue;
+        let mut b = timed_entry(fingerprint, seconds);
+        let mut second = b.report.records[0].clone();
+        second.metrics[0].label = "p99".into();
+        let mut bw = b.report.records[0].clone();
+        bw.name = "bw_mem".into();
+        bw.metrics[0].unit = "MB/s".into();
+        bw.metrics.push(MetricValue {
+            label: "p50".into(),
+            value: seconds as f64 / 2.0,
+            unit: "MB/s".into(),
+        });
+        b.report.records.extend([second, bw]);
+        b
+    }
+
+    /// Asks `service` for every (bench, label) history of `fp-h` and
+    /// compares each reply with the scan over `series`.
+    fn assert_history_matches_the_scan(service: &ResultsService, series: &[Baseline]) {
+        let mut client =
+            crate::service::ReportClient::new(format!("127.0.0.1:{}", service.tcp_port()));
+        for bench in ["lat_syscall", "bw_mem", "lat_missing"] {
+            for label in ["", "p50", "p99"] {
+                let reply = client.history("fp-h", bench, label).unwrap();
+                let scanned = proto::history_reply(series, bench, label);
+                assert_eq!(reply, scanned, "{bench}/{label:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn history_over_rpc_answers_as_the_scan_after_a_mid_series_push_and_a_reopen() {
+        let config = scratch_config();
+        let dir = config.data_dir.clone();
+        let service = ResultsService::start(config.clone()).unwrap();
+        let mut client = RpcClient::connect_tcp(
+            ("127.0.0.1", service.tcp_port()),
+            RESULTS_PROGRAM,
+            RESULTS_VERSION,
+        )
+        .unwrap();
+        for seconds in [100, 300, 400] {
+            push(&mut client, labelled_entry("fp-h", seconds));
+        }
+        // Sorts between the first two runs: every later run moves.
+        push(&mut client, labelled_entry("fp-h", 200));
+        let series = [100, 200, 300, 400].map(|s| labelled_entry("fp-h", s));
+        assert_history_matches_the_scan(&service, &series);
+        drop(client);
+        service.shutdown().unwrap();
+
+        let reopened = ResultsService::start(config).unwrap();
+        assert_history_matches_the_scan(&reopened, &series);
+        reopened.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn unknown_fingerprints_never_enter_the_diff_cache() {
         let (service, mut client, dir) = daemon_with("fp-k", &[100, 200]);
         for _ in 0..2 {
@@ -634,8 +766,12 @@ mod tests {
                 proto::from_wire(diff(&mut client, "fp-nobody")).unwrap();
             assert!(!reply.found);
             assert_eq!(reply.runs, 0);
+            assert_eq!(
+                table(&mut client, "fp-nobody"),
+                proto::to_wire(&proto::table_reply(None))
+            );
         }
-        assert!(service.shared.lock().diffs.is_empty());
+        assert!(service.shared.lock().replies.is_empty());
         drop(client);
         service.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

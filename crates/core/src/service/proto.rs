@@ -273,8 +273,8 @@ pub fn diff_reply(history: &[Baseline]) -> DiffReply {
 
 /// Builds a [`HistoryReply`] from a shard's full series, finding `bench`
 /// in each run by a scan of its records. The daemon answers from its
-/// store's index instead ([`SegmentStore::history_reply`]), through the
-/// same `history_points`.
+/// store's history columns instead ([`SegmentStore::history_reply`]);
+/// this scan is the reference they are tested against.
 ///
 /// [`SegmentStore::history_reply`]: super::SegmentStore::history_reply
 pub fn history_reply(history: &[Baseline], bench: &str, metric: &str) -> HistoryReply {
@@ -288,7 +288,7 @@ pub fn history_reply(history: &[Baseline], bench: &str, metric: &str) -> History
 /// Builds a [`HistoryReply`] from a shard's series and `records`: the
 /// bench's record in each run that has one, with that run's position,
 /// oldest first. Runs whose record lacks `metric` are skipped.
-pub(crate) fn history_points<'a>(
+fn history_points<'a>(
     history: &[Baseline],
     records: impl Iterator<Item = (usize, &'a BenchRecord)>,
     metric: &str,

@@ -15,7 +15,7 @@
 //! [`Baseline`] per `{fingerprint}-{unix_seconds}[-n].json` file. Opening
 //! a directory imports such files into segments once and removes them.
 
-use super::proto::{self, HistoryReply, StoreStats};
+use super::proto::{HistoryPoint, HistoryReply, StoreStats};
 use lmb_metrics::{Histogram, Rows};
 use lmb_results::{Baseline, ReportStore};
 use lmb_trace::EventKind;
@@ -37,19 +37,30 @@ struct Segment {
     path: PathBuf,
 }
 
-/// One host's series: every entry (flushed or not), the index of its
-/// records by bench name, the not-yet-sealed tail, and the sealed segment
-/// files holding the rest.
+/// One host's series: every entry (flushed or not), its history columns,
+/// the not-yet-sealed tail, and the sealed segment files holding the rest.
 #[derive(Debug, Default)]
 struct Shard {
     /// The full series, ordered by `(unix_seconds, arrival)`. Queries
     /// read this; disk is only for durability and restarts.
     entries: Vec<Baseline>,
-    /// For each bench name, `(run position, record position)` of the
-    /// first record of that name in each run that has one, oldest run
-    /// first: what [`lmb_results::RunReport::find`] would find in every
-    /// run, so a `history` query touches only the runs it answers from.
-    index: HashMap<String, Vec<(u32, u32)>>,
+    /// The answer to every `history` query, one contiguous column of
+    /// points per (bench name, metric label), oldest run first. A run
+    /// contributes to a column what the scan in [`proto::history_reply`]
+    /// reads: the first metric carrying the label in the first record of
+    /// the name ([`lmb_results::RunReport::find`]). A tail append extends
+    /// the columns; replay and a push that sorts into the middle of the
+    /// series rebuild them. Each point copies its value, so the columns
+    /// cost 16 bytes per stored metric beside the entries themselves.
+    ///
+    /// [`proto::history_reply`]: super::proto::history_reply
+    columns: HashMap<String, BenchColumns>,
+    /// Each run's capture time, a dense copy of `entries[run].unix_seconds`
+    /// that a `history` reply reads without touching the entries.
+    times: Vec<u64>,
+    /// The distinct units of this shard's metrics; a [`Point`]'s `unit`
+    /// indexes here. A series carries only a handful.
+    units: Vec<String>,
     /// Positions in `entries` of the entries not yet sealed into a
     /// segment, in arrival order; the seal renders them from there, so a
     /// pending entry is held once.
@@ -59,6 +70,66 @@ struct Shard {
     /// Next segment number; strictly increasing so number order is
     /// arrival order even across compactions.
     next_segment: u64,
+}
+
+/// One bench name's history columns.
+#[derive(Debug, Default)]
+struct BenchColumns {
+    /// The newest run indexed under this name. A later record of the
+    /// name in that run is not the one `find` returns.
+    last_run: Option<u32>,
+    /// One column per metric label, in the order the labels first
+    /// appeared.
+    columns: Vec<Column>,
+    /// Each label's position in `columns`.
+    by_label: HashMap<String, u32>,
+}
+
+impl BenchColumns {
+    /// The points of `label`'s column, if the bench ever carried it.
+    fn points(&self, label: &str) -> &[Point] {
+        self.by_label
+            .get(label)
+            .map_or(&[], |&at| &self.columns[at as usize].points)
+    }
+
+    /// The position of the column for the `i`-th metric of a record,
+    /// labelled `label`, opening the column if it is new. Runs of a bench
+    /// list its labels in the same order as a rule, so the column at `i`
+    /// is tried before the map.
+    fn column_for(&mut self, i: usize, label: &str) -> usize {
+        if self.columns.get(i).is_some_and(|c| c.label == label) {
+            return i;
+        }
+        if let Some(&at) = self.by_label.get(label) {
+            return at as usize;
+        }
+        let at = self.columns.len();
+        self.by_label.insert(label.to_string(), at as u32);
+        self.columns.push(Column {
+            label: label.to_string(),
+            points: Vec::new(),
+        });
+        at
+    }
+}
+
+/// One (bench, label) column.
+#[derive(Debug)]
+struct Column {
+    label: String,
+    /// Oldest run first, at most one point per run.
+    points: Vec<Point>,
+}
+
+/// One run's value of one (bench, label) column.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    /// Position of the run in the shard's `entries`.
+    run: u32,
+    /// Index of the metric's unit in the shard's `units`.
+    unit: u32,
+    value: f64,
 }
 
 /// The one results store. Not internally synchronized — the daemon wraps
@@ -157,19 +228,36 @@ impl SegmentStore {
         }
     }
 
-    /// The `history` reply for one metric of `fingerprint`'s series, built
-    /// from the shard's index; the same reply [`proto::history_reply`]
-    /// builds by scanning every record of every run.
+    /// The `history` reply for one metric of `fingerprint`'s series, read
+    /// from the shard's column for (`bench`, `metric`); the same reply
+    /// [`proto::history_reply`] builds by scanning every record of every
+    /// run.
+    ///
+    /// [`proto::history_reply`]: super::proto::history_reply
     pub fn history_reply(&self, fingerprint: &str, bench: &str, metric: &str) -> HistoryReply {
         let Some(shard) = self.shards.get(fingerprint) else {
-            return proto::history_points(&[], std::iter::empty(), metric);
+            return HistoryReply {
+                found: false,
+                points: Vec::new(),
+            };
         };
-        let hits = shard.index.get(bench).map_or(&[][..], Vec::as_slice);
-        let records = hits.iter().map(|&(run, record)| {
-            let run = run as usize;
-            (run, &shard.entries[run].report.records[record as usize])
-        });
-        proto::history_points(&shard.entries, records, metric)
+        let column = shard
+            .columns
+            .get(bench)
+            .map_or(&[][..], |c| c.points(metric));
+        let points = column
+            .iter()
+            .map(|p| HistoryPoint {
+                unix_seconds: shard.times[p.run as usize],
+                shard_seq: u64::from(p.run) + 1,
+                value: p.value,
+                unit: shard.units[p.unit as usize].clone(),
+            })
+            .collect();
+        HistoryReply {
+            found: !shard.entries.is_empty(),
+            points,
+        }
     }
 
     /// Renders the store's telemetry as `service.*` rows.
@@ -343,25 +431,49 @@ impl SegmentStore {
 }
 
 impl Shard {
-    /// Adds run `run`'s records to the index, which must already hold
+    /// Adds run `run`'s metrics to the columns, which must already hold
     /// every earlier run and no later one.
     fn index_run(&mut self, run: usize) {
         let position = u32::try_from(run).expect("a shard holds under 2^32 runs");
-        for (record, bench) in self.entries[run].report.records.iter().enumerate() {
-            let hits = match self.index.get_mut(bench.name.as_str()) {
-                Some(hits) => hits,
-                None => self.index.entry(bench.name.clone()).or_default(),
+        self.times.push(self.entries[run].unix_seconds);
+        for record in &self.entries[run].report.records {
+            let bench = match self.columns.get_mut(record.name.as_str()) {
+                Some(bench) => bench,
+                None => self.columns.entry(record.name.clone()).or_default(),
             };
             // A repeated name in one run: the first record answers.
-            if hits.last().is_none_or(|&(last, _)| last != position) {
-                hits.push((position, record as u32));
+            if bench.last_run == Some(position) {
+                continue;
+            }
+            bench.last_run = Some(position);
+            for (i, metric) in record.metrics.iter().enumerate() {
+                let at = bench.column_for(i, &metric.label);
+                let points = &mut bench.columns[at].points;
+                // A repeated label in one record: the first metric answers.
+                if points.last().is_some_and(|p| p.run == position) {
+                    continue;
+                }
+                let unit = match self.units.iter().position(|u| *u == metric.unit) {
+                    Some(unit) => unit,
+                    None => {
+                        self.units.push(metric.unit.clone());
+                        self.units.len() - 1
+                    }
+                };
+                points.push(Point {
+                    run: position,
+                    unit: unit as u32,
+                    value: metric.value,
+                });
             }
         }
     }
 
-    /// Rebuilds the index from the whole series.
+    /// Rebuilds the columns from the whole series.
     fn reindex(&mut self) {
-        self.index.clear();
+        self.columns.clear();
+        self.times.clear();
+        self.units.clear();
         for run in 0..self.entries.len() {
             self.index_run(run);
         }
@@ -526,6 +638,7 @@ fn warn_skipped(path: &Path, detail: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::proto;
     use lmb_results::RunReport;
     use lmb_trace::{MemorySink, Trace};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -775,8 +888,11 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A run of `records`, each `(bench, [(label, value)])`.
-    fn run_of(fingerprint: &str, seconds: u64, records: &[(&str, &[(&str, f64)])]) -> Baseline {
+    /// One metric of a record: label, unit and value.
+    type Metric<'a> = (&'a str, &'a str, f64);
+
+    /// A run of `records`, each `(bench, [(label, unit, value)])`.
+    fn run_of(fingerprint: &str, seconds: u64, records: &[(&str, &[Metric])]) -> Baseline {
         use lmb_results::{BenchRecord, BenchStatus, MetricValue};
         let mut e = entry(fingerprint, seconds);
         e.report.records = records
@@ -793,10 +909,10 @@ mod tests {
                 counters: None,
                 metrics: metrics
                     .iter()
-                    .map(|&(label, value)| MetricValue {
+                    .map(|&(label, unit, value)| MetricValue {
                         label: label.into(),
                         value,
-                        unit: "us".into(),
+                        unit: unit.into(),
                     })
                     .collect(),
                 span: None,
@@ -807,6 +923,7 @@ mod tests {
 
     const BENCHES: [&str; 4] = ["lat_a", "lat_b", "bw_c", "lat_missing"];
     const LABELS: [&str; 3] = ["", "p50", "p99"];
+    const UNITS: [&str; 2] = ["us", "ns"];
 
     /// For every (fingerprint, bench, metric), the indexed reply equals
     /// the scanning one.
@@ -828,18 +945,42 @@ mod tests {
         Ok(())
     }
 
-    /// A push as the proptest draws it: capture second, shard, and one
-    /// record per `(bench, label, value)` triple.
-    fn pushed(seconds: u64, shard: usize, records: &[(usize, usize, u32)]) -> Baseline {
+    /// A record as the proptest draws it: a bench, and its metrics as
+    /// `(label, unit, value)` indices. Three labels drawn up to four times
+    /// repeat a label within a record, and two units let a (bench, label)
+    /// change unit from run to run.
+    type Drawn = (usize, Vec<(usize, usize, u32)>);
+
+    fn drawn_records() -> impl proptest::Strategy<Value = Vec<Drawn>> {
+        proptest::collection::vec(
+            (
+                0usize..3,
+                proptest::collection::vec((0usize..3, 0usize..2, 0u32..400), 0..4),
+            ),
+            0..5,
+        )
+    }
+
+    /// A push as the proptest draws it: capture second, shard and records.
+    /// Three benches over up to five records repeat a name within a run,
+    /// so a label may sit only in a second record of that name.
+    fn pushed(seconds: u64, shard: usize, records: &[Drawn]) -> Baseline {
         let fp = ["fp-a", "fp-b"][shard];
-        let metrics: Vec<[(&str, f64); 1]> = records
+        let metrics: Vec<Vec<Metric>> = records
             .iter()
-            .map(|&(_, label, value)| [(LABELS[label], f64::from(value) / 8.0)])
+            .map(|(_, metrics)| {
+                metrics
+                    .iter()
+                    .map(|&(label, unit, value)| {
+                        (LABELS[label], UNITS[unit], f64::from(value) / 8.0)
+                    })
+                    .collect()
+            })
             .collect();
-        let records: Vec<(&str, &[(&str, f64)])> = records
+        let records: Vec<(&str, &[Metric])> = records
             .iter()
             .zip(&metrics)
-            .map(|(&(bench, ..), m)| (BENCHES[bench % 3], &m[..]))
+            .map(|((bench, _), m)| (BENCHES[*bench], &m[..]))
             .collect();
         run_of(fp, seconds, &records)
     }
@@ -848,33 +989,49 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
         #[test]
         fn the_history_index_answers_as_the_scan_does(
-            pushes in proptest::collection::vec(
-                (
-                    0u64..6,
-                    0usize..2,
-                    proptest::collection::vec((0usize..3, 0usize..3, 0u32..400), 0..5),
-                ),
-                1..14,
-            ),
-            imports in proptest::collection::vec(
-                (0u64..8, 0usize..2, proptest::collection::vec((0usize..3, 0usize..3, 0u32..400), 0..4)),
-                0..4,
-            ),
+            pushes in proptest::collection::vec((0u64..6, 0usize..2, drawn_records()), 1..14),
+            imports in proptest::collection::vec((0u64..8, 0usize..2, drawn_records()), 0..4),
         ) {
             let dir = scratch_dir("index");
             let mut store = SegmentStore::open(&dir, 3, 2).unwrap();
-            // Out-of-order and same-second pushes come from the draw; this
-            // run carries `lat_a` twice, and the first must answer.
+            // Out-of-order and same-second pushes come from the draw. This
+            // run carries `lat_a` twice: the first record answers, and in
+            // it the first `""` metric; its `p99` sits only in the second
+            // record, so this run has no `p99` point. `p50` changes unit.
+            // Drawn values are never negative, so these stay recognizable.
             store
-                .append(run_of("fp-a", 3, &[("lat_a", &[("", 1.0)]), ("lat_a", &[("", 2.0)])]))
+                .append(run_of(
+                    "fp-a",
+                    3,
+                    &[
+                        ("lat_a", &[("", "us", -1.0), ("p50", "us", -5.0), ("", "us", -2.0)]),
+                        ("lat_a", &[("", "us", -3.0), ("p99", "us", -4.0)]),
+                    ],
+                ))
+                .unwrap();
+            store
+                .append(run_of("fp-a", 4, &[("lat_a", &[("p50", "MB/s", -6.0)])]))
                 .unwrap();
             for (seconds, shard, records) in &pushes {
                 store.append(pushed(*seconds, *shard, records)).unwrap();
                 index_agrees_with_scan(&store).map_err(proptest::TestCaseError::fail)?;
             }
-            let twice = store.history_reply("fp-a", "lat_a", "");
-            proptest::prop_assert!(twice.points.iter().any(|p| p.value == 1.0));
-            proptest::prop_assert!(twice.points.iter().all(|p| p.value != 2.0));
+            let values = |label| -> Vec<f64> {
+                let reply = store.history_reply("fp-a", "lat_a", label);
+                reply.points.iter().map(|p| p.value).collect()
+            };
+            let (empty, p99) = (values(""), values("p99"));
+            proptest::prop_assert!(empty.contains(&-1.0));
+            proptest::prop_assert!(!empty.contains(&-2.0) && !empty.contains(&-3.0));
+            proptest::prop_assert!(!p99.contains(&-4.0));
+            let units: Vec<String> = store
+                .history_reply("fp-a", "lat_a", "p50")
+                .points
+                .into_iter()
+                .filter(|p| p.value < 0.0)
+                .map(|p| p.unit)
+                .collect();
+            proptest::prop_assert_eq!(units, ["us", "MB/s"]);
             store.flush_all().unwrap();
             drop(store);
 
@@ -887,7 +1044,8 @@ mod tests {
             let mut store = SegmentStore::open(&dir, 3, 2).unwrap();
             index_agrees_with_scan(&store).map_err(proptest::TestCaseError::fail)?;
             // A mid-series push after the replay.
-            store.append(pushed(2, 0, &[(0, 0, 7), (1, 1, 9)])).unwrap();
+            let mid = [(0, vec![(0, 0, 7), (1, 1, 9)]), (1, vec![(2, 0, 11)])];
+            store.append(pushed(2, 0, &mid)).unwrap();
             index_agrees_with_scan(&store).map_err(proptest::TestCaseError::fail)?;
             fs::remove_dir_all(&dir).unwrap();
         }

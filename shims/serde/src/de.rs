@@ -32,6 +32,8 @@ pub struct Cursor<'a> {
 /// A JSON number as written: integral, or with a fraction or exponent.
 pub(crate) enum Number {
     Int(i128),
+    /// An integral token too wide for `i128`, read as `f64` reads it.
+    WideInt(f64),
     Float(f64),
 }
 
@@ -83,9 +85,15 @@ impl<'a> Cursor<'a> {
         if !matches!(self.peek()?, b'-' | b'0'..=b'9') {
             return Err(self.unexpected("integer"));
         }
-        match self.number()? {
-            Number::Int(i) => T::try_from(i)
-                .map_err(|_| DeError::new(format!("integer {i} out of range for {type_name}"))),
+        let start = self.pos;
+        let number = self.number()?;
+        let out_of_range = || {
+            let text = &self.text[start..self.pos];
+            DeError::new(format!("integer {text} out of range for {type_name}"))
+        };
+        match number {
+            Number::Int(i) => T::try_from(i).map_err(|_| out_of_range()),
+            Number::WideInt(_) => Err(out_of_range()),
             Number::Float(_) => Err(DeError::new("expected integer, found float")),
         }
     }
@@ -100,7 +108,7 @@ impl<'a> Cursor<'a> {
                 // `-0` is an integer token, but as a float it keeps its sign.
                 Number::Int(0) if first == b'-' => -0.0,
                 Number::Int(i) => i as f64,
-                Number::Float(f) => f,
+                Number::WideInt(f) | Number::Float(f) => f,
             }),
             _ => Err(self.unexpected("number")),
         }
@@ -458,7 +466,9 @@ impl<'a> Cursor<'a> {
         let parsed = if float {
             text.parse().map(Number::Float).ok()
         } else {
-            text.parse().map(Number::Int).ok()
+            (text.parse().map(Number::Int))
+                .or_else(|_| text.parse().map(Number::WideInt))
+                .ok()
         };
         parsed.ok_or_else(|| self.err(format!("invalid number `{text}`")))
     }
@@ -512,6 +522,23 @@ mod tests {
             assert_eq!(read.to_bits(), want.to_bits(), "{text}");
         }
         assert_eq!(Cursor::new("-0").int::<i64>("i64").unwrap(), 0);
+    }
+
+    #[test]
+    fn integers_wider_than_i128_read_as_the_standard_parse_reads_them() {
+        let forty: String = "1234567890".repeat(4);
+        let wide = ["9".repeat(39), forty, format!("1{}", "0".repeat(309))];
+        for digits in wide {
+            for text in [digits.clone(), format!("-{digits}")] {
+                let read = Cursor::new(&text).float().unwrap();
+                let want: f64 = text.parse().unwrap();
+                assert_eq!(read.to_bits(), want.to_bits(), "{text}");
+                let err = Cursor::new(&text).int::<i128>("i128").unwrap_err();
+                assert!(err.to_string().contains("out of range"), "{text}: {err}");
+            }
+        }
+        let max = i128::MAX.to_string();
+        assert_eq!(Cursor::new(&max).int::<i128>("i128").unwrap(), i128::MAX);
     }
 
     /// One object's keys as `next_field` finds them: each key's index in

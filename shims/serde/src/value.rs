@@ -81,7 +81,7 @@ impl Deserialize for Value {
             b'"' => Value::Str(cursor.str()?.into_owned()),
             b'-' | b'0'..=b'9' => match cursor.number()? {
                 Number::Int(i) => Value::Int(i),
-                Number::Float(f) => Value::Float(f),
+                Number::WideInt(f) | Number::Float(f) => Value::Float(f),
             },
             b'[' => Value::Array(Vec::deserialize(cursor)?),
             b'{' => {
