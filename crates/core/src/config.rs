@@ -95,8 +95,6 @@ pub struct SuiteConfig {
     pub fs_files: usize,
     /// Round trips per latency repetition.
     pub round_trips: usize,
-    /// Connect attempts (paper: best of 20).
-    pub connect_attempts: u32,
     /// Simulated-disk commands for the Table 17 run.
     pub disk_ops: u64,
     /// Wall-clock budget per benchmark before the engine declares it hung.
@@ -117,7 +115,6 @@ impl SuiteConfig {
             ctx_passes: 2000,
             fs_files: 1000,
             round_trips: 1000,
-            connect_attempts: 20,
             disk_ops: 8192,
             bench_timeout: Duration::from_secs(900),
             retry: RetryPolicy::on_noise(),
@@ -135,7 +132,6 @@ impl SuiteConfig {
             ctx_passes: 100,
             fs_files: 100,
             round_trips: 100,
-            connect_attempts: 5,
             disk_ops: 1024,
             bench_timeout: Duration::from_secs(120),
             retry: RetryPolicy::never(),
@@ -193,7 +189,6 @@ impl SuiteConfig {
         rule(self.ctx_passes > 0, "no ctx passes")?;
         rule(self.fs_files > 0, "no files")?;
         rule(self.round_trips > 0, "no round trips")?;
-        rule(self.connect_attempts > 0, "no connects")?;
         rule(self.disk_ops > 0, "no disk ops")?;
         rule(!self.bench_timeout.is_zero(), "zero benchmark timeout")?;
         rule(self.retry.max_attempts > 0, "zero retry attempts")?;
@@ -234,7 +229,6 @@ mod tests {
         assert_eq!(c.stream_total, 50 << 20);
         assert_eq!(c.ctx_passes, 2000);
         assert_eq!(c.fs_files, 1000);
-        assert_eq!(c.connect_attempts, 20);
     }
 
     #[test]

@@ -386,7 +386,7 @@ impl Registry {
                 fills: &[SuiteField::Connect],
                 derived: false,
                 runner: arc_runner(|ctx| {
-                    let r = suite::measure_connect(&ctx.config, &ctx.host);
+                    let r = suite::measure_connect(&ctx.harness, &ctx.host);
                     BenchOutput::new()
                         .metric("", r.connect_us, Unit::Micros)
                         .patch(TablePatch::Connect(r))
@@ -401,7 +401,7 @@ impl Registry {
                 fills: &[SuiteField::FsLat],
                 derived: false,
                 runner: arc_runner(|ctx| {
-                    let r = suite::measure_fs_lat(&ctx.config, &ctx.host);
+                    let r = suite::measure_fs_lat(&ctx.harness, &ctx.config, &ctx.host);
                     BenchOutput::new()
                         .metric("create", r.create_us, Unit::Micros)
                         .metric("delete", r.delete_us, Unit::Micros)
@@ -436,10 +436,9 @@ impl Registry {
                 derived: false,
                 runner: arc_runner(|ctx| {
                     let bw = lmb_ipc::measure_unix_bw(
+                        &ctx.harness,
                         ctx.config.stream_total,
                         lmb_ipc::PIPE_CHUNK,
-                        ctx.config.options.repetitions.min(3),
-                        lmb_timing::SummaryPolicy::Last,
                     );
                     BenchOutput::new().metric("unix socket", bw.mb_per_s, Unit::MbPerSec)
                 }),
@@ -478,9 +477,9 @@ impl Registry {
                 requires: &[],
                 fills: &[],
                 derived: false,
-                runner: arc_runner(|_| {
-                    let line = lmb_mem::measure_line_pingpong(2000, 3);
-                    let bw = lmb_mem::measure_cache_to_cache_bw(256 << 10, 8);
+                runner: arc_runner(|ctx| {
+                    let line = lmb_mem::measure_line_pingpong(&ctx.harness);
+                    let bw = lmb_mem::measure_cache_to_cache_bw(&ctx.harness, 256 << 10);
                     BenchOutput::new()
                         .metric("line transfer", line.as_micros(), Unit::Micros)
                         .metric("c2c bandwidth", bw.mb_per_s, Unit::MbPerSec)
@@ -590,21 +589,10 @@ impl Registry {
                 fills: &[],
                 derived: false,
                 runner: arc_runner(|ctx| {
-                    let total = ctx.config.stream_total;
-                    let reps = ctx.config.options.repetitions.min(3);
-                    let pipe = |chunk| {
-                        lmb_ipc::pipe_bw::measure_pipe_bw(total, chunk, reps, SummaryPolicy::Last)
-                            .mb_per_s
-                    };
+                    let (h, total) = (&ctx.harness, ctx.config.stream_total);
+                    let pipe = |chunk| lmb_ipc::measure_pipe_bw(h, total, chunk).mb_per_s;
                     let tcp = |chunk| {
-                        lmb_ipc::tcp_bw::measure_tcp_bw(
-                            total,
-                            chunk,
-                            lmb_ipc::TCP_SOCKBUF,
-                            reps,
-                            SummaryPolicy::Last,
-                        )
-                        .mb_per_s
+                        lmb_ipc::measure_tcp_bw(h, total, chunk, lmb_ipc::TCP_SOCKBUF).mb_per_s
                     };
                     BenchOutput::new()
                         .metric("pipe 512B", pipe(512), Unit::MbPerSec)
@@ -652,9 +640,11 @@ impl Registry {
                 fills: &[],
                 derived: false,
                 runner: arc_runner(|ctx| {
-                    let files = ctx.config.fs_files;
-                    let by_len = lmb_fs::scaling::name_length_sweep(&[2, 16, 64, 200], files);
-                    let by_pop = lmb_fs::scaling::population_sweep(&[0, 1000, 10_000], files);
+                    let (h, files) = (&ctx.harness, ctx.config.fs_files);
+                    let by_len =
+                        lmb_fs::create_delete::name_length_sweep(h, &[2, 16, 64, 200], files);
+                    let by_pop =
+                        lmb_fs::create_delete::population_sweep(h, &[0, 1000, 10_000], files);
                     let mut out = BenchOutput::new();
                     for (p, [create, delete]) in by_len.iter().chain(&by_pop).zip(FS_POINTS) {
                         out = out

@@ -12,7 +12,7 @@ use crate::engine::{Engine, EngineOutcome};
 use crate::error::SuiteError;
 use crate::registry::Registry;
 use lmb_results::*;
-use lmb_timing::{Harness, SummaryPolicy};
+use lmb_timing::Harness;
 
 /// Runs every benchmark in the suite at the configured scale and returns
 /// the host's (possibly partial) result set. Individual benchmark
@@ -42,25 +42,14 @@ pub fn measure_mem_bw(h: &Harness, config: &SuiteConfig, name: &str) -> MemBwRow
 
 /// Table 3 row.
 pub fn measure_ipc_bw(h: &Harness, config: &SuiteConfig, name: &str) -> IpcBwRow {
-    let reps = config.options.repetitions.min(3);
-    let pipe = lmb_ipc::pipe_bw::measure_pipe_bw(
-        config.stream_total,
-        lmb_ipc::PIPE_CHUNK,
-        reps,
-        SummaryPolicy::Last,
-    );
-    let tcp = lmb_ipc::tcp_bw::measure_tcp_bw(
-        config.stream_total,
-        lmb_ipc::TCP_CHUNK,
-        lmb_ipc::TCP_SOCKBUF,
-        reps,
-        SummaryPolicy::Last,
-    );
+    let total = config.stream_total;
     IpcBwRow {
         system: name.into(),
         bcopy_libc: lmb_mem::bw::measure_bcopy_libc(h, config.copy_bytes).mb_per_s,
-        pipe: pipe.mb_per_s,
-        tcp: Some(tcp.mb_per_s),
+        pipe: lmb_ipc::measure_pipe_bw(h, total, lmb_ipc::PIPE_CHUNK).mb_per_s,
+        tcp: Some(
+            lmb_ipc::measure_tcp_bw(h, total, lmb_ipc::TCP_CHUNK, lmb_ipc::TCP_SOCKBUF).mb_per_s,
+        ),
     }
 }
 
@@ -204,16 +193,16 @@ pub fn measure_udp_rpc(h: &Harness, config: &SuiteConfig, name: &str) -> UdpRpcR
 }
 
 /// Table 15 row.
-pub fn measure_connect(config: &SuiteConfig, name: &str) -> ConnectRow {
+pub fn measure_connect(h: &Harness, name: &str) -> ConnectRow {
     ConnectRow {
         system: name.into(),
-        connect_us: lmb_ipc::measure_tcp_connect(config.connect_attempts).as_micros(),
+        connect_us: lmb_ipc::measure_tcp_connect(h).as_micros(),
     }
 }
 
 /// Table 16 row.
-pub fn measure_fs_lat(config: &SuiteConfig, name: &str) -> FsLatRow {
-    let r = lmb_fs::create_delete::measure_in_tempdir(config.fs_files);
+pub fn measure_fs_lat(h: &Harness, config: &SuiteConfig, name: &str) -> FsLatRow {
+    let r = lmb_fs::create_delete::measure_in_tempdir(h, config.fs_files);
     FsLatRow {
         system: name.into(),
         fs: detect_fs_type(),

@@ -8,7 +8,8 @@
 //!   (Table 5's `File mmap` column).
 //! * [`create_delete`] — file-system latency, "the time required to create
 //!   or delete a zero length file" (Table 16), 1 000 short-named files in
-//!   one directory.
+//!   one directory, and the same body swept over name length and
+//!   directory population.
 //! * [`lmdd`] — the suite's dd-style sequential/random I/O workhorse with
 //!   pattern generation and checking ("lmdd proved to be more accurate than
 //!   any of the other benchmarks").
@@ -17,15 +18,26 @@ pub mod create_delete;
 pub mod lmdd;
 pub mod mmap_reread;
 pub mod reread;
-pub mod scaling;
 
 pub use create_delete::{measure_create_delete, CreateDeleteResult};
 pub use lmdd::{Lmdd, LmddReport, SeekMode};
 pub use mmap_reread::measure_mmap_reread;
 pub use reread::measure_file_reread;
-pub use scaling::{measure_scaling, ScalingPoint};
 
 use std::path::PathBuf;
+
+/// A fresh path under the system temp dir, unique to this process and
+/// moment, for a scratch file or directory.
+fn scratch_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "lmb-fs-{tag}-{}-{:x}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos())
+            .unwrap_or(0)
+    ))
+}
 
 /// A scratch file that removes itself on drop.
 #[derive(Debug)]
@@ -37,14 +49,7 @@ impl ScratchFile {
     /// Creates a scratch file of `size` bytes filled with a word-indexed
     /// pattern, in the system temp directory.
     pub fn create(tag: &str, size: usize) -> std::io::Result<Self> {
-        let path = std::env::temp_dir().join(format!(
-            "lmb-fs-{tag}-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0)
-        ));
+        let path = scratch_path(tag);
         let mut data = Vec::with_capacity(size);
         let words = size / 4;
         for w in 0..words {

@@ -14,6 +14,7 @@
 pub mod fifo_lat;
 pub mod pipe_bw;
 pub mod pipe_lat;
+mod stream;
 pub mod tcp_bw;
 pub mod tcp_connect;
 pub mod tcp_lat;

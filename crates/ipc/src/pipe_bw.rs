@@ -5,89 +5,61 @@
 //! prints the timing results, which guarantees that all data has been moved
 //! before the timing is finished."
 
+use crate::stream::{measure_stream, Stream, Writer};
 use lmb_sys::pipe::Pipe;
 use lmb_sys::process::{exit_immediately, fork, waitpid, ForkResult, Pid};
 use lmb_sys::Fd;
-use lmb_timing::clock::Stopwatch;
-use lmb_timing::{Bandwidth, Samples, SummaryPolicy};
+use lmb_timing::{Bandwidth, Harness};
 
-/// One writer-process/reader-process transfer of `total` bytes in `chunk`
-/// sized writes; returns the reader-observed bandwidth.
+/// Measures writer-process-to-reader-process pipe bandwidth: `total`
+/// bytes in `chunk`-sized writes per transfer, a fresh writer forked for
+/// each, summarized by the harness's policy.
 ///
 /// # Panics
 ///
 /// Panics if `chunk` is zero or `total < chunk`, or on process failures —
 /// including a writer that dies early, which surfaces as a prompt
 /// "writer hung up early" panic (EOF on the pipe), never a hang.
-pub fn run_once(total: usize, chunk: usize) -> Bandwidth {
-    run_once_inner(total, chunk, false)
+pub fn measure_pipe_bw(h: &Harness, total: usize, chunk: usize) -> Bandwidth {
+    measure_inner(h, total, chunk, false)
 }
 
-/// [`run_once`] with the writer-death fault injectable, for tests.
-fn run_once_inner(total: usize, chunk: usize, child_fail: bool) -> Bandwidth {
-    assert!(chunk > 0, "chunk must be nonzero");
-    assert!(total >= chunk, "total below one chunk");
-    let chunks = total / chunk;
-    let payload = chunks * chunk;
-
-    // Buffers allocated pre-fork: the writer child must not allocate.
-    let out = vec![0xA5u8; chunk];
-    let mut inbuf = vec![0u8; chunk];
-
-    let (read_end, write_end) = Pipe::new().expect("pipe").split();
-    match fork().expect("fork writer") {
-        ForkResult::Child => {
-            // Writer: stream all chunks, then exit. Only read/write/_exit.
-            drop(read_end);
-            for i in 0..chunks {
-                if write_end.write_all(&out).is_err() {
-                    exit_immediately(2);
+/// [`measure_pipe_bw`] with the writer-death fault injectable, for tests.
+fn measure_inner(h: &Harness, total: usize, chunk: usize, child_fail: bool) -> Bandwidth {
+    let start = |chunks| {
+        // Allocated pre-fork: the writer child must not allocate.
+        let out = vec![0xA5u8; chunk];
+        let (read_end, write_end) = Pipe::new().expect("pipe").split();
+        match fork().expect("fork writer") {
+            ForkResult::Child => {
+                // Writer: stream all chunks, then exit. Only read/write/_exit.
+                drop(read_end);
+                for i in 0..chunks {
+                    if write_end.write_all(&out).is_err() {
+                        exit_immediately(2);
+                    }
+                    if child_fail && i == 0 {
+                        // Injected fault: die after the first chunk, as a
+                        // crashed writer would.
+                        exit_immediately(1);
+                    }
                 }
-                if child_fail && i == 0 {
-                    // Injected fault: die after the first chunk, as a
-                    // crashed writer would.
-                    exit_immediately(1);
+                exit_immediately(0);
+            }
+            ForkResult::Parent(pid) => {
+                // Only the child may hold a write end, or a dead writer
+                // would leave the reader waiting instead of at EOF.
+                drop(write_end);
+                Stream {
+                    reader: read_end,
+                    _writer: Writer::Process(pid),
                 }
             }
-            exit_immediately(0);
         }
-        ForkResult::Parent(pid) => {
-            drop(write_end);
-            let sw = Stopwatch::start();
-            let mut received = 0usize;
-            while received < payload {
-                let want = chunk.min(payload - received);
-                let n = read_end.read_full(&mut inbuf[..want]).expect("pipe read");
-                if n == 0 {
-                    // EOF: the writer died before delivering everything.
-                    // Reap it first so the failure doesn't leak a zombie.
-                    let _ = waitpid(pid);
-                    panic!("writer hung up early at {received}/{payload}");
-                }
-                received += n;
-            }
-            let elapsed = sw.elapsed_ns();
-            assert!(waitpid(pid).expect("waitpid").success(), "writer failed");
-            Bandwidth::from_bytes_ns(payload as u64, elapsed)
-        }
-    }
-}
-
-/// Repeats [`run_once`] and summarizes — warm run discarded, then
-/// `repetitions` measured, summarized by `policy` (the paper records the
-/// last warm run; [`SummaryPolicy::Last`] reproduces that).
-pub fn measure_pipe_bw(
-    total: usize,
-    chunk: usize,
-    repetitions: u32,
-    policy: SummaryPolicy,
-) -> Bandwidth {
-    assert!(repetitions > 0, "need at least one repetition");
-    let _warm = run_once(total, chunk);
-    let samples = Samples::from_values((0..repetitions).map(|_| run_once(total, chunk).mb_per_s));
-    Bandwidth {
-        mb_per_s: samples.summarize(policy).unwrap_or(0.0),
-    }
+    };
+    measure_stream(h, total, chunk, start, |fd: &mut Fd, buf| {
+        fd.read(buf).expect("pipe read")
+    })
 }
 
 /// A forked drain child on the far end of a pipe: the parent writes
@@ -167,10 +139,15 @@ impl Drop for PipeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmb_timing::Options;
+
+    fn harness() -> Harness {
+        Harness::new(Options::quick().with_repetitions(2))
+    }
 
     #[test]
     fn transfers_complete_and_report_positive_bandwidth() {
-        let bw = run_once(4 << 20, 64 << 10);
+        let bw = measure_pipe_bw(&harness(), 4 << 20, 64 << 10);
         assert!(bw.mb_per_s > 0.0);
         assert!(bw.mb_per_s.is_finite());
     }
@@ -179,8 +156,9 @@ mod tests {
     fn small_chunks_are_slower_than_big_chunks() {
         // Per-syscall overhead dominates at tiny chunk sizes — the very
         // reason the paper picked 64K. Compare 256-byte vs 64K chunks.
-        let small = measure_pipe_bw(2 << 20, 256, 2, SummaryPolicy::Minimum);
-        let big = measure_pipe_bw(8 << 20, 64 << 10, 2, SummaryPolicy::Minimum);
+        let h = harness();
+        let small = measure_pipe_bw(&h, 2 << 20, 256);
+        let big = measure_pipe_bw(&h, 8 << 20, 64 << 10);
         assert!(
             big.mb_per_s > small.mb_per_s,
             "64K chunks ({}) not faster than 256B chunks ({})",
@@ -192,12 +170,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "total below one chunk")]
     fn rejects_total_smaller_than_chunk() {
-        run_once(1024, 64 << 10);
+        measure_pipe_bw(&harness(), 1024, 64 << 10);
     }
 
     #[test]
     fn non_multiple_totals_round_down() {
-        let bw = run_once((1 << 20) + 5000, 64 << 10);
+        let bw = measure_pipe_bw(&harness(), (1 << 20) + 5000, 64 << 10);
         assert!(bw.mb_per_s > 0.0);
     }
 
@@ -205,7 +183,7 @@ mod tests {
     fn dead_writer_surfaces_as_prompt_failure_not_a_hang() {
         let begin = std::time::Instant::now();
         let result = std::panic::catch_unwind(|| {
-            run_once_inner(4 << 20, 64 << 10, /* child_fail= */ true)
+            measure_inner(&harness(), 4 << 20, 64 << 10, /* child_fail= */ true)
         });
         let err = result.expect_err("dead writer must fail the run");
         let msg = err

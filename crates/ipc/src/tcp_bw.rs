@@ -5,49 +5,41 @@
 //! TCP implementation supports it, the send and receive socket buffers are
 //! enlarged to 1M. ... All of the TCP results are in loopback mode."
 
+use crate::stream::{measure_stream, Stream, Writer};
 use lmb_sys::sock::set_socket_buffers;
-use lmb_timing::clock::Stopwatch;
-use lmb_timing::{Bandwidth, Samples, SummaryPolicy};
+use lmb_timing::{Bandwidth, Harness};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-/// One sender-thread/receiver transfer of `total` bytes in `chunk`-sized
-/// writes over loopback TCP; returns receiver-observed bandwidth.
+/// Measures sender-thread-to-receiver bandwidth over loopback TCP: `total`
+/// bytes in `chunk`-sized writes per connection, with `sockbuf`-byte socket
+/// buffers, summarized by the harness's policy.
 ///
 /// # Panics
 ///
 /// Panics if `chunk` is zero or `total < chunk`, or on socket failures.
-pub fn run_once(total: usize, chunk: usize, sockbuf: usize) -> Bandwidth {
-    assert!(chunk > 0, "chunk must be nonzero");
-    assert!(total >= chunk, "total below one chunk");
-    let chunks = total / chunk;
-    let payload = chunks * chunk;
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    set_socket_buffers(&listener, sockbuf).expect("sockbuf");
-    let addr = listener.local_addr().expect("addr");
-
-    let sender = std::thread::spawn(move || {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        set_socket_buffers(&stream, sockbuf).expect("sockbuf");
-        let out = vec![0x5Au8; chunk];
-        for _ in 0..chunks {
-            stream.write_all(&out).expect("tcp write");
+pub fn measure_tcp_bw(h: &Harness, total: usize, chunk: usize, sockbuf: usize) -> Bandwidth {
+    let start = |chunks| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        set_socket_buffers(&listener, sockbuf).expect("sockbuf");
+        let addr = listener.local_addr().expect("addr");
+        let sender = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            set_socket_buffers(&stream, sockbuf).expect("sockbuf");
+            let out = vec![0x5Au8; chunk];
+            for _ in 0..chunks {
+                stream.write_all(&out).expect("tcp write");
+            }
+        });
+        let (reader, _) = listener.accept().expect("accept");
+        Stream {
+            reader,
+            _writer: Writer::Thread(Some(sender)),
         }
-    });
-
-    let (mut conn, _) = listener.accept().expect("accept");
-    let mut inbuf = vec![0u8; chunk];
-    let sw = Stopwatch::start();
-    let mut received = 0usize;
-    while received < payload {
-        let n = conn.read(&mut inbuf).expect("tcp read");
-        assert!(n > 0, "sender hung up early at {received}/{payload}");
-        received += n;
-    }
-    let elapsed = sw.elapsed_ns();
-    sender.join().expect("sender thread");
-    Bandwidth::from_bytes_ns(payload as u64, elapsed)
+    };
+    measure_stream(h, total, chunk, start, |conn: &mut TcpStream, buf| {
+        conn.read(buf).expect("tcp read")
+    })
 }
 
 /// A discard server thread on the far end of a loopback TCP connection:
@@ -115,45 +107,34 @@ impl Drop for TcpSink {
     }
 }
 
-/// Repeats [`run_once`] (after one warm run) and summarizes by `policy`.
-pub fn measure_tcp_bw(
-    total: usize,
-    chunk: usize,
-    sockbuf: usize,
-    repetitions: u32,
-    policy: SummaryPolicy,
-) -> Bandwidth {
-    assert!(repetitions > 0, "need at least one repetition");
-    let _warm = run_once(total, chunk, sockbuf);
-    let samples =
-        Samples::from_values((0..repetitions).map(|_| run_once(total, chunk, sockbuf).mb_per_s));
-    Bandwidth {
-        mb_per_s: samples.summarize(policy).unwrap_or(0.0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{TCP_CHUNK, TCP_SOCKBUF};
+    use lmb_timing::Options;
+
+    fn harness() -> Harness {
+        Harness::new(Options::quick().with_repetitions(2))
+    }
 
     #[test]
     fn loopback_tcp_moves_data() {
-        let bw = run_once(8 << 20, TCP_CHUNK, TCP_SOCKBUF);
+        let bw = measure_tcp_bw(&harness(), 8 << 20, TCP_CHUNK, TCP_SOCKBUF);
         assert!(bw.mb_per_s > 0.0);
         assert!(bw.mb_per_s.is_finite());
     }
 
     #[test]
     fn measure_summarizes_repetitions() {
-        let bw = measure_tcp_bw(2 << 20, 1 << 20, TCP_SOCKBUF, 2, SummaryPolicy::Minimum);
+        let bw = measure_tcp_bw(&harness(), 2 << 20, 1 << 20, TCP_SOCKBUF);
         assert!(bw.mb_per_s > 0.0);
     }
 
     #[test]
     fn tiny_chunks_pay_syscall_tax() {
-        let small = measure_tcp_bw(1 << 20, 512, TCP_SOCKBUF, 2, SummaryPolicy::Minimum);
-        let big = measure_tcp_bw(8 << 20, TCP_CHUNK, TCP_SOCKBUF, 2, SummaryPolicy::Minimum);
+        let h = harness();
+        let small = measure_tcp_bw(&h, 1 << 20, 512, TCP_SOCKBUF);
+        let big = measure_tcp_bw(&h, 8 << 20, TCP_CHUNK, TCP_SOCKBUF);
         assert!(
             big.mb_per_s > small.mb_per_s,
             "1M chunks ({}) not faster than 512B chunks ({})",
@@ -165,7 +146,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonzero")]
     fn zero_chunk_rejected() {
-        run_once(1 << 20, 0, TCP_SOCKBUF);
+        measure_tcp_bw(&harness(), 1 << 20, 0, TCP_SOCKBUF);
     }
 
     #[test]

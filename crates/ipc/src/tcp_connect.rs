@@ -5,9 +5,12 @@
 //! server is registered and then repeatedly times a `connect` system call to
 //! the server. The socket is closed after each connect. Twenty connects are
 //! completed and the fastest of them is used as the result."
+//!
+//! Here the harness times calibrated batches of connects instead, each
+//! batch's sockets closed after the clock stops, and reports its summary
+//! over the repetitions.
 
-use lmb_timing::clock::Stopwatch;
-use lmb_timing::{Latency, Samples, SummaryPolicy, TimeUnit};
+use lmb_timing::{Harness, Latency, TimeUnit};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -57,41 +60,49 @@ impl Drop for ConnectServer {
     }
 }
 
-/// Times `attempts` connect/close cycles and reports per the paper: the
-/// *fastest* (the three-way handshake's two local packets with no
-/// scheduling noise).
+/// Most connects timed in one interval: the accept thread must keep the
+/// listener's backlog (128 in std) from filling while the batch's streams
+/// stay open, or a connect waits out a SYN retransmit.
+const MAX_BATCH: u64 = 64;
+
+/// Times connects to a loopback accept-and-drop server, summarized by the
+/// harness's policy (minimum by default: the three-way handshake's two
+/// local packets with the least scheduling noise).
+///
+/// Each interval times a batch of connects, sized by the harness's
+/// calibration; the batch's streams close after the clock stops.
 ///
 /// # Panics
 ///
-/// Panics if `attempts` is zero or the server cannot be started.
-pub fn measure_tcp_connect(attempts: u32) -> Latency {
-    assert!(attempts > 0, "need at least one attempt");
+/// Panics if the server cannot be started or a connect fails.
+pub fn measure_tcp_connect(h: &Harness) -> Latency {
     let server = ConnectServer::start().expect("connect server");
     let addr = server.addr();
-    // One warm connect (ARP-equivalent loopback setup, allocator warm-up).
-    let _ = TcpStream::connect(addr).expect("warm connect");
-
-    let mut samples = Samples::new();
-    for _ in 0..attempts {
-        let sw = Stopwatch::start();
-        let stream = TcpStream::connect(addr).expect("connect");
-        let ns = sw.elapsed_ns();
-        drop(stream);
-        samples.push(ns);
-    }
-    Latency::from_ns(
-        samples.summarize(SummaryPolicy::Minimum).unwrap_or(0.0),
-        TimeUnit::Micros,
+    let connect = || TcpStream::connect(addr).expect("connect");
+    let batch = h.calibrate(|| drop(connect())).min(MAX_BATCH);
+    h.measure_staged(
+        batch,
+        || Vec::with_capacity(batch as usize),
+        |mut open| {
+            open.extend((0..batch).map(|_| connect()));
+            open
+        },
     )
+    .latency(TimeUnit::Micros)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmb_timing::Options;
+
+    fn harness() -> Harness {
+        Harness::new(Options::quick().with_repetitions(2))
+    }
 
     #[test]
     fn connect_latency_positive_and_bounded() {
-        let lat = measure_tcp_connect(20);
+        let lat = measure_tcp_connect(&harness());
         let us = lat.as_micros();
         assert!(us > 0.0);
         // Table 15 spans 238-3047us in 1995; loopback today is tens of us.
@@ -108,14 +119,8 @@ mod tests {
 
     #[test]
     fn connect_costs_more_than_nothing_less_than_a_second() {
-        let lat = measure_tcp_connect(5);
+        let lat = measure_tcp_connect(&harness());
         assert!(lat.as_ns() > 100.0);
         assert!(lat.as_ns() < 1e9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attempt")]
-    fn zero_attempts_rejected() {
-        measure_tcp_connect(0);
     }
 }

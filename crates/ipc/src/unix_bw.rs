@@ -4,79 +4,62 @@
 //! (protocol work included): the socket layer without IP. Later lmbench
 //! releases added exactly this measurement (`bw_unix`).
 
-use lmb_timing::clock::Stopwatch;
-use lmb_timing::{Bandwidth, Samples, SummaryPolicy};
+use crate::stream::{measure_stream, Stream, Writer};
+use lmb_timing::{Bandwidth, Harness};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 
-/// One writer-thread/reader transfer of `total` bytes in `chunk`-sized
-/// writes over a socketpair; returns reader-observed bandwidth.
+/// Measures writer-thread-to-reader bandwidth over a socketpair: `total`
+/// bytes in `chunk`-sized writes per transfer, summarized by the harness's
+/// policy.
 ///
 /// # Panics
 ///
 /// Panics if `chunk` is zero or `total < chunk`, or on socket failures.
-pub fn run_once(total: usize, chunk: usize) -> Bandwidth {
-    assert!(chunk > 0, "chunk must be nonzero");
-    assert!(total >= chunk, "total below one chunk");
-    let chunks = total / chunk;
-    let payload = chunks * chunk;
-
-    let (mut reader, mut writer) = UnixStream::pair().expect("socketpair");
-    let sender = std::thread::spawn(move || {
-        let out = vec![0xC3u8; chunk];
-        for _ in 0..chunks {
-            writer.write_all(&out).expect("unix write");
+pub fn measure_unix_bw(h: &Harness, total: usize, chunk: usize) -> Bandwidth {
+    let start = |chunks| {
+        let (reader, mut writer) = UnixStream::pair().expect("socketpair");
+        let sender = std::thread::spawn(move || {
+            let out = vec![0xC3u8; chunk];
+            for _ in 0..chunks {
+                writer.write_all(&out).expect("unix write");
+            }
+        });
+        Stream {
+            reader,
+            _writer: Writer::Thread(Some(sender)),
         }
-    });
-
-    let mut inbuf = vec![0u8; chunk];
-    let sw = Stopwatch::start();
-    let mut received = 0usize;
-    while received < payload {
-        let n = reader.read(&mut inbuf).expect("unix read");
-        assert!(n > 0, "writer hung up early at {received}/{payload}");
-        received += n;
-    }
-    let elapsed = sw.elapsed_ns();
-    sender.join().expect("sender thread");
-    Bandwidth::from_bytes_ns(payload as u64, elapsed)
-}
-
-/// Repeats [`run_once`] (after one warm run) and summarizes by `policy`.
-pub fn measure_unix_bw(
-    total: usize,
-    chunk: usize,
-    repetitions: u32,
-    policy: SummaryPolicy,
-) -> Bandwidth {
-    assert!(repetitions > 0, "need at least one repetition");
-    let _warm = run_once(total, chunk);
-    let samples = Samples::from_values((0..repetitions).map(|_| run_once(total, chunk).mb_per_s));
-    Bandwidth {
-        mb_per_s: samples.summarize(policy).unwrap_or(0.0),
-    }
+    };
+    measure_stream(h, total, chunk, start, |reader: &mut UnixStream, buf| {
+        reader.read(buf).expect("unix read")
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmb_timing::Options;
+
+    fn harness() -> Harness {
+        Harness::new(Options::quick().with_repetitions(2))
+    }
 
     #[test]
     fn unix_stream_moves_data() {
-        let bw = run_once(4 << 20, 64 << 10);
+        let bw = measure_unix_bw(&harness(), 4 << 20, 64 << 10);
         assert!(bw.mb_per_s > 0.0);
         assert!(bw.mb_per_s.is_finite());
     }
 
     #[test]
     fn summary_policies_apply() {
-        let bw = measure_unix_bw(2 << 20, 64 << 10, 2, SummaryPolicy::Minimum);
+        let bw = measure_unix_bw(&harness(), 2 << 20, 64 << 10);
         assert!(bw.mb_per_s > 0.0);
     }
 
     #[test]
     #[should_panic(expected = "total below one chunk")]
     fn undersized_total_rejected() {
-        run_once(100, 64 << 10);
+        measure_unix_bw(&harness(), 100, 64 << 10);
     }
 }

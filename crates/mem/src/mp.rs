@@ -14,10 +14,10 @@
 //! On a single-core machine both degenerate to scheduler ping-pong; the
 //! results are still well-defined, just not about coherence hardware.
 
-use lmb_timing::clock::Stopwatch;
-use lmb_timing::{Bandwidth, Latency, Samples, SummaryPolicy, TimeUnit};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use lmb_timing::{Bandwidth, Harness, Latency, TimeUnit};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Spin briefly, then yield: on multi-core machines the wait resolves in
 /// the spin phase (pure coherence traffic); on single-core machines the
@@ -42,108 +42,117 @@ fn wait_until(cond: impl Fn() -> bool) {
 #[repr(align(128))]
 struct Line(AtomicU64);
 
-/// Measures cache-line ping-pong round-trip latency between two threads.
-///
-/// Returns the *half* round trip (one line transfer) like hardware specs
-/// quote it. `round_trips` per repetition, `repetitions` summarized by
-/// minimum.
-///
-/// # Panics
-///
-/// Panics if `round_trips` or `repetitions` is zero.
-pub fn measure_line_pingpong(round_trips: u64, repetitions: u32) -> Latency {
-    assert!(round_trips > 0, "need round trips");
-    assert!(repetitions > 0, "need repetitions");
-    let line = Arc::new(Line(AtomicU64::new(0)));
-    let other = Arc::clone(&line);
-    let total = round_trips * u64::from(repetitions) * 2;
+/// The turn value that tells a [`Partner`] to exit.
+const STOP: u64 = u64::MAX;
 
-    // Partner: answers exactly `total / 2` odd values (1, 3, ..,
-    // total - 1) with their successors; one answer per main-side trip.
-    let partner = std::thread::spawn(move || {
-        let mut expect = 1u64;
-        while expect < total {
-            wait_until(|| other.0.load(Ordering::Acquire) >= expect);
-            other.0.store(expect + 1, Ordering::Release);
-            expect += 2;
-        }
-    });
+/// A partner thread that takes the odd turns of a shared counter on its
+/// own cache line until dropped. Each [`Partner::round_trip`] hands it a
+/// turn and waits for the turn back, so the partner is idle whenever the
+/// measuring thread holds the line, and a stop never lands mid-turn.
+struct Partner {
+    turn: Arc<Line>,
+    next: u64,
+    thread: Option<JoinHandle<()>>,
+}
 
-    let mut samples = Samples::new();
-    let mut next = 0u64;
-    for _ in 0..repetitions {
-        let sw = Stopwatch::start();
-        for _ in 0..round_trips {
-            line.0.store(next + 1, Ordering::Release);
-            wait_until(|| line.0.load(Ordering::Acquire) >= next + 2);
-            next += 2;
+impl Partner {
+    /// Starts the partner; it runs `work` with the turn number on each turn.
+    fn start(mut work: impl FnMut(u64) + Send + 'static) -> Self {
+        let turn = Arc::new(Line(AtomicU64::new(0)));
+        let shared = Arc::clone(&turn);
+        let thread = std::thread::spawn(move || {
+            let mut mine = 1u64;
+            loop {
+                wait_until(|| shared.0.load(Ordering::Acquire) >= mine);
+                if shared.0.load(Ordering::Acquire) == STOP {
+                    return;
+                }
+                work(mine);
+                shared.0.store(mine + 1, Ordering::Release);
+                mine += 2;
+            }
+        });
+        Self {
+            turn,
+            next: 0,
+            thread: Some(thread),
         }
-        // Half round trip = one line transfer.
-        samples.push(sw.elapsed_ns() / round_trips as f64 / 2.0);
     }
-    partner.join().expect("partner thread");
-    Latency::from_ns(
-        samples.summarize(SummaryPolicy::Minimum).unwrap_or(0.0),
-        TimeUnit::Nanos,
-    )
+
+    /// Hands the partner its next turn and waits until it passes it back:
+    /// the line crosses to the partner's core and back.
+    fn round_trip(&mut self) {
+        self.turn.0.store(self.next + 1, Ordering::Release);
+        wait_until(|| self.turn.0.load(Ordering::Acquire) >= self.next + 2);
+        self.next += 2;
+    }
+}
+
+impl Drop for Partner {
+    fn drop(&mut self) {
+        self.turn.0.store(STOP, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Measures cache-line ping-pong between two threads: each harness
+/// operation is one round trip, and the result is the *half* round trip
+/// (one line transfer), as hardware specs quote it.
+pub fn measure_line_pingpong(h: &Harness) -> Latency {
+    let mut partner = Partner::start(|_| {});
+    let round_trip = h.measure(|| partner.round_trip());
+    Latency::from_ns(round_trip.per_op_ns() / 2.0, TimeUnit::Nanos)
 }
 
 /// Measures producer→consumer cache-to-cache bandwidth over a
-/// `bytes`-sized buffer, `generations` hand-offs.
+/// `bytes`-sized buffer: each harness operation is one generation, in
+/// which a partner thread fills the buffer and this thread sums it, so
+/// every consumer read pulls lines from the producer's cache.
 ///
 /// # Panics
 ///
-/// Panics if `bytes < 4096` or `generations` is zero.
-pub fn measure_cache_to_cache_bw(bytes: usize, generations: u32) -> Bandwidth {
+/// Panics if `bytes < 4096`.
+pub fn measure_cache_to_cache_bw(h: &Harness, bytes: usize) -> Bandwidth {
     assert!(bytes >= 4096, "buffer too small to measure");
-    assert!(generations > 0, "need generations");
     let words = bytes / 8;
     // SAFETY-free sharing: the buffer is a Vec of atomics so both threads
     // may touch it without unsafe; relaxed ops compile to plain loads and
     // stores on every target we run on.
     let buf: Arc<Vec<AtomicU64>> = Arc::new((0..words).map(|_| AtomicU64::new(0)).collect());
-    let gen: Arc<AtomicUsize> = Arc::new(AtomicUsize::new(0));
-
     let producer_buf = Arc::clone(&buf);
-    let producer_gen = Arc::clone(&gen);
-    let producer = std::thread::spawn(move || {
-        for g in 0..generations {
-            // Wait for our turn (even generations).
-            wait_until(|| producer_gen.load(Ordering::Acquire) == (g as usize) * 2);
-            let value = u64::from(g) + 1;
-            for w in producer_buf.iter() {
-                w.store(value, Ordering::Relaxed);
-            }
-            producer_gen.store(g as usize * 2 + 1, Ordering::Release);
+    let mut producer = Partner::start(move |turn| {
+        for w in producer_buf.iter() {
+            w.store(turn / 2 + 1, Ordering::Relaxed);
         }
     });
-
-    let sw = Stopwatch::start();
     let mut checksum = 0u64;
-    for g in 0..generations {
-        wait_until(|| gen.load(Ordering::Acquire) == g as usize * 2 + 1);
+    let per_generation = h.measure(|| {
+        producer.round_trip();
         let mut sum = 0u64;
         for w in buf.iter() {
             sum = sum.wrapping_add(w.load(Ordering::Relaxed));
         }
         checksum = checksum.wrapping_add(sum);
-        gen.store((g as usize + 1) * 2, Ordering::Release);
-    }
-    let elapsed = sw.elapsed_ns();
-    producer.join().expect("producer thread");
+    });
     std::hint::black_box(checksum);
-
     // Count consumer-side bytes read per generation.
-    Bandwidth::from_bytes_ns((words * 8) as u64 * u64::from(generations), elapsed)
+    per_generation.bandwidth((words * 8) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmb_timing::Options;
+
+    fn harness() -> Harness {
+        Harness::new(Options::quick().with_repetitions(2))
+    }
 
     #[test]
     fn pingpong_latency_is_positive_and_bounded() {
-        let lat = measure_line_pingpong(500, 2);
+        let lat = measure_line_pingpong(&harness());
         let ns = lat.as_ns();
         assert!(ns > 0.0);
         // Coherence transfers are tens-to-hundreds of ns; single-core
@@ -155,12 +164,12 @@ mod tests {
     #[test]
     fn pingpong_counter_protocol_terminates() {
         // Small run that would hang on any protocol bug.
-        let _ = measure_line_pingpong(10, 2);
+        let _ = measure_line_pingpong(&harness());
     }
 
     #[test]
     fn cache_to_cache_bw_positive() {
-        let bw = measure_cache_to_cache_bw(256 << 10, 8);
+        let bw = measure_cache_to_cache_bw(&harness(), 256 << 10);
         assert!(bw.mb_per_s > 0.0);
         assert!(bw.mb_per_s.is_finite());
     }
@@ -174,6 +183,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small")]
     fn tiny_bw_buffer_rejected() {
-        measure_cache_to_cache_bw(128, 1);
+        measure_cache_to_cache_bw(&harness(), 128);
     }
 }

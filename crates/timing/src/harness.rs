@@ -12,6 +12,10 @@
 //! 5. summarize with the benchmark's policy ([`crate::stats`]), minimum by
 //!    default (paper §3.4 "Variability").
 //!
+//! A body that needs untimed work around each interval (a writer to start,
+//! files to create, sockets to close) uses [`Harness::measure_staged`]: its
+//! stage runs and its result is dropped with the clock stopped.
+//!
 //! A harness reads one [`Clock`]. Benchmarks use [`Clock::Real`]
 //! (`Harness::new`); tests and virtual engine runs drive the same code
 //! against a seeded [`crate::sim::SimClock`] as [`Clock::Sim`], which makes
@@ -251,19 +255,23 @@ impl Harness {
             .max(self.options.min_interval)
     }
 
-    /// Times the configured repetitions of `loops` runs of `body`, each
-    /// interval less the clock-read overhead bracketed into it and divided
-    /// by `ops`, and records the result.
+    /// Announces the calibrated `ops` per interval, then times the
+    /// configured repetitions of `interval_ns`, each interval less the
+    /// clock-read overhead bracketed into it and divided by `ops`, and
+    /// records the result: the one timing loop of every method.
     ///
     /// An interval shorter than the read overhead clamps to 0.0 and counts
     /// as clamped — the per-op time is a floor, not a measurement, and the
     /// quality grade downstream turns `Suspect` (never a negative latency).
-    fn repeat(&self, loops: u64, ops: u64, mut body: impl FnMut()) -> Measurement {
+    fn repeat(&self, ops: u64, mut interval_ns: impl FnMut() -> f64) -> Measurement {
+        lmb_trace::emit(|| lmb_trace::EventKind::Calibrated {
+            iterations: ops,
+            clock_resolution_ns: self.info.resolution_ns,
+        });
         let mut samples = Samples::new();
         let mut clamped = 0u32;
         for _ in 0..self.options.repetitions {
-            let elapsed = time_interval_ns(&self.clock, loops, &mut body);
-            let compensated = elapsed - self.info.overhead_ns;
+            let compensated = interval_ns() - self.info.overhead_ns;
             if compensated < 0.0 {
                 clamped += 1;
                 samples.push(0.0);
@@ -280,53 +288,75 @@ impl Harness {
         m
     }
 
+    /// Runs the configured warm-up, billed to the budget's warm-up phase.
+    fn warm_up(&self, mut run: impl FnMut()) {
+        lmb_trace::emit(|| lmb_trace::EventKind::Warmup {
+            runs: self.options.warmup_runs,
+        });
+        self.billed(
+            |b| &b.warmup_ns,
+            || (0..self.options.warmup_runs).for_each(|_| run()),
+        );
+    }
+
+    /// How many runs of `body` fill one [`Harness::target_interval`], as
+    /// [`Harness::measure`] calibrates (billed to the budget); a staged body
+    /// that batches its operations sizes the batch with it.
+    pub fn calibrate(&self, body: impl FnMut()) -> u64 {
+        self.billed(
+            |b| &b.calibrate_ns,
+            || calibrate_iterations(&self.clock, self.target_interval(), body).iterations,
+        )
+    }
+
     /// Measures the per-call cost of `body`.
     ///
     /// The harness adds the outer loop: `body` should perform exactly one
     /// operation (one syscall, one signal, ...). Use [`Harness::measure_block`]
     /// when the body is itself a loop.
     pub fn measure(&self, mut body: impl FnMut()) -> Measurement {
-        lmb_trace::emit(|| lmb_trace::EventKind::Warmup {
-            runs: self.options.warmup_runs,
-        });
-        self.billed(
-            |b| &b.warmup_ns,
-            || (0..self.options.warmup_runs).for_each(|_| body()),
-        );
-        let cal = self.billed(
-            |b| &b.calibrate_ns,
-            || calibrate_iterations(&self.clock, self.target_interval(), &mut body),
-        );
-        lmb_trace::emit(|| lmb_trace::EventKind::Calibrated {
-            iterations: cal.iterations,
-            clock_resolution_ns: self.info.resolution_ns,
-        });
-        self.repeat(cal.iterations, cal.iterations, body)
+        self.warm_up(&mut body);
+        let iterations = self.calibrate(&mut body);
+        self.repeat(iterations, || {
+            time_interval_ns(&self.clock, iterations, &mut body)
+        })
     }
 
     /// Measures a body that internally performs `ops` operations per call
-    /// (e.g. one pass over an 8 MB buffer counted as `ops` word reads).
-    ///
-    /// No outer loop is added; the body is run once per repetition after
-    /// warm-up, and per-op time is `(elapsed - clock overhead) / ops`.
+    /// (e.g. one pass over an 8 MB buffer counted as `ops` word reads):
+    /// [`Harness::measure_staged`] with nothing to stage.
     ///
     /// # Panics
     ///
     /// Panics if `ops` is zero.
     pub fn measure_block(&self, ops: u64, mut body: impl FnMut()) -> Measurement {
-        assert!(ops > 0, "measure_block needs ops > 0");
-        lmb_trace::emit(|| lmb_trace::EventKind::Warmup {
-            runs: self.options.warmup_runs,
-        });
-        self.billed(
-            |b| &b.warmup_ns,
-            || (0..self.options.warmup_runs).for_each(|_| body()),
-        );
-        lmb_trace::emit(|| lmb_trace::EventKind::Calibrated {
-            iterations: ops,
-            clock_resolution_ns: self.info.resolution_ns,
-        });
-        self.repeat(1, ops, body)
+        self.measure_staged(ops, || (), |()| body())
+    }
+
+    /// Measures a body of `ops` operations with untimed work around each
+    /// interval: `stage()` runs with the clock stopped, `body(staged)` is
+    /// timed, and whatever `body` returns is dropped after the clock stops.
+    /// No outer loop: one run per warm-up run and per repetition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is zero.
+    pub fn measure_staged<S, R>(
+        &self,
+        ops: u64,
+        mut stage: impl FnMut() -> S,
+        mut body: impl FnMut(S) -> R,
+    ) -> Measurement {
+        assert!(ops > 0, "measure_staged needs ops > 0");
+        self.warm_up(|| drop(body(stage())));
+        self.repeat(ops, || {
+            let staged = stage();
+            let started = self.clock.now_ns();
+            let result = body(staged);
+            let elapsed = self.clock.now_ns() - started;
+            drop(result);
+            elapsed
+        })
     }
 
     /// Prices `b` over `a`, each a block of `ops` operations as in
@@ -663,6 +693,101 @@ mod tests {
     #[should_panic(expected = "compare needs ops > 0")]
     fn compare_rejects_zero_ops() {
         Harness::new(Options::quick()).compare(0, || {}, || {});
+    }
+
+    #[test]
+    fn staged_work_and_the_dropped_result_stay_off_the_clock() {
+        // Each run's stage costs 7 us and dropping its result 3 us of
+        // virtual time; only the 200 ns body may reach the samples.
+        struct Teardown(SimClock);
+        impl Drop for Teardown {
+            fn drop(&mut self) {
+                self.0.advance(3_000.0);
+            }
+        }
+        let sim = SimClock::new(84).with_read_overhead_ns(50.0);
+        let h = pinned_sim_harness(&sim);
+        let started = sim.true_now_ns();
+        let m = h.measure_staged(
+            4,
+            || sim.advance(7_000.0),
+            |()| {
+                sim.advance(800.0);
+                Teardown(sim.clone())
+            },
+        );
+        assert_eq!(m.per_op_ns(), 200.0, "800 ns over 4 ops");
+        assert!(m.samples().values().iter().all(|&v| v == 200.0));
+        assert_eq!(m.ops_per_sample(), 4);
+        // Stage and teardown did run, once per warm-up run and repetition.
+        let runs = f64::from(Options::quick().warmup_runs + Options::quick().repetitions);
+        assert!(sim.true_now_ns() - started >= runs * 10_800.0);
+    }
+
+    #[test]
+    fn measurements_read_the_clock_as_they_always_have() {
+        // Bit patterns recorded before `measure_block` became a staged
+        // measurement with nothing to stage: the probe, warm-up,
+        // calibration and repetitions read a jittery sim clock in the same
+        // order, so every sample and the clock's own state match.
+        let sim = SimClock::new(91)
+            .with_read_jitter_ns(25.0)
+            .with_read_overhead_ns(40.0);
+        let h = Harness::on_clock(
+            Options::quick().with_repetitions(7),
+            Clock::Sim(sim.clone()),
+        );
+        let block = h.measure_block(
+            16,
+            sim.scripted_body(CostModel::Noisy {
+                base_ns: 5_000.0,
+                spread_ns: 2_000.0,
+            }),
+        );
+        let looped = h.measure(sim.scripted_body(CostModel::Noisy {
+            base_ns: 300.0,
+            spread_ns: 90.0,
+        }));
+        let bits = |m: &Measurement| -> Vec<u64> {
+            m.samples().values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(block.ops_per_sample(), 16);
+        assert_eq!(block.clamped_samples(), 0);
+        assert_eq!(block.per_op_ns().to_bits(), 0x4073db6800000000);
+        assert_eq!(
+            bits(&block),
+            [
+                0x4076be6800000000,
+                0x4074756800000000,
+                0x40749a6800000000,
+                0x4076e86800000000,
+                0x4073db6800000000,
+                0x4074da6800000000,
+                0x4079ad6800000000,
+            ]
+        );
+        assert_eq!(looped.ops_per_sample(), 698);
+        assert_eq!(looped.per_op_ns().to_bits(), 0x40757792e3647e2b);
+        assert_eq!(
+            bits(&looped),
+            [
+                0x40759a1863c2624b,
+                0x4075950d63069a0a,
+                0x4075968ad1c9b81d,
+                0x407581916bd3fd11,
+                0x40757792e3647e2b,
+                0x40759c6913ce1ecf,
+                0x40757dec60d34149,
+            ]
+        );
+        assert_eq!(sim.reads(), 16594);
+        assert_eq!(sim.true_now_ns().to_bits(), 0x414862cb9646f117);
+    }
+
+    #[test]
+    #[should_panic(expected = "measure_staged needs ops > 0")]
+    fn staged_measurement_rejects_zero_ops() {
+        Harness::new(Options::quick()).measure_block(0, || {});
     }
 
     #[test]

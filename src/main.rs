@@ -617,6 +617,10 @@ fn query_daemon(args: &[String]) -> ExitCode {
                     eprintln!("lmbench: no runs stored for {fp}");
                     ExitCode::from(3)
                 }
+                Ok(reply) if reply.points.is_empty() => {
+                    eprintln!("lmbench: no {bench} points labelled {metric:?} stored for {fp}");
+                    ExitCode::from(3)
+                }
                 Ok(reply) => {
                     for p in &reply.points {
                         println!(

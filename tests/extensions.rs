@@ -64,9 +64,9 @@ fn unix_socket_sits_between_nothing_and_tcp() {
 
 #[test]
 fn fifo_and_unix_bandwidth_extensions_move_real_data() {
-    let bw = lmbench::ipc::unix_bw::run_once(4 << 20, 64 << 10);
-    assert!(bw.mb_per_s > 1.0, "AF_UNIX stream {bw}");
     let h = harness();
+    let bw = lmbench::ipc::measure_unix_bw(&h, 4 << 20, 64 << 10);
+    assert!(bw.mb_per_s > 1.0, "AF_UNIX stream {bw}");
     let fifo = lmbench::ipc::fifo_lat::measure_fifo_latency(&h, 30);
     assert!(fifo.as_micros() > 0.0);
 }
@@ -145,6 +145,48 @@ fn registry_extensions_run_end_to_end() {
         assert!(!out.is_empty(), "{name} produced nothing");
         if bench.requires.iter().all(|s| s.probe().is_ok()) {
             assert!(!out.starts_with("skipped:"), "{name}: {out}");
+        }
+    }
+}
+
+#[test]
+fn every_timed_record_is_graded() {
+    // The benchmarks that once timed themselves outside the harness now
+    // carry its provenance and grade, like every other timed record.
+    use lmbench::core::{Engine, Registry, SuiteConfig};
+    use lmbench::results::BenchStatus;
+    let names = [
+        "bw_pipe_tcp",
+        "bw_unix",
+        "lat_connect",
+        "lat_fs",
+        "lat_mp_c2c",
+    ];
+    let registry = Registry::standard()
+        .filtered(&names)
+        .expect("known benchmarks");
+    let outcome = Engine::new(registry, SuiteConfig::quick())
+        .expect("quick config is valid")
+        .execute();
+    assert_eq!(outcome.report.records.len(), names.len());
+    for record in &outcome.report.records {
+        if matches!(record.status, BenchStatus::Skipped(_)) {
+            continue; // No loopback or temp dir on this host.
+        }
+        assert_eq!(record.status, BenchStatus::Ok, "{}", record.name);
+        let provenance = record
+            .provenance
+            .as_ref()
+            .unwrap_or_else(|| panic!("{} carries no provenance", record.name));
+        assert!(
+            lmbench::timing::Quality::from_label(&provenance.quality).is_some(),
+            "{}: grade {:?}",
+            record.name,
+            provenance.quality
+        );
+        if record.name == "bw_pipe_tcp" {
+            // bcopy_libc, then the pipe and the TCP streams.
+            assert_eq!(provenance.measure_calls, 3, "bw_pipe_tcp measurements");
         }
     }
 }

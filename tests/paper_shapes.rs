@@ -85,7 +85,7 @@ fn remote_composition_preserves_the_papers_ordering() {
     // and Table 14 orderings must come out.
     use lmbench::net::remote::{bandwidth_table, latency_table};
     let h = harness();
-    let loop_tcp_bw = lmbench::ipc::tcp_bw::run_once(8 << 20, 1 << 20, 1 << 20).mb_per_s;
+    let loop_tcp_bw = lmbench::ipc::measure_tcp_bw(&h, 8 << 20, 1 << 20, 1 << 20).mb_per_s;
     let loop_rtt = lmbench::ipc::measure_tcp_latency(&h, 200).as_micros();
 
     let bw = bandwidth_table(loop_tcp_bw);

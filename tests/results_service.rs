@@ -366,6 +366,44 @@ fn query_diff_gates_a_scripted_regression() {
 }
 
 #[test]
+fn history_of_a_label_with_no_points_says_so_and_exits_3() {
+    let dir = temp_path("nolabel");
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = Daemon::start(&dir, &[]);
+    let addr = daemon.addr();
+    let mut client = ReportClient::new(addr.clone());
+    client.push(entry("label-fp", 100, 1.0)).expect("push");
+    drop(client);
+
+    // The fixture's one metric carries the empty label.
+    let history = |args: &[&str]| {
+        let mut full = vec!["history"];
+        full.extend_from_slice(args);
+        full.extend_from_slice(&["--to", &addr, "--fingerprint", "label-fp"]);
+        query(&full)
+    };
+    let out = history(&["lat_syscall"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 1);
+
+    for (args, label) in [
+        (&["lat_syscall", "op"][..], "\"op\""),
+        (&["lat_sig"], "\"\""),
+    ] {
+        let out = history(args);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(args[0]) && err.contains(label),
+            "{args:?}: {err}"
+        );
+    }
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn push_subcommand_round_trips_a_report_file() {
     let dir = temp_path("pushfile");
     let _ = std::fs::remove_dir_all(&dir);
